@@ -38,7 +38,6 @@ from .engine import (
     enumerate_stable,
     find_blocking_pairs,
     is_stable,
-    matched_set,
     maximum_matching,
 )
 from .errors import (
@@ -101,7 +100,6 @@ __all__ = [
     "instance_count",
     "is_stable",
     "load_market",
-    "matched_set",
     "maximum_matching",
     "parse_market",
     "perfect_verdict",

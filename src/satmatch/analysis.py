@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .engine import augment
 from .errors import InputError
 from .graph import BipartiteGraph, Side, Vertex
 from .prefs import PreferenceInstance
@@ -120,45 +121,21 @@ def _absorption(
 ) -> tuple[Optional[dict[int, int]], Optional[tuple[int, ...]]]:
     """Try to match every option in N(v) to a distinct competitor.
 
-    Returns (champions, None) on success — champions maps each option
-    index to its competitor index — or (None, blockade) on failure, where
-    blockade is a set of option indices adjacent to strictly fewer
-    competitors than its own size (the alternating-reachability witness
-    from the option the search could not place).
+    One augmenting-path search per option, in ascending option order, over
+    the competitors other than v. Returns (champions, None) on success —
+    champions maps each option index to its competitor index — or
+    (None, blockade) on the first option u the search cannot place. The
+    failed search has visited exactly the competitors alternating-reachable
+    from u, all of them taken, so u and the options they absorb form a set
+    adjacent to strictly fewer competitors than its own size.
     """
     graph.check_vertex(v)
-    adj = graph.adjacency(v.side)
     coadj = graph.adjacency(v.side.opposite)
     taken: dict[int, int] = {}  # competitor -> option it absorbs
-
-    def extend(u: int, seen: set[int]) -> bool:
-        for c in coadj[u]:
-            if c == v.index or c in seen:
-                continue
-            seen.add(c)
-            if c not in taken or extend(taken[c], seen):
-                taken[c] = u
-                return True
-        return False
-
-    for u in adj[v.index]:
-        if not extend(u, set()):
-            stuck = {u}
-            frontier = [u]
-            competitors: set[int] = set()
-            while frontier:
-                w = frontier.pop()
-                for c in coadj[w]:
-                    if c == v.index or c in competitors:
-                        continue
-                    competitors.add(c)
-                    # reachable competitors are matched, else the search
-                    # would have augmented through them
-                    nxt = taken[c]
-                    if nxt not in stuck:
-                        stuck.add(nxt)
-                        frontier.append(nxt)
-            return None, tuple(sorted(stuck))
+    for u in graph.adjacency(v.side)[v.index]:
+        seen: set[int] = set()
+        if not augment(coadj, taken, u, seen, skip=v.index):
+            return None, tuple(sorted({u} | {taken[c] for c in seen}))
     return {u: c for c, u in taken.items()}, None
 
 

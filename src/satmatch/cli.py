@@ -12,7 +12,7 @@ Five subcommands over one market file format:
 Every report exists as one dict; text mode renders that dict, so machine
 output always carries every number the human output shows. Exit codes:
 0 success / verdict true, 1 domain-negative, 2 usage or input error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ def _fmt_vertex(names: market_io.NameMap, v: Optional[Vertex]) -> Optional[str]:
     return None if v is None else names.name(v)
 
 
-def _instance_table(
-    names: market_io.NameMap, instance
-) -> dict[str, list[str]]:
-    table: dict[str, list[str]] = {}
-    for i, lst in enumerate(instance.x_lists):
-        table[names.x_names[i]] = [names.y_names[j] for j in lst]
-    for j, lst in enumerate(instance.y_lists):
-        table[names.y_names[j]] = [names.x_names[i] for i in lst]
-    return table
-
-
 # -- analyze -------------------------------------------------------------------
 
 
@@ -52,7 +41,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     g, names = bundle.graph, bundle.names
     side = _SIDES[args.side]
 
-    verdict = analysis.saturation_verdict(g, side)
+    perfect = analysis.perfect_verdict(g)
+    verdict = perfect.x if side is Side.X else perfect.y
     vertices = []
     for r in verdict.reports:
         vertices.append(
@@ -74,7 +64,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         target, instance = verdict.counterexample
         counterexample = {
             "vertex": names.name(target),
-            "preferences": _instance_table(names, instance),
+            "preferences": market_io.preference_table(names, instance),
         }
     saturation = {
         "side": args.side,
@@ -89,7 +79,6 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "counterexample": counterexample,
     }
 
-    perfect = analysis.perfect_verdict(g)
     perfect_section = {
         "holds": perfect.holds,
         "x_holds": perfect.x.holds,
@@ -131,7 +120,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
     coverage = None
     if bundle.compat is not None:
-        cross = compatibility.verdict_consistency(bundle.compat)
+        # resolve_market has checked that the induced graph is g
+        cross = compatibility.verdict_consistency(bundle.compat, perfect.x)
         class_names = bundle.market.compatibility.classes
         coverage = {
             "holds": cross.coverage.holds,
@@ -399,7 +389,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
         "target": args.target,
         "options": bound.options,
         "claimants": bound.claimants,
-        "preferences": _instance_table(names, instance),
+        "preferences": market_io.preference_table(names, instance),
         "market": market_text,
         "out": args.out,
         "confirmation": confirmation,
@@ -627,6 +617,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # engine bug or exhausted stack, never a verdict
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     if args.format == "structured":
         print(json.dumps(report, indent=2))
     else:

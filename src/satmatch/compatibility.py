@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import analysis
 from .errors import InputError
-from .graph import BipartiteGraph, Side
+from .graph import BipartiteGraph
 
 
 @dataclass(frozen=True)
@@ -117,20 +117,22 @@ class ConsistencyReport:
     consistent: bool
 
 
-def verdict_consistency(market: CompatibilityMarket) -> ConsistencyReport:
+def verdict_consistency(
+    market: CompatibilityMarket, saturation: analysis.SaturationVerdict
+) -> ConsistencyReport:
     """Cross-check the class-size verdict against the structural one.
 
-    Class coverage quantifies over class-wise-complete instances only, the
-    structural verdict over all instances on the induced graph, so coverage
-    holding while the structural verdict fails would mean one of the two
-    checkers is wrong: only that combination is flagged inconsistent.
+    `saturation` is the X-side saturation verdict of the induced graph.
+    On induced graphs the two verdicts are equivalent: a deficient class
+    lets its exclusive member be absorbed, and a covered class's slots are
+    a blockade for each of its members. So they must agree both ways, or
+    one of the two checkers is wrong.
     """
     cov = coverage_verdict(market)
-    sat = analysis.saturation_verdict(induced_graph(market), Side.X)
     return ConsistencyReport(
         coverage=cov,
-        saturation=sat,
-        consistent=not (cov.holds and not sat.holds),
+        saturation=saturation,
+        consistent=cov.holds == saturation.holds,
     )
 
 

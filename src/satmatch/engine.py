@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EngineInvariantError, InputError, SearchCapExceeded
 from .graph import BipartiteGraph, Matching, Side, Vertex
@@ -121,12 +121,12 @@ def deferred_acceptance(
     return Matching(_to_partner_tuple(px), _to_partner_tuple(py))
 
 
-def find_blocking_pairs(
+def _blocking_pairs(
     graph: BipartiteGraph,
     instance: PreferenceInstance,
     matching: Matching,
-) -> list[BlockingPair]:
-    """All blocking pairs of `matching`, in ascending (x-index, y-index) order.
+) -> Iterator[BlockingPair]:
+    """Blocking pairs of `matching`, in ascending (x-index, y-index) order.
 
     An edge (x, y) blocks when both endpoints strictly prefer each other to
     their current partners (an unmatched endpoint prefers any neighbor).
@@ -137,7 +137,6 @@ def find_blocking_pairs(
         or len(matching.partner_of_y) != graph.y_count
     ):
         raise InputError("matching does not fit the graph")
-    out = []
     px = matching.partner_of_x
     py = matching.partner_of_y
     for xi in range(graph.x_count):
@@ -148,8 +147,16 @@ def find_blocking_pairs(
             if xr[yi] < limit:
                 holder = py[yi]
                 if holder is None or instance.y_rank[yi][xi] < instance.y_rank[yi][holder]:
-                    out.append(BlockingPair(Vertex(Side.X, xi), Vertex(Side.Y, yi)))
-    return out
+                    yield BlockingPair(Vertex(Side.X, xi), Vertex(Side.Y, yi))
+
+
+def find_blocking_pairs(
+    graph: BipartiteGraph,
+    instance: PreferenceInstance,
+    matching: Matching,
+) -> list[BlockingPair]:
+    """All blocking pairs of `matching`, in ascending (x-index, y-index) order."""
+    return list(_blocking_pairs(graph, instance, matching))
 
 
 def is_stable(
@@ -158,19 +165,7 @@ def is_stable(
     matching: Matching,
 ) -> bool:
     """True iff no edge blocks the matching (early exit on the first)."""
-    _check_shapes(graph, instance)
-    px = matching.partner_of_x
-    py = matching.partner_of_y
-    for xi in range(graph.x_count):
-        xr = instance.x_rank[xi]
-        p = px[xi]
-        limit = UNMATCHED_RANK if p is None else xr[p]
-        for yi in graph.x_adj[xi]:
-            if xr[yi] < limit:
-                holder = py[yi]
-                if holder is None or instance.y_rank[yi][xi] < instance.y_rank[yi][holder]:
-                    return False
-    return True
+    return next(_blocking_pairs(graph, instance, matching), None) is None
 
 
 def _stable_vectors(
@@ -304,33 +299,59 @@ def enumerate_stable(
     )
 
 
+def augment(
+    adj: Sequence[Sequence[int]],
+    owner: dict[int, int],
+    start: int,
+    seen: set[int],
+    skip: int = -1,
+) -> bool:
+    """Kuhn's augmenting-path search from left vertex `start`, on an explicit stack.
+
+    `adj[u]` lists the right vertices u may take, tried in that order;
+    `owner` maps each held right vertex to its left vertex and is updated in
+    place when a path is found. Right vertex `skip` is never used. On
+    failure every right vertex alternating-reachable from `start` is in
+    `seen`, and all of them are held.
+    """
+    lefts = [start]  # left vertices on the current alternating path
+    rights: list[int] = []  # rights[k] links lefts[k] to lefts[k + 1]
+    stack = [iter(adj[start])]
+    while stack:
+        for r in stack[-1]:
+            if r == skip or r in seen:
+                continue
+            seen.add(r)
+            holder = owner.get(r)
+            if holder is None:
+                owner[r] = lefts[-1]
+                for left, right in zip(lefts, rights):
+                    owner[right] = left
+                return True
+            lefts.append(holder)
+            rights.append(r)
+            stack.append(iter(adj[holder]))
+            break
+        else:
+            stack.pop()
+            lefts.pop()
+            if rights:
+                rights.pop()
+    return False
+
+
 def maximum_matching(graph: BipartiteGraph) -> Matching:
     """A maximum-cardinality matching via augmenting paths (stability ignored).
 
     The matching itself is not unique; its size is, and that size is what
     the saturation cross-checks consume.
     """
-    match_y = [-1] * graph.y_count
-    x_adj = graph.x_adj
-
-    def augment(x: int, seen: list[bool]) -> bool:
-        for y in x_adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                if match_y[y] < 0 or augment(match_y[y], seen):
-                    match_y[y] = x
-                    return True
-        return False
-
+    owner: dict[int, int] = {}
     for x in range(graph.x_count):
-        augment(x, [False] * graph.y_count)
+        augment(graph.x_adj, owner, x, set())
     px: list[Optional[int]] = [None] * graph.x_count
-    for y, x in enumerate(match_y):
-        if x >= 0:
-            px[x] = y
-    return Matching(px, _to_partner_tuple(match_y))
-
-
-def matched_set(matching: Matching, side: Side) -> frozenset[int]:
-    """Indices on `side` that have a partner (alias for Matching.matched_set)."""
-    return matching.matched_set(side)
+    py: list[Optional[int]] = [None] * graph.y_count
+    for y, x in owner.items():
+        px[x] = y
+        py[y] = x
+    return Matching(px, py)

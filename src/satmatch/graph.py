@@ -176,10 +176,6 @@ class BipartiteGraph:
         """True iff every cross-side pair is an edge (vacuously true when empty)."""
         return self.edge_count == self.x_count * self.y_count
 
-    def is_balanced_biclique(self) -> bool:
-        """True iff the sides have equal size and every cross pair is an edge."""
-        return self.x_count == self.y_count and self.is_biclique()
-
     def is_connected(self) -> bool:
         if self.x_count + self.y_count == 0:
             return False
@@ -236,10 +232,6 @@ class Matching:
     ):
         self.partner_of_x = tuple(partner_of_x)
         self.partner_of_y = tuple(partner_of_y)
-
-    @classmethod
-    def empty(cls, graph: BipartiteGraph) -> "Matching":
-        return cls((None,) * graph.x_count, (None,) * graph.y_count)
 
     @classmethod
     def from_pairs(

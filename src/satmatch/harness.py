@@ -54,6 +54,15 @@ class SuiteResult:
 # -- families and oracles ----------------------------------------------------
 
 
+def graphs_of_shape(a: int, b: int) -> Iterator[BipartiteGraph]:
+    """Every bipartite graph with |X| = a, |Y| = b, one per edge mask (2^(a*b))."""
+    for mask in range(1 << (a * b)):
+        edges = [
+            (i, j) for i in range(a) for j in range(b) if mask >> (i * b + j) & 1
+        ]
+        yield BipartiteGraph(a, b, edges)
+
+
 def all_graphs(max_x: int, max_y: int) -> Iterator[BipartiteGraph]:
     """Every bipartite graph with |X| <= max_x, |Y| <= max_y, raw enumeration.
 
@@ -62,15 +71,7 @@ def all_graphs(max_x: int, max_y: int) -> Iterator[BipartiteGraph]:
     """
     for a in range(max_x + 1):
         for b in range(max_y + 1):
-            cells = a * b
-            for mask in range(1 << cells):
-                edges = [
-                    (i, j)
-                    for i in range(a)
-                    for j in range(b)
-                    if mask >> (i * b + j) & 1
-                ]
-                yield BipartiteGraph(a, b, edges)
+            yield from graphs_of_shape(a, b)
 
 
 def all_matchings(graph: BipartiteGraph) -> Iterator[Matching]:
@@ -308,17 +309,7 @@ def perfection_suite(
 
     g_index = 0
     for n in range(max_n + 1):
-        for mask in range(1 << (n * n)):
-            g = BipartiteGraph(
-                n,
-                n,
-                [
-                    (i, j)
-                    for i in range(n)
-                    for j in range(n)
-                    if mask >> (i * n + j) & 1
-                ],
-            )
+        for g in graphs_of_shape(n, n):
             g_index += 1
             counts["graphs"] += 1
 
@@ -399,7 +390,8 @@ def coverage_suite(
     sampled instances (instances on the induced graph are exactly the
     class-wise-complete ones); negative verdicts must be confirmed by a
     concrete freeze-out of an exclusive member of a deficient class. The
-    structural verdict on the induced graph is cross-checked throughout.
+    structural verdict on the induced graph must agree with the class-size
+    verdict on every market, both ways.
     """
     result = SuiteResult(
         name="coverage",
@@ -420,11 +412,14 @@ def coverage_suite(
     ):
         counts["markets"] += 1
         g = compatibility.induced_graph(market)
-        cross = compatibility.verdict_consistency(market)
+        cross = compatibility.verdict_consistency(
+            market, analysis.saturation_verdict(g, Side.X)
+        )
         if not cross.consistent:
             violations["consistency"].append(
-                f"market {m_index} {market!r}: coverage holds but the "
-                f"structural verdict fails"
+                f"market {m_index} {market!r}: coverage verdict "
+                f"{cross.coverage.holds} but structural verdict "
+                f"{cross.saturation.holds}"
             )
         if cross.coverage.holds:
             counts["verdicts_true"] += 1

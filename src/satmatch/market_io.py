@@ -365,20 +365,28 @@ def save_market(mf: MarketFile, path: str) -> None:
         fh.write(dump_market(mf))
 
 
-def market_with_preferences(
-    base: MarketFile, names: NameMap, instance: PreferenceInstance
-) -> MarketFile:
-    """A copy of `base` whose preferences block is `instance`, rendered in names."""
+def preference_table(
+    names: NameMap, instance: PreferenceInstance
+) -> dict[str, list[str]]:
+    """`instance` as a preferences block: each name, X side first, maps to
+    its ranked list of names."""
     table: dict[str, list[str]] = {}
     for i, lst in enumerate(instance.x_lists):
         table[names.x_names[i]] = [names.y_names[j] for j in lst]
     for j, lst in enumerate(instance.y_lists):
         table[names.y_names[j]] = [names.x_names[i] for i in lst]
+    return table
+
+
+def market_with_preferences(
+    base: MarketFile, names: NameMap, instance: PreferenceInstance
+) -> MarketFile:
+    """A copy of `base` whose preferences block is `instance`, rendered in names."""
     return MarketFile(
         schema_version=base.schema_version,
         x_names=list(base.x_names),
         y_names=list(base.y_names),
         edges=list(base.edges),
-        preferences=table,
+        preferences=preference_table(names, instance),
         compatibility=base.compatibility,
     )

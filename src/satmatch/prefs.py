@@ -45,15 +45,6 @@ class PreferenceInstance:
             dict(zip(lst, range(len(lst)))) for lst in self.y_lists
         )
 
-    def lists(self, side: Side) -> tuple[tuple[int, ...], ...]:
-        return self.x_lists if side is Side.X else self.y_lists
-
-    def ranks(self, side: Side) -> tuple[dict[int, int], ...]:
-        return self.x_rank if side is Side.X else self.y_rank
-
-    def list_for(self, v: Vertex) -> tuple[int, ...]:
-        return self.lists(v.side)[v.index]
-
     def rank(self, v: Vertex, candidate: Optional[Vertex]) -> int:
         """Position of `candidate` in v's list; None (unmatched) ranks last."""
         if candidate is None:
@@ -63,7 +54,8 @@ class PreferenceInstance:
                 f"{v!r} cannot rank {candidate!r}: same side", vertex=v
             )
         try:
-            return self.ranks(v.side)[v.index][candidate.index]
+            ranks = self.x_rank if v.side is Side.X else self.y_rank
+            return ranks[v.index][candidate.index]
         except KeyError:
             raise PreferenceError(
                 f"{candidate!r} is not acceptable to {v!r}", vertex=v

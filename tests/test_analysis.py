@@ -320,6 +320,31 @@ def test_blockades_are_deficient_option_subsets(g: BipartiteGraph):
             assert len(competitors) < len(s)
 
 
+def _has_deficient_option_set(g: BipartiteGraph, v: Vertex) -> bool:
+    """Brute force over every S ⊆ N(v): is |N(S) minus v| < |S| for one?"""
+    options = g.adjacency(v.side)[v.index]
+    coadj = g.adjacency(v.side.opposite)
+    others = [sum(1 << c for c in coadj[u] if c != v.index) for u in options]
+    union = [0] * (1 << len(options))  # competitor bitmask of each subset
+    for s in range(1, len(union)):
+        lowest = (s & -s).bit_length() - 1
+        union[s] = union[s & (s - 1)] | others[lowest]
+        if union[s].bit_count() < s.bit_count():
+            return True
+    return False
+
+
+@given(graphs(max_x=12, max_y=12))
+@PROPERTY_SETTINGS
+def test_satisfied_exactly_when_some_option_set_is_deficient(g: BipartiteGraph):
+    for side in (Side.X, Side.Y):
+        for r in saturation_verdict(g, side).reports:
+            assert r.satisfied == _has_deficient_option_set(g, r.vertex)
+            if r.blockade is not None:
+                competitors = set(g.neighborhood_of_set(r.blockade)) - {r.vertex}
+                assert len(competitors) < len(r.blockade)
+
+
 @given(graphs(max_x=3, max_y=3))
 @PROPERTY_SETTINGS
 def test_unsatisfied_vertices_can_all_be_stranded(g: BipartiteGraph):

@@ -411,6 +411,23 @@ def test_verify_text_rendering(capsys):
 # -- plumbing ------------------------------------------------------------------
 
 
+def test_internal_failure_exits_4(capsys, tmp_path):
+    # one stable matching, but the enumerator recurses once per X-vertex
+    n = 1200
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    prefs = {**{x: [y] for x, y in zip(xs, ys)}, **{y: [x] for x, y in zip(xs, ys)}}
+    path = str(tmp_path / "diagonal.yaml")
+    market_io.save_market(
+        market_io.MarketFile("1", xs, ys, list(zip(xs, ys)), prefs), path
+    )
+    code, out, err = _run(capsys, "enumerate", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema_version: [\n")

@@ -16,7 +16,7 @@ from satmatch.compatibility import (
     verdict_consistency,
 )
 from satmatch.errors import InputError
-from satmatch.graph import BipartiteGraph
+from satmatch.graph import BipartiteGraph, Side
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -25,6 +25,11 @@ def _two_class_market() -> CompatibilityMarket:
     # x0 only in class 0, x1 in both, x2 only in class 1;
     # one slot per class: both classes have 2 members and 1 slot
     return CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 1])
+
+
+def _consistency(market: CompatibilityMarket):
+    saturation = analysis.saturation_verdict(induced_graph(market), Side.X)
+    return verdict_consistency(market, saturation)
 
 
 def test_build_normalizes_memberships():
@@ -104,11 +109,12 @@ def test_deficient_witness_picks_lowest_exclusive_member():
 
 
 def test_verdict_consistency_on_small_markets():
-    report = verdict_consistency(_two_class_market())
+    report = _consistency(_two_class_market())
     assert not report.coverage.holds
-    assert report.consistent  # failing coverage is never inconsistent
+    assert not report.saturation.holds
+    assert report.consistent  # both verdicts fail together
     covered = CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 0, 1, 1])
-    report = verdict_consistency(covered)
+    report = _consistency(covered)
     assert report.coverage.holds
     assert report.saturation.holds
     assert report.consistent
@@ -116,7 +122,7 @@ def test_verdict_consistency_on_small_markets():
 
 def test_consistency_over_every_tiny_market():
     for market in harness.all_compatibility_markets(2, 3):
-        assert verdict_consistency(market).consistent, market
+        assert _consistency(market).consistent, market
 
 
 def test_deficient_markets_freeze_out_their_witness():
@@ -161,7 +167,7 @@ def test_coverage_matches_classwise_counting(market: CompatibilityMarket):
         assert sizes.members == len(market.class_members(c))
         assert sizes.slots == len(market.class_slots(c))
     assert v.holds == all(s.slots >= s.members for s in v.classes)
-    assert verdict_consistency(market).consistent
+    assert _consistency(market).consistent
 
 
 @given(markets(), st.integers(0, 2**32 - 1))

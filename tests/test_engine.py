@@ -10,6 +10,7 @@ from conftest import (
     Y,
     biclique,
     graph_with_instance,
+    graphs,
     guarded_4x5,
     lopsided_blocks,
     path4,
@@ -23,7 +24,6 @@ from satmatch.engine import (
     enumerate_stable,
     find_blocking_pairs,
     is_stable,
-    matched_set,
     maximum_matching,
 )
 from satmatch.errors import InputError, SearchCapExceeded
@@ -67,12 +67,12 @@ def test_shape_mismatch_is_rejected():
     with pytest.raises(InputError):
         deferred_acceptance(path5(), inst)  # 2+3 graph, 2+2 instance
     with pytest.raises(InputError):
-        find_blocking_pairs(g, inst, Matching.empty(path5()))
+        find_blocking_pairs(g, inst, Matching.from_pairs(path5(), []))
 
 
 def test_blocking_pairs_of_the_empty_matching():
     g, inst = _square_cycle()
-    found = find_blocking_pairs(g, inst, Matching.empty(g))
+    found = find_blocking_pairs(g, inst, Matching.from_pairs(g, []))
     # every edge blocks, reported in ascending index order
     assert found == [
         BlockingPair(X(0), Y(0)),
@@ -80,7 +80,7 @@ def test_blocking_pairs_of_the_empty_matching():
         BlockingPair(X(1), Y(0)),
         BlockingPair(X(1), Y(1)),
     ]
-    assert not is_stable(g, inst, Matching.empty(g))
+    assert not is_stable(g, inst, Matching.from_pairs(g, []))
 
 
 def test_blocking_pair_needs_both_sides_willing():
@@ -148,15 +148,23 @@ def test_maximum_matching_sizes():
     assert maximum_matching(BipartiteGraph(2, 2, [])).size == 0
 
 
+def test_maximum_matching_on_a_long_staircase():
+    # x_i takes y_{i-1} or y_i: each search walks the chain back to x_0
+    n = 2000
+    edges = [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+    assert maximum_matching(BipartiteGraph(n, n, edges)).size == n
+
+
+@given(graphs(max_x=4, max_y=12))
+@PROPERTY_SETTINGS
+def test_maximum_matching_size_matches_brute_force(g: BipartiteGraph):
+    best = max(m.size for m in harness.all_matchings(g))
+    assert maximum_matching(g).size == best
+
+
 def test_maximum_matching_is_a_valid_matching():
     m = maximum_matching(guarded_4x5())
     Matching.from_pairs(guarded_4x5(), m.pairs())  # validates edges + injectivity
-
-
-def test_matched_set_alias():
-    g, inst = _square_cycle()
-    m = deferred_acceptance(g, inst)
-    assert matched_set(m, Side.X) == m.matched_set(Side.X) == frozenset({0, 1})
 
 
 def test_enumerator_equals_oracle_exhaustively():

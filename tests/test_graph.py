@@ -102,8 +102,6 @@ def test_components_pick_up_isolated_vertices():
 
 def test_biclique_predicates():
     assert biclique(2, 3).is_biclique()
-    assert not biclique(2, 3).is_balanced_biclique()
-    assert biclique(3, 3).is_balanced_biclique()
     assert not path4().is_biclique()
     # an empty graph with no vertices is vacuously a biclique
     assert BipartiteGraph(0, 0, []).is_biclique()
@@ -160,7 +158,7 @@ def test_matching_equality():
 
 def test_empty_matching():
     g = path4()
-    m = Matching.empty(g)
+    m = Matching.from_pairs(g, [])
     assert m.size == 0
     assert m.pairs() == []
     assert m.matched_set(Side.X) == frozenset()

@@ -176,7 +176,7 @@ def test_suite_catches_an_adversary_that_does_not_strand(monkeypatch):
 
 def test_suite_catches_a_broken_deferred_acceptance(monkeypatch):
     def empty_matching(graph, instance, proposing=None, **kwargs):
-        return Matching.empty(graph)
+        return Matching.from_pairs(graph, [])
 
     monkeypatch.setattr(harness.engine, "deferred_acceptance", empty_matching)
     result = harness.oracle_suite(pairs=50, max_side=2)
@@ -198,6 +198,19 @@ def test_suite_catches_a_coverage_verdict_that_always_holds(monkeypatch):
     assert not result.passed
     assert result.violations["saturating"]
     assert result.violations["consistency"]
+
+
+def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypatch):
+    def always_holds(graph, side):
+        return analysis.SaturationVerdict(
+            side=side, holds=True, reports=(), counterexample=None
+        )
+
+    monkeypatch.setattr(harness.analysis, "saturation_verdict", always_holds)
+    result = harness.coverage_suite(max_classes=2, max_side=2, samples=5)
+    assert not result.passed
+    assert result.violations["consistency"]
+    assert not result.violations["saturating"]  # class counting untouched
 
 
 def test_suite_catches_disagreeing_matched_sets(monkeypatch):

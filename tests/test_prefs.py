@@ -29,9 +29,8 @@ def _canonical(g: BipartiteGraph) -> PreferenceInstance:
 
 def test_rank_and_list_accessors():
     inst = PreferenceInstance([(1, 0), (1,)], [(0,), (1, 0)])
-    assert inst.list_for(X(0)) == (1, 0)
-    assert inst.list_for(Y(1)) == (1, 0)
-    assert inst.lists(Side.X) == ((1, 0), (1,))
+    assert inst.x_lists == ((1, 0), (1,))
+    assert inst.y_lists[1] == (1, 0)
     assert inst.rank(X(0), Y(1)) == 0
     assert inst.rank(X(0), Y(0)) == 1
     assert inst.rank(Y(1), X(0)) == 1
