@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -398,12 +399,17 @@ def cmd_adversary(args) -> tuple[dict, int]:
 
 
 def _rephrase_with_names(message: str, names: market_io.NameMap) -> str:
-    """Library errors speak x[i]/y[j]; swap in the market's display names."""
-    for i, n in enumerate(names.x_names):
-        message = message.replace(f"x[{i}]", n)
-    for j, n in enumerate(names.y_names):
-        message = message.replace(f"y[{j}]", n)
-    return message
+    """Library errors speak x[i]/y[j]; swap in the market's display names.
+
+    One pass, so a display name that itself looks like x[i]/y[j] is never
+    renamed again.
+    """
+
+    def name(m: re.Match) -> str:
+        table = names.x_names if m.group(1) == "x" else names.y_names
+        return table[int(m.group(2))]
+
+    return re.sub(r"([xy])\[(\d+)\]", name, message)
 
 
 def _count(n: int, noun: str) -> str:
@@ -433,7 +439,8 @@ def _render_adversary(report: dict) -> list[str]:
         )
     else:
         lines.append(
-            f"confirmation skipped: search cap would need ~{conf['estimate']} nodes"
+            f"confirmation skipped: search cap reached "
+            f"(at most {conf['estimate']} stable matchings)"
         )
     if report["out"]:
         lines.append(f"market written to {report['out']}")

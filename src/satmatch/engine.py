@@ -1,10 +1,11 @@
 """Stable-matching engine.
 
-Deferred acceptance, stability checks, exhaustive enumeration of all stable
-matchings, classical maximum matching, and the matched-set invariance that
-enumeration asserts before returning (the set of unmatched vertices is the
-same in every stable matching of an instance, so a disagreement can only be
-an engine bug).
+Deferred acceptance, stability checks, enumeration of all stable matchings
+by a walk over the rotation lattice from the X-optimal matching (McVitie &
+Wilson 1971; Gusfield & Irving 1989, ch. 2-3), classical maximum matching,
+and the matched-set invariance that enumeration asserts before returning
+(the set of unmatched vertices is the same in every stable matching of an
+instance, so a disagreement can only be an engine bug).
 """
 
 from __future__ import annotations
@@ -65,11 +66,12 @@ def _propose(
     lists: tuple[tuple[int, ...], ...],
     other_rank: tuple[dict[int, int], ...],
     other_count: int,
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], int]:
     """One-sided deferred acceptance on index arrays; -1 marks unmatched.
 
     The lowest-index free proposer moves each round (a min-heap), which
     makes runs reproducible; the outcome is order-independent anyway.
+    Returns both partner arrays and the number of proposals made.
     """
     n = len(lists)
     partner = [-1] * n
@@ -95,7 +97,7 @@ def _propose(
         else:
             if next_choice[p] < len(choices):
                 heapq.heappush(free, p)
-    return partner, other_partner
+    return partner, other_partner, sum(next_choice)
 
 
 def _to_partner_tuple(row: list[int]) -> tuple[Optional[int], ...]:
@@ -115,9 +117,9 @@ def deferred_acceptance(
     """
     _check_shapes(graph, instance)
     if proposing is Side.X:
-        px, py = _propose(instance.x_lists, instance.y_rank, graph.y_count)
+        px, py, _ = _propose(instance.x_lists, instance.y_rank, graph.y_count)
     else:
-        py, px = _propose(instance.y_lists, instance.x_rank, graph.x_count)
+        py, px, _ = _propose(instance.y_lists, instance.x_rank, graph.x_count)
     return Matching(_to_partner_tuple(px), _to_partner_tuple(py))
 
 
@@ -173,84 +175,79 @@ def _stable_vectors(
     instance: PreferenceInstance,
     cap: int,
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Backtracking core: every stable assignment as an X-partner vector.
+    """Every stable assignment as an X-partner vector, by walking the lattice.
 
-    Decides X-vertices in index order, trying each vertex's choices in its
-    own preference order and finally "stay unmatched". Two sound cuts drop
-    branches that already contain a definite blocking pair among decided
-    vertices; a full stability scan at each leaf is the authority, so the
-    cuts only need to never drop a stable leaf. -1 marks unmatched. Raises
-    once more than `cap` nodes (choices) have been tried.
+    Deferred acceptance run both ways gives the X-optimal matching M0 and
+    the Y-optimal Mz. Every stable matching is reached from M0 by
+    eliminating exposed rotations (McVitie & Wilson 1971; Gusfield & Irving
+    1989, ch. 2-3). In a stable matching M, each matched x with
+    M(x) != Mz(x) takes as s(x) the first y after M(x) on its list that
+    prefers x to M(y), and next(x) = M(s(x)); the cycles of x -> next(x)
+    are the rotations exposed in M, and moving every x on one to s(x) gives
+    a stable successor. An explicit stack and a seen set visit each stable
+    matching once. -1 marks unmatched. Nodes count the proposals of both
+    runs plus every list entry scanned; raises once they exceed `cap`.
     """
     x_lists = instance.x_lists
     x_rank = instance.x_rank
     y_rank = instance.y_rank
-    y_adj = graph.y_adj
-    a = graph.x_count
-    px = [-1] * a
-    py = [-1] * graph.y_count
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-
+    m0, _, nodes = _propose(x_lists, y_rank, graph.y_count)
+    _, mz, z_proposals = _propose(instance.y_lists, x_rank, graph.x_count)
+    nodes += z_proposals
+    # every stable partner of x lies between M0(x) and Mz(x) on its list
     estimate = 1
-    for lst in x_lists:
-        estimate *= len(lst) + 1
+    for x, y in enumerate(m0):
+        if y >= 0:
+            estimate *= x_rank[x][mz[x]] - x_rank[x][y] + 1
+    if nodes > cap:
+        raise SearchCapExceeded(nodes, cap, estimate)
 
-    def leaf_is_stable() -> bool:
-        for k in range(a):
-            pk = px[k]
-            yr_rank = y_rank
-            for y in x_lists[k]:
-                if y == pk:
+    first = tuple(m0)
+    seen = {first}
+    stack = [first]
+    out: list[tuple[int, ...]] = []
+    while stack:
+        m = stack.pop()
+        out.append(m)
+        py = [-1] * graph.y_count
+        for x, y in enumerate(m):
+            if y >= 0:
+                py[y] = x
+        s: dict[int, int] = {}
+        nxt: dict[int, int] = {}
+        for x, y in enumerate(m):
+            if y == mz[x]:
+                continue
+            lst = x_lists[x]
+            for i in range(x_rank[x][y] + 1, len(lst)):
+                nodes += 1
+                t = lst[i]
+                h = py[t]
+                if h < 0:
+                    break  # t is single in every stable matching: x never passes it
+                if y_rank[t][x] < y_rank[t][h]:
+                    s[x] = t
+                    nxt[x] = h
                     break
-                j = py[y]
-                if j < 0 or yr_rank[y][k] < yr_rank[y][j]:
-                    return False
-        return True
-
-    def holder_blocks(k: int, y: int) -> bool:
-        # would giving y to x_k leave an earlier-decided x_j that y prefers
-        # and that prefers y to its own assignment? (definite block (j, y))
-        yr = y_rank[y]
-        rk = yr[k]
-        for j in y_adj[y]:
-            if j >= k:
-                break
-            if yr[j] < rk:
-                pj = px[j]
-                if pj < 0 or x_rank[j][y] < x_rank[j][pj]:
-                    return True
-        return False
-
-    def extend(k: int) -> None:
-        nonlocal nodes
-        if k == a:
-            if leaf_is_stable():
-                out.append(tuple(px))
-            return
-        for y in x_lists[k]:
-            nodes += 1
-            if nodes > cap:
-                raise SearchCapExceeded(nodes, cap, estimate)
-            j = py[y]
-            if j < 0:
-                if not holder_blocks(k, y):
-                    px[k] = y
-                    py[y] = k
-                    extend(k + 1)
-                    px[k] = -1
-                    py[y] = -1
-            elif y_rank[y][k] < y_rank[y][j]:
-                # y is held by a decided vertex it likes less than x_k, so
-                # every worse choice for x_k (including unmatched) makes
-                # (x_k, y) a definite blocking pair: cut the whole tail.
-                return
-        nodes += 1
         if nodes > cap:
             raise SearchCapExceeded(nodes, cap, estimate)
-        extend(k + 1)  # x_k stays unmatched
-
-    extend(0)
+        state: dict[int, bool] = {}  # True while on the current path
+        for x in nxt:
+            path = []
+            while x in nxt and x not in state:
+                state[x] = True
+                path.append(x)
+                x = nxt[x]
+            if state.get(x):  # the path closed a rotation at x
+                succ = list(m)
+                for r in path[path.index(x):]:
+                    succ[r] = s[r]
+                key = tuple(succ)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(key)
+            for r in path:
+                state[r] = False
     return out, nodes
 
 

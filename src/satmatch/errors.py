@@ -52,12 +52,15 @@ class InstanceCapExceeded(CapExceeded):
 
 
 class SearchCapExceeded(CapExceeded):
-    """Stable-matching search refused: node budget exhausted."""
+    """Stable-matching search refused: step budget exhausted.
+
+    `estimate` is an upper bound on the number of stable matchings.
+    """
 
     def __init__(self, visited, cap, estimate):
         super().__init__(
             f"stable-matching search visited {visited} nodes, above the cap of "
-            f"{cap} (full tree holds up to {estimate} leaves)"
+            f"{cap} (the instance has at most {estimate} stable matchings)"
         )
         self.visited = visited
         self.cap = cap

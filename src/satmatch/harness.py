@@ -112,8 +112,8 @@ def naive_stable_matchings(
 ) -> list[Matching]:
     """Oracle: filter every matching by the public blocking-pair scan.
 
-    Independent of the backtracking enumerator's pruning, so the two must
-    agree or one of them is wrong.
+    Independent of the lattice walk in `engine.enumerate_stable`, so the
+    two must agree or one of them is wrong.
     """
     return [
         m
@@ -467,7 +467,7 @@ def oracle_suite(
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
 ) -> SuiteResult:
-    """Random (graph, instance) pairs: the backtracking enumerator must equal
+    """Random (graph, instance) pairs: the stable-matching enumerator must equal
     the filter-all-matchings oracle exactly; deferred acceptance must land
     inside the set, optimally for its proposing side; matching sizes must
     respect the maximum-matching bound."""

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from satmatch import cli, engine, market_io
+from satmatch.errors import EngineInvariantError
 
 MARKETS = os.path.join(os.path.dirname(__file__), os.pardir, "markets")
 
@@ -334,6 +336,29 @@ def test_adversary_refusal_names_blockade_members(capsys, tmp_path):
     assert "options b1, b2 have only 1 competitor besides it" in report["refused"]
 
 
+def test_adversary_refusal_names_a_vertex_once(capsys, tmp_path):
+    # an X-vertex whose display name looks like a Y-vertex index
+    mf = market_io.MarketFile("1", ["y[0]", "q"], ["b1", "b2"], [("y[0]", "b1")])
+    path = str(tmp_path / "names.yaml")
+    market_io.save_market(mf, path)
+    code, report = _structured(capsys, "adversary", path, "--target", "y[0]")
+    assert code == 1
+    assert report["refused"].startswith("y[0] is guaranteed a partner")
+
+
+def test_adversary_confirms_on_a_dense_20x20_market(capsys, tmp_path):
+    rng = random.Random("adversary/20x20")
+    xs = [f"x{i}" for i in range(20)]
+    ys = [f"y{j}" for j in range(20)]
+    edges = [(x, y) for x in xs for y in ys if rng.random() < 0.5]
+    path = str(tmp_path / "dense20.yaml")
+    market_io.save_market(market_io.MarketFile("1", xs, ys, edges), path)
+    code, report = _structured(capsys, "adversary", path, "--target", "x0")
+    assert code == 0
+    assert report["confirmation"]["within_cap"]
+    assert report["confirmation"]["target_always_unmatched"]
+
+
 def test_adversary_unknown_target(capsys):
     code, _, err = _run(
         capsys, "adversary", _market("path4.yaml"), "--target", "nobody"
@@ -353,7 +378,8 @@ def test_adversary_confirmation_cap(capsys):
         "1",
     )
     assert code == 0  # the market still gets emitted; only confirmation skips
-    assert report["confirmation"] == {"within_cap": False, "estimate": 12}
+    # the stranding instance has exactly one stable matching
+    assert report["confirmation"] == {"within_cap": False, "estimate": 1}
     code, out, _ = _run(
         capsys,
         "adversary",
@@ -411,8 +437,7 @@ def test_verify_text_rendering(capsys):
 # -- plumbing ------------------------------------------------------------------
 
 
-def test_internal_failure_exits_4(capsys, tmp_path):
-    # one stable matching, but the enumerator recurses once per X-vertex
+def _diagonal_market(tmp_path) -> str:
     n = 1200
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
@@ -421,10 +446,25 @@ def test_internal_failure_exits_4(capsys, tmp_path):
     market_io.save_market(
         market_io.MarketFile("1", xs, ys, list(zip(xs, ys)), prefs), path
     )
-    code, out, err = _run(capsys, "enumerate", path)
+    return path
+
+
+def test_enumerate_long_diagonal(capsys, tmp_path):
+    code, report = _structured(capsys, "enumerate", _diagonal_market(tmp_path))
+    assert code == 0
+    assert report["count"] == 1
+    assert report["x_saturating"] and report["y_saturating"]
+
+
+def test_internal_failure_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineInvariantError("matched sets differ across stable matchings")
+
+    monkeypatch.setattr(engine, "enumerate_stable", broken)
+    code, out, err = _run(capsys, "enumerate", _market("square_cycle.yaml"))
     assert code == 4
     assert out == ""
-    assert err.startswith("error: internal: RecursionError: ")
+    assert err.startswith("error: internal: EngineInvariantError: ")
     assert len(err.splitlines()) == 1
 
 

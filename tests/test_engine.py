@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,7 @@ from conftest import (
 )
 from satmatch import harness, prefs
 from satmatch.engine import (
+    DEFAULT_NODE_CAP,
     BlockingPair,
     deferred_acceptance,
     enumerate_stable,
@@ -136,7 +139,7 @@ def test_search_cap():
         enumerate_stable(g, inst, cap=3)
     assert exc.value.cap == 3
     assert exc.value.visited > 3
-    assert exc.value.estimate == 64  # (3 choices + unmatched) ** 3
+    assert exc.value.estimate == 1  # both optimal matchings coincide
 
 
 def test_maximum_matching_sizes():
@@ -176,6 +179,44 @@ def test_enumerator_equals_oracle_exhaustively():
                 m.partner_of_x for m in harness.naive_stable_matchings(g, inst)
             }
             assert mine == oracle, (g, inst)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("density", [0.25, 0.5, 0.75, 1.0])
+def test_enumerator_equals_oracle_on_larger_graphs(n, density):
+    rng = random.Random(f"oracle/{n}/{density}")
+    for _ in range(3):
+        edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+        g = BipartiteGraph(n, n, edges)
+        inst = prefs.sample_uniform(g, rng.randrange(1 << 30))
+        mine = [m.partner_of_x for m in enumerate_stable(g, inst).matchings]
+        oracle = {m.partner_of_x for m in harness.naive_stable_matchings(g, inst)}
+        assert len(mine) == len(oracle)
+        assert set(mine) == oracle, (g, inst)
+
+
+def test_complete_random_20x20_within_the_default_cap():
+    g = biclique(20, 20)
+    inst = prefs.sample_uniform(g, 4)
+    ss = enumerate_stable(g, inst)
+    assert ss.nodes_visited <= DEFAULT_NODE_CAP
+    assert len(ss.matchings) > 1
+    for side in (Side.X, Side.Y):
+        assert deferred_acceptance(g, inst, side) in ss.matchings
+    assert all(is_stable(g, inst, m) for m in ss.matchings)
+
+
+def test_cyclic_latin_lists_every_shift():
+    # x_i ranks y_{i+d} d-th and y_j ranks x_{j-d} (n-1-d)-th, indices mod n
+    n = 12
+    inst = PreferenceInstance(
+        [[(i + d) % n for d in range(n)] for i in range(n)],
+        [[(j + 1 + p) % n for p in range(n)] for j in range(n)],
+    )
+    ss = enumerate_stable(biclique(n, n), inst)
+    assert [m.partner_of_x for m in ss.matchings] == [
+        tuple((i + k) % n for i in range(n)) for k in range(n)
+    ]
 
 
 @given(graph_with_instance())
