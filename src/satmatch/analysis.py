@@ -36,7 +36,7 @@ every component is a balanced biclique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .engine import augment
 from .errors import InputError
@@ -97,13 +97,14 @@ def claimant_bound(graph: BipartiteGraph, v: Vertex) -> ClaimantBound:
     within them.
     """
     graph.check_vertex(v)
-    adj = graph.adjacency(v.side)
-    coadj = graph.adjacency(v.side.opposite)
-    row = adj[v.index]
-    claimants: set[int] = set()
-    for u in row:
-        claimants.update(coadj[u])
+    row = graph.adjacency(v.side)[v.index]
+    claimants = _claimants(graph.adjacency(v.side.opposite), row)
     return ClaimantBound(len(claimants) <= len(row), len(row), len(claimants))
+
+
+def _claimants(coadj: tuple[tuple[int, ...], ...], options: Iterable[int]) -> set[int]:
+    """N(options): every vertex adjacent to one of `options`."""
+    return set().union(*(coadj[u] for u in options))
 
 
 def dedicated_neighbor(graph: BipartiteGraph, v: Vertex) -> Optional[Vertex]:
@@ -168,6 +169,47 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     )
 
 
+def counted(n: int, noun: str) -> str:
+    """`n` followed by `noun`, made plural unless n is 1."""
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
+def guarantee(
+    graph: BipartiteGraph, report: VertexReport, name: Callable[[Vertex], str]
+) -> str:
+    """Why no preference instance strands `report.vertex`, in words.
+
+    For a report that is satisfied or isolated; `name` renders each vertex
+    (`repr` gives x[i]/y[j]). The first reason that applies is given:
+    isolation, bounded claimants, a dedicated neighbor, then the blockade
+    with the competitors N(blockade) ∖ {v} that it outnumbers.
+    """
+    v = report.vertex
+    if report.isolated:
+        return (
+            f"{name(v)} is isolated: it is unmatched in every matching already, "
+            f"no special instance is needed"
+        )
+    if not report.satisfied:
+        raise ValueError(f"{v!r} can be stranded; it has no guarantee to explain")
+    why = f"{name(v)} is guaranteed a partner in every stable matching: its "
+    if report.bounded:
+        verb = "fits" if report.claimants == 1 else "fit"
+        return why + (
+            f"{counted(report.claimants, 'claimant')} {verb} within its "
+            f"{counted(report.options, 'option')}"
+        )
+    if report.dedicated is not None:
+        return why + f"neighbor {name(report.dedicated)} has degree 1, dedicated to it"
+    coadj = graph.adjacency(v.side.opposite)
+    across = _claimants(coadj, (u.index for u in report.blockade)) - {v.index}
+    shown = ", ".join(name(u) for u in report.blockade)
+    return why + (
+        f"options {shown} have only {counted(len(across), 'competitor')} "
+        f"besides it, so one of them always falls to it"
+    )
+
+
 def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> SaturationVerdict:
     """The full verdict for one side, with per-vertex certificates."""
     reports = tuple(vertex_report(graph, v) for v in graph.vertices(side))
@@ -190,8 +232,8 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
 def adversarial_instance(graph: BipartiteGraph, v: Vertex) -> PreferenceInstance:
     """A preference instance under which v is unmatched in every stable matching.
 
-    Exists exactly when v is not isolated and has no blockade; raises an
-    InputError naming the guarantee v actually has otherwise. The
+    Exists exactly when v is not isolated and has no blockade; otherwise
+    raises an InputError whose message is v's `guarantee`. The
     construction fixes a champion competitor for every option of v (the
     absorbing matching) and sets:
 
@@ -207,50 +249,15 @@ def adversarial_instance(graph: BipartiteGraph, v: Vertex) -> PreferenceInstance
     covers all of N(v), and v — ranked last by every option — is left
     unmatched in every stable matching, not merely in one.
     """
-    graph.check_vertex(v)
-    bound = claimant_bound(graph, v)
-    if bound.options == 0:
-        raise InputError(
-            f"{v!r} is isolated: it is unmatched in every matching already, "
-            f"no special instance is needed"
-        )
-    if bound.bounded:
-        raise InputError(
-            f"{v!r} is guaranteed a partner in every stable matching: its "
-            f"{bound.claimants} claimants fit within its {bound.options} options"
-        )
-    dedicated = dedicated_neighbor(graph, v)
-    if dedicated is not None:
-        raise InputError(
-            f"{v!r} is guaranteed a partner in every stable matching: its "
-            f"neighbor {dedicated!r} has degree 1, dedicated to it"
-        )
-    champions, stuck = _absorption(graph, v)
-    if champions is None:
-        shown = ", ".join(
-            repr(Vertex(v.side.opposite, u)) for u in stuck
-        )
-        across = set()
-        coadj = graph.adjacency(v.side.opposite)
-        for u in stuck:
-            across.update(coadj[u])
-        across.discard(v.index)
-        plural = "competitor" if len(across) == 1 else "competitors"
-        raise InputError(
-            f"{v!r} is guaranteed a partner in every stable matching: its "
-            f"options {shown} have only {len(across)} {plural} besides it, "
-            f"so one of them always falls to it"
-        )
+    champions, _ = _absorption(graph, v)
+    if not champions:  # None when blocked, empty when v is isolated
+        raise InputError(guarantee(graph, vertex_report(graph, v), repr))
 
     adj = graph.adjacency(v.side)
     coadj = graph.adjacency(v.side.opposite)
     options = set(adj[v.index])
     absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
-
-    claimants: set[int] = set()
-    for u in adj[v.index]:
-        claimants.update(coadj[u])
-    claimants.discard(v.index)
+    claimants = _claimants(coadj, options) - {v.index}
 
     # v's side: claimants crowd into N(v), champions lead with their option;
     # v itself and bystanders rank by ascending index.

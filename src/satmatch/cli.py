@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Optional
 
@@ -353,19 +352,17 @@ def cmd_adversary(args) -> tuple[dict, int]:
         raise MarketFormatError(
             f"no vertex named {args.target!r} in the market", source=args.market
         )
-    try:
-        instance = analysis.adversarial_instance(g, target)
-    except InputError as e:
-        refusal = _rephrase_with_names(str(e), names)
+    r = analysis.vertex_report(g, target)
+    if r.satisfied or r.isolated:
         report = {
             "command": "adversary",
             "source": args.market,
             "target": args.target,
-            "refused": refusal,
+            "refused": analysis.guarantee(g, r, names.name),
         }
         return report, 1
 
-    bound = analysis.claimant_bound(g, target)
+    instance = analysis.adversarial_instance(g, target)
     emitted = market_io.market_with_preferences(bundle.market, names, instance)
     market_text = market_io.dump_market(emitted)
     if args.out:
@@ -388,8 +385,8 @@ def cmd_adversary(args) -> tuple[dict, int]:
         "command": "adversary",
         "source": args.market,
         "target": args.target,
-        "options": bound.options,
-        "claimants": bound.claimants,
+        "options": r.options,
+        "claimants": r.claimants,
         "preferences": market_io.preference_table(names, instance),
         "market": market_text,
         "out": args.out,
@@ -398,33 +395,16 @@ def cmd_adversary(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _rephrase_with_names(message: str, names: market_io.NameMap) -> str:
-    """Library errors speak x[i]/y[j]; swap in the market's display names.
-
-    One pass, so a display name that itself looks like x[i]/y[j] is never
-    renamed again.
-    """
-
-    def name(m: re.Match) -> str:
-        table = names.x_names if m.group(1) == "x" else names.y_names
-        return table[int(m.group(2))]
-
-    return re.sub(r"([xy])\[(\d+)\]", name, message)
-
-
-def _count(n: int, noun: str) -> str:
-    return f"{n} {noun}{'' if n == 1 else 's'}"
-
-
 def _render_adversary(report: dict) -> list[str]:
     lines = [f"market: {report['source']}", f"target: {report['target']}"]
     if "refused" in report:
         lines.append(f"refused: {report['refused']}")
         return lines
+    options = analysis.counted(report["options"], "option")
+    claimants = analysis.counted(report["claimants"], "claimant")
     lines.append(
-        f"{report['target']} has {_count(report['options'], 'option')} contested "
-        f"by {_count(report['claimants'], 'claimant')}; emitting stranding "
-        f"preferences"
+        f"{report['target']} has {options} contested by {claimants}; "
+        f"emitting stranding preferences"
     )
     conf = report["confirmation"]
     if conf["within_cap"]:
@@ -433,10 +413,8 @@ def _render_adversary(report: dict) -> list[str]:
             if conf["target_always_unmatched"]
             else "STILL MATCHED SOMEWHERE — bug"
         )
-        lines.append(
-            f"confirmation: {_count(conf['stable_matchings'], 'stable matching')}, "
-            f"target {outcome}"
-        )
+        found = analysis.counted(conf["stable_matchings"], "stable matching")
+        lines.append(f"confirmation: {found}, target {outcome}")
     else:
         lines.append(
             f"confirmation skipped: search cap reached "

@@ -76,35 +76,20 @@ def all_graphs(max_x: int, max_y: int) -> Iterator[BipartiteGraph]:
 
 def all_matchings(graph: BipartiteGraph) -> Iterator[Matching]:
     """Every matching of the graph, including the empty one."""
-    a = graph.x_count
-    used = [False] * graph.y_count
-    vec: list[Optional[int]] = [None] * a
-
-    def rec(i: int) -> Iterator[Matching]:
-        if i == a:
+    for vec in product(*((None, *row) for row in graph.x_adj)):
+        taken = [y for y in vec if y is not None]
+        if len(taken) == len(set(taken)):
             yield _matching_from_vector(graph, vec)
-            return
-        vec[i] = None
-        yield from rec(i + 1)
-        for y in graph.x_adj[i]:
-            if not used[y]:
-                used[y] = True
-                vec[i] = y
-                yield from rec(i + 1)
-                used[y] = False
-                vec[i] = None
-
-    yield from rec(0)
 
 
 def _matching_from_vector(
-    graph: BipartiteGraph, vec: list[Optional[int]]
+    graph: BipartiteGraph, vec: tuple[Optional[int], ...]
 ) -> Matching:
     py: list[Optional[int]] = [None] * graph.y_count
     for i, y in enumerate(vec):
         if y is not None:
             py[y] = i
-    return Matching(tuple(vec), py)
+    return Matching(vec, py)
 
 
 def naive_stable_matchings(

@@ -154,6 +154,8 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             _fail(f"edge {raw!r} must be an [x, y] pair", source)
         xn, yn = raw
+        if not all(isinstance(n, str) and n for n in raw):
+            _fail(f"edge {raw!r} endpoints must be nonempty strings", source)
         if xn not in x_set:
             _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source)
         if yn not in y_set:
@@ -179,7 +181,7 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
     compatibility = None
     if data.get("compatibility") is not None:
         compatibility = _parse_compatibility(
-            data["compatibility"], x_names, y_names, source
+            data["compatibility"], x_names, y_names, x_set, y_set, source
         )
 
     return MarketFile(
@@ -193,7 +195,12 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
 
 
 def _parse_compatibility(
-    raw: Any, x_names: list[str], y_names: list[str], source: str
+    raw: Any,
+    x_names: list[str],
+    y_names: list[str],
+    x_set: set[str],
+    y_set: set[str],
+    source: str,
 ) -> CompatibilityBlock:
     if not isinstance(raw, dict):
         _fail("compatibility must be a mapping", source)
@@ -218,7 +225,7 @@ def _parse_compatibility(
         if xn not in membership_raw:
             _fail(f"compatibility.x_membership missing {xn!r}", source)
     for name, classes_of in membership_raw.items():
-        if name not in set(x_names):
+        if name not in x_set:
             _fail(f"compatibility.x_membership names unknown X-vertex {name!r}", source)
         listed = _expect_str_list(
             classes_of, f"compatibility.x_membership[{name!r}]", source
@@ -243,7 +250,7 @@ def _parse_compatibility(
         if yn not in y_class_raw:
             _fail(f"compatibility.y_class missing {yn!r}", source)
     for name, c in y_class_raw.items():
-        if name not in set(y_names):
+        if name not in y_set:
             _fail(f"compatibility.y_class names unknown Y-vertex {name!r}", source)
         if not isinstance(c, str) or c not in class_set:
             _fail(f"compatibility.y_class[{name!r}] names unknown class {c!r}", source)

@@ -28,6 +28,7 @@ from satmatch.analysis import (
     component_perfect_verdict,
     connected_perfect_verdict,
     dedicated_neighbor,
+    guarantee,
     perfect_verdict,
     saturation_verdict,
     vertex_report,
@@ -228,6 +229,16 @@ def test_adversarial_refuses_blockade():
         InputError, match=r"y\[0\], y\[1\] have only 1 competitor besides it"
     ):
         adversarial_instance(guarded_4x5(), X(0))
+
+
+def test_guarantee_wording_is_singular_for_one():
+    g = BipartiteGraph(2, 1, [(0, 0)])
+    assert guarantee(g, vertex_report(g, X(0)), repr) == (
+        "x[0] is guaranteed a partner in every stable matching: its "
+        "1 claimant fits within its 1 option"
+    )
+    with pytest.raises(ValueError, match="can be stranded"):
+        guarantee(path4(), vertex_report(path4(), X(1)), repr)
 
 
 def test_adversarial_rejects_unknown_vertex():

@@ -336,14 +336,50 @@ def test_adversary_refusal_names_blockade_members(capsys, tmp_path):
     assert "options b1, b2 have only 1 competitor besides it" in report["refused"]
 
 
-def test_adversary_refusal_names_a_vertex_once(capsys, tmp_path):
-    # an X-vertex whose display name looks like a Y-vertex index
-    mf = market_io.MarketFile("1", ["y[0]", "q"], ["b1", "b2"], [("y[0]", "b1")])
+# Display names that look like indices: an X-vertex "y[0]", a Y-vertex "x[1]".
+# Each market refuses the target "y[0]" for one reason, in check order.
+_REFUSALS = {
+    "isolated": (
+        [("q", "x[1]")],
+        "y[0] is isolated: it is unmatched in every matching already",
+        ["y[0]"],
+    ),
+    "bounded": (
+        [("y[0]", "x[1]")],
+        "y[0] is guaranteed a partner in every stable matching: its "
+        "1 claimant fits within its 1 option",
+        ["y[0]"],
+    ),
+    "dedicated": (
+        [("y[0]", "x[1]"), ("y[0]", "b"), ("q", "b"), ("r", "b")],
+        "its neighbor x[1] has degree 1, dedicated to it",
+        ["y[0]", "x[1]"],
+    ),
+    "blockade": (
+        [("y[0]", "x[1]"), ("y[0]", "b"), ("y[0]", "c"), ("q", "x[1]"),
+         ("q", "b"), ("r", "c"), ("r", "d"), ("s", "c"), ("s", "e")],
+        "its options x[1], b have only 1 competitor besides it",
+        ["y[0]", "x[1]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", list(_REFUSALS))
+def test_adversary_refusal_names_a_vertex_once(capsys, tmp_path, reason):
+    edges, phrase, named = _REFUSALS[reason]
+    xs = ["y[0]", "q", "r", "s"]
+    ys = ["x[1]", "b", "c", "d", "e"]
     path = str(tmp_path / "names.yaml")
-    market_io.save_market(mf, path)
+    market_io.save_market(market_io.MarketFile("1", xs, ys, edges), path)
     code, report = _structured(capsys, "adversary", path, "--target", "y[0]")
     assert code == 1
-    assert report["refused"].startswith("y[0] is guaranteed a partner")
+    refused = report["refused"]
+    assert phrase in refused
+    for name in named:
+        assert refused.count(name) == 1, (name, refused)
+    code, out, _ = _run(capsys, "adversary", path, "--target", "y[0]")
+    assert code == 1
+    assert f"refused: {refused}" in out
 
 
 def test_adversary_confirms_on_a_dense_20x20_market(capsys, tmp_path):
@@ -475,6 +511,17 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_non_string_edge_endpoint_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        'schema_version: "1"\nx_names: [a]\ny_names: [b]\nedges: [[[a], b]]\n'
+    )
+    code, out, err = _run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "endpoints must be nonempty strings" in err
 
 
 def test_missing_market_file_exits_2(capsys):

@@ -175,6 +175,7 @@ def test_non_mapping_document():
         (lambda d: d.replace("[bob, cut]", "[bob, tie]"), "unknown Y-vertex 'tie'"),
         (lambda d: d.replace("[bob, cut]", "[ann, sew]"), "duplicate edge"),
         (lambda d: d.replace("edges: [", "edges: [[ann], "), "must be an .x, y. pair"),
+        (lambda d: d.replace("[bob, cut]", "[[bob], cut]"), "endpoints must be nonempty"),
     ],
 )
 def test_structural_errors(mutate, message):
