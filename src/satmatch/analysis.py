@@ -3,12 +3,16 @@
 Decides whether every stable matching of a graph saturates one side no
 matter what the preferences are. The decisive per-vertex question: can
 v's neighborhood be fully absorbed by v's competitors — is there a
-matching, avoiding v, that covers every option in N(v)?
+matching, avoiding v, that covers every option in N(v)? `vertex_report`
+answers it with one augmenting-path search per option, and records
+whichever certificate the search ends with:
 
-* If yes, preferences exist that pair every option with a competitor it
-  prefers to v (each such pair ranks the other first), stranding v in
-  every stable matching of that instance.
-* If no, some set of options is a `blockade`: more options than the
+* If yes, the absorbing matching pairs each option with a champion
+  competitor (`VertexReport.champions`). Preferences in which every option
+  and its champion rank each other first strand v in every stable
+  matching of that instance; `adversarial_instance` builds them from the
+  report without searching again.
+* If no, some set of options is a blockade: more options than the
   competitors adjacent to them, so however the options match away from v,
   one of them is left over — and an unmatched option next to an unmatched
   v is a blocking pair. v is matched in every stable matching of every
@@ -44,22 +48,19 @@ from .graph import BipartiteGraph, Side, Vertex
 from .prefs import PreferenceInstance
 
 
-class ClaimantBound(NamedTuple):
-    bounded: bool  # claimants <= options
-    options: int  # |N(v)|
-    claimants: int  # |N(N(v))|
-
-
 @dataclass(frozen=True)
 class VertexReport:
     """Per-vertex certificate data.
 
     `satisfied` means v is matched in every stable matching of every
     preference instance; `blockade` is the certifying option set (present
-    exactly when satisfied). `bounded` and `dedicated` are the cheap
-    sufficient certificates. An isolated vertex is vacuously bounded
-    (0 <= 0) yet can never be matched: blockade None, satisfied False,
-    isolated True.
+    exactly when satisfied). `champions` is the absorbing matching,
+    present exactly when v is neither satisfied nor isolated:
+    champions[k] is the competitor index that absorbs option
+    graph.adjacency(v.side)[v.index][k]. `bounded` and `dedicated` are the
+    cheap sufficient certificates. An isolated vertex is vacuously bounded
+    (0 <= 0) yet can never be matched: blockade and champions None,
+    satisfied False, isolated True.
     """
 
     vertex: Vertex
@@ -68,6 +69,7 @@ class VertexReport:
     bounded: bool
     dedicated: Optional[Vertex]
     blockade: Optional[tuple[Vertex, ...]]
+    champions: Optional[tuple[int, ...]]
     satisfied: bool
     isolated: bool
 
@@ -89,83 +91,52 @@ class SaturationVerdict:
     counterexample: Optional[tuple[Vertex, PreferenceInstance]]
 
 
-def claimant_bound(graph: BipartiteGraph, v: Vertex) -> ClaimantBound:
-    """Compare |N(N(v))| against |N(v)|.
-
-    N(N(v)) always contains v itself when v has any neighbor, so the bound
-    says: everyone competing for v's options can, counting-wise, be matched
-    within them.
-    """
-    graph.check_vertex(v)
-    row = graph.adjacency(v.side)[v.index]
-    claimants = _claimants(graph.adjacency(v.side.opposite), row)
-    return ClaimantBound(len(claimants) <= len(row), len(row), len(claimants))
-
-
 def _claimants(coadj: tuple[tuple[int, ...], ...], options: Iterable[int]) -> set[int]:
     """N(options): every vertex adjacent to one of `options`."""
     return set().union(*(coadj[u] for u in options))
 
 
-def dedicated_neighbor(graph: BipartiteGraph, v: Vertex) -> Optional[Vertex]:
-    """The lowest-index neighbor of v whose only neighbor is v, if any."""
-    graph.check_vertex(v)
-    coadj = graph.adjacency(v.side.opposite)
-    for u in graph.adjacency(v.side)[v.index]:
-        if len(coadj[u]) == 1:
-            return Vertex(v.side.opposite, u)
-    return None
+def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
+    """Certify v, or find the matching that lets it be stranded.
 
-
-def _absorption(
-    graph: BipartiteGraph, v: Vertex
-) -> tuple[Optional[dict[int, int]], Optional[tuple[int, ...]]]:
-    """Try to match every option in N(v) to a distinct competitor.
-
-    One augmenting-path search per option, in ascending option order, over
-    the competitors other than v. Returns (champions, None) on success —
-    champions maps each option index to its competitor index — or
-    (None, blockade) on the first option u the search cannot place. The
-    failed search has visited exactly the competitors alternating-reachable
-    from u, all of them taken, so u and the options they absorb form a set
+    Claimants N(N(v)) always include v itself when v has any option. The
+    dedicated neighbor is the lowest-index option whose only neighbor is
+    v. The absorption search runs one augmenting path per option, in
+    ascending option order, over the competitors other than v; the first
+    option u it cannot place ends it. That failed search has visited
+    exactly the competitors alternating-reachable from u, all of them
+    taken, so u and the options they absorb form the blockade: a set
     adjacent to strictly fewer competitors than its own size.
     """
     graph.check_vertex(v)
-    coadj = graph.adjacency(v.side.opposite)
+    opp = v.side.opposite
+    row = graph.adjacency(v.side)[v.index]
+    coadj = graph.adjacency(opp)
+    claimants = len(_claimants(coadj, row))
+    dedicated = next((Vertex(opp, u) for u in row if len(coadj[u]) == 1), None)
+
     taken: dict[int, int] = {}  # competitor -> option it absorbs
-    for u in graph.adjacency(v.side)[v.index]:
+    blockade = champions = None
+    for u in row:
         seen: set[int] = set()
         if not augment(coadj, taken, u, seen, skip=v.index):
-            return None, tuple(sorted({u} | {taken[c] for c in seen}))
-    return {u: c for c, u in taken.items()}, None
-
-
-def blockade(graph: BipartiteGraph, v: Vertex) -> Optional[tuple[Vertex, ...]]:
-    """A set of v's options outnumbering their competitors, if one exists.
-
-    Present exactly when v is matched in every stable matching of every
-    preference instance (for non-isolated v). None means v's neighborhood
-    can be absorbed away from v — see adversarial_instance.
-    """
-    _, stuck = _absorption(graph, v)
-    if stuck is None:
-        return None
-    return tuple(Vertex(v.side.opposite, u) for u in stuck)
-
-
-def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
-    bound = claimant_bound(graph, v)
-    dedicated = dedicated_neighbor(graph, v)
-    shield = blockade(graph, v)
+            stuck = sorted({u} | {taken[c] for c in seen})
+            blockade = tuple(Vertex(opp, w) for w in stuck)
+            break
+    else:
+        if row:
+            absorbed_by = {u: c for c, u in taken.items()}
+            champions = tuple(absorbed_by[u] for u in row)
     return VertexReport(
         vertex=v,
-        options=bound.options,
-        claimants=bound.claimants,
-        bounded=bound.bounded,
+        options=len(row),
+        claimants=claimants,
+        bounded=claimants <= len(row),
         dedicated=dedicated,
-        blockade=shield,
-        satisfied=shield is not None,
-        isolated=bound.options == 0,
+        blockade=blockade,
+        champions=champions,
+        satisfied=blockade is not None,
+        isolated=not row,
     )
 
 
@@ -216,26 +187,25 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
     holds = all(r.satisfied for r in reports)
     counterexample = None
     if not holds:
-        failing = next(
-            (r for r in reports if not r.satisfied and not r.isolated), None
-        )
+        failing = next((r for r in reports if r.champions is not None), None)
         if failing is not None:
-            counterexample = (
-                failing.vertex,
-                adversarial_instance(graph, failing.vertex),
-            )
+            counterexample = (failing.vertex, adversarial_instance(graph, failing))
     return SaturationVerdict(
         side=side, holds=holds, reports=reports, counterexample=counterexample
     )
 
 
-def adversarial_instance(graph: BipartiteGraph, v: Vertex) -> PreferenceInstance:
-    """A preference instance under which v is unmatched in every stable matching.
+def adversarial_instance(
+    graph: BipartiteGraph, report: VertexReport
+) -> PreferenceInstance:
+    """A preference instance under which `report.vertex` is unmatched in
+    every stable matching.
 
-    Exists exactly when v is not isolated and has no blockade; otherwise
-    raises an InputError whose message is v's `guarantee`. The
-    construction fixes a champion competitor for every option of v (the
-    absorbing matching) and sets:
+    `report` is the vertex's `vertex_report` on `graph`. The instance
+    exists exactly when the report has champions, i.e. v is not isolated
+    and has no blockade; otherwise this raises an InputError whose message
+    is v's `guarantee`. The construction uses the champion competitor of
+    every option of v (the absorbing matching) and sets:
 
     * every option of v ranks its champion first, its other neighbors
       next by ascending index, and v dead last;
@@ -249,13 +219,14 @@ def adversarial_instance(graph: BipartiteGraph, v: Vertex) -> PreferenceInstance
     covers all of N(v), and v — ranked last by every option — is left
     unmatched in every stable matching, not merely in one.
     """
-    champions, _ = _absorption(graph, v)
-    if not champions:  # None when blocked, empty when v is isolated
-        raise InputError(guarantee(graph, vertex_report(graph, v), repr))
+    if report.champions is None:
+        raise InputError(guarantee(graph, report, repr))
 
+    v = report.vertex
     adj = graph.adjacency(v.side)
     coadj = graph.adjacency(v.side.opposite)
     options = set(adj[v.index])
+    champions = dict(zip(adj[v.index], report.champions))  # option -> competitor
     absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
     claimants = _claimants(coadj, options) - {v.index}
 

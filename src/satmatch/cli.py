@@ -362,7 +362,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
         }
         return report, 1
 
-    instance = analysis.adversarial_instance(g, target)
+    instance = analysis.adversarial_instance(g, r)
     emitted = market_io.market_with_preferences(bundle.market, names, instance)
     market_text = market_io.dump_market(emitted)
     if args.out:

@@ -96,9 +96,6 @@ class CoverageVerdict:
     holds: bool
     classes: tuple[ClassSizes, ...]
 
-    def deficient_classes(self) -> list[int]:
-        return [c for c, s in enumerate(self.classes) if s.slots < s.members]
-
 
 def coverage_verdict(market: CompatibilityMarket) -> CoverageVerdict:
     sizes = tuple(
@@ -136,12 +133,15 @@ def verdict_consistency(
     )
 
 
-def deficient_witness(market: CompatibilityMarket) -> Optional[int]:
-    """The lowest-index exclusive member of the lowest-index deficient class,
-    or None when every class covers its members."""
-    cov = coverage_verdict(market)
-    for c in cov.deficient_classes():
-        exclusive = market.exclusive_members(c)
-        if exclusive:
-            return exclusive[0]
+def deficient_witness(
+    market: CompatibilityMarket, coverage: CoverageVerdict
+) -> Optional[int]:
+    """The lowest-index exclusive member of the lowest-index deficient class
+    of `coverage` (the market's coverage verdict), or None when every class
+    covers its members."""
+    for c, sizes in enumerate(coverage.classes):
+        if sizes.slots < sizes.members:
+            exclusive = market.exclusive_members(c)
+            if exclusive:
+                return exclusive[0]
     return None

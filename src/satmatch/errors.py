@@ -6,15 +6,7 @@ class InputError(ValueError):
 
 
 class PreferenceError(InputError):
-    """A preference table that is not a family of neighborhood permutations.
-
-    Carries the offending vertex (when one exists) so callers that own a
-    name mapping can rephrase the message.
-    """
-
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
+    """A preference table that is not a family of neighborhood permutations."""
 
 
 class MarketFormatError(InputError):

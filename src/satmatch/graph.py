@@ -98,31 +98,6 @@ class BipartiteGraph:
                 f"{self.side_count(v.side)} vertices"
             )
 
-    def neighborhood(self, v: Vertex) -> tuple[Vertex, ...]:
-        """N(v): the opposite-side vertices sharing an edge with v, ascending."""
-        self.check_vertex(v)
-        opp = v.side.opposite
-        return tuple(Vertex(opp, i) for i in self.adjacency(v.side)[v.index])
-
-    def neighborhood_of_set(self, s: Iterable[Vertex]) -> tuple[Vertex, ...]:
-        """N(S) = union of N(v) for v in S; members must share one side."""
-        members = list(s)
-        sides = {v.side for v in members}
-        if len(sides) > 1:
-            raise InputError("neighborhood_of_set needs all vertices on one side")
-        out: set[int] = set()
-        for v in members:
-            self.check_vertex(v)
-            out.update(self.adjacency(v.side)[v.index])
-        if not members:
-            return ()
-        opp = members[0].side.opposite
-        return tuple(Vertex(opp, i) for i in sorted(out))
-
-    def degree(self, v: Vertex) -> int:
-        self.check_vertex(v)
-        return len(self.adjacency(v.side)[v.index])
-
     # -- structure ----------------------------------------------------------
 
     def components(self) -> list["Component"]:
@@ -233,26 +208,6 @@ class Matching:
         self.partner_of_x = tuple(partner_of_x)
         self.partner_of_y = tuple(partner_of_y)
 
-    @classmethod
-    def from_pairs(
-        cls, graph: BipartiteGraph, pairs: Iterable[tuple[int, int]]
-    ) -> "Matching":
-        """Build and fully validate a matching from (x-index, y-index) pairs."""
-        px: list[Optional[int]] = [None] * graph.x_count
-        py: list[Optional[int]] = [None] * graph.y_count
-        for xi, yi in pairs:
-            if not (0 <= xi < graph.x_count) or not (0 <= yi < graph.y_count):
-                raise InputError(f"pair ({xi}, {yi}) out of range")
-            if yi not in graph.x_adj[xi]:
-                raise InputError(f"pair ({xi}, {yi}) is not an edge of the graph")
-            if px[xi] is not None:
-                raise InputError(f"x[{xi}] appears in two pairs")
-            if py[yi] is not None:
-                raise InputError(f"y[{yi}] appears in two pairs")
-            px[xi] = yi
-            py[yi] = xi
-        return cls(px, py)
-
     def partner(self, v: Vertex) -> Optional[Vertex]:
         if v.side is Side.X:
             j = self.partner_of_x[v.index]
@@ -271,12 +226,6 @@ class Matching:
     @property
     def size(self) -> int:
         return sum(1 for p in self.partner_of_x if p is not None)
-
-    @property
-    def is_perfect(self) -> bool:
-        return all(p is not None for p in self.partner_of_x) and all(
-            p is not None for p in self.partner_of_y
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):

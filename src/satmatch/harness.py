@@ -38,9 +38,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return not any(self.violations.values())
 
-    def violation_count(self) -> int:
-        return sum(len(v) for v in self.violations.values())
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -234,7 +231,7 @@ def saturation_suite(
             if report.satisfied or report.isolated:
                 continue
             counts["adversarial_targets"] += 1
-            adv = analysis.adversarial_instance(g, report.vertex)
+            adv = analysis.adversarial_instance(g, report)
             ss = engine.enumerate_stable(g, adv)
             counts["stable_sets"] += 1
             counts["stable_matchings"] += len(ss.matchings)
@@ -420,14 +417,14 @@ def coverage_suite(
                         f"sample {k} has a non-saturating stable matching"
                     )
         else:
-            witness = compatibility.deficient_witness(market)
-            target = Vertex(Side.X, witness)
-            if g.degree(target) == 0:
+            witness = compatibility.deficient_witness(market, cross.coverage)
+            report = analysis.vertex_report(g, Vertex(Side.X, witness))
+            if report.isolated:
                 # an exclusive member of a class with no Y-slots: unmatched
                 # in every matching of any instance, no construction needed
                 adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
             else:
-                adv = analysis.adversarial_instance(g, target)
+                adv = analysis.adversarial_instance(g, report)
             ss = engine.enumerate_stable(g, adv)
             counts["stable_sets"] += 1
             counts["adversarial_confirmations"] += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InstanceCapExceeded, PreferenceError
 from .graph import BipartiteGraph, Side, Vertex
@@ -44,24 +44,6 @@ class PreferenceInstance:
         self.y_rank = tuple(
             dict(zip(lst, range(len(lst)))) for lst in self.y_lists
         )
-
-    def rank(self, v: Vertex, candidate: Optional[Vertex]) -> int:
-        """Position of `candidate` in v's list; None (unmatched) ranks last."""
-        if candidate is None:
-            return UNMATCHED_RANK
-        if candidate.side is v.side:
-            raise PreferenceError(
-                f"{v!r} cannot rank {candidate!r}: same side", vertex=v
-            )
-        try:
-            ranks = self.x_rank if v.side is Side.X else self.y_rank
-            return ranks[v.index][candidate.index]
-        except KeyError:
-            raise PreferenceError(
-                f"{candidate!r} is not acceptable to {v!r}", vertex=v
-            ) from None
-        except IndexError:
-            raise PreferenceError(f"{v!r} has no preference list", vertex=v) from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceInstance):
@@ -98,28 +80,23 @@ def validate(
         rows = []
         for v in graph.vertices(side):
             if v not in table:
-                raise PreferenceError(
-                    f"no preference list for {describe(v)}", vertex=v
-                )
+                raise PreferenceError(f"no preference list for {describe(v)}")
             entries = table[v]
             seen = set()
             row = []
             for c in entries:
                 if not isinstance(c, Vertex):
                     raise PreferenceError(
-                        f"list for {describe(v)} contains {c!r}, not a vertex",
-                        vertex=v,
+                        f"list for {describe(v)} contains {c!r}, not a vertex"
                     )
                 if c.side is v.side:
                     raise PreferenceError(
                         f"list for {describe(v)} contains same-side vertex "
-                        f"{describe(c)}",
-                        vertex=v,
+                        f"{describe(c)}"
                     )
                 if c.index in seen:
                     raise PreferenceError(
-                        f"list for {describe(v)} contains {describe(c)} twice",
-                        vertex=v,
+                        f"list for {describe(v)} contains {describe(c)} twice"
                     )
                 seen.add(c.index)
                 row.append(c.index)
@@ -129,15 +106,13 @@ def validate(
                     raise PreferenceError(
                         f"list for {describe(v)} contains "
                         f"{describe(Vertex(side.opposite, c_index))}, "
-                        f"which is not adjacent to it",
-                        vertex=v,
+                        f"which is not adjacent to it"
                     )
             for n_index in neighborhood:
                 if n_index not in seen:
                     raise PreferenceError(
                         f"list for {describe(v)} omits neighbor "
-                        f"{describe(Vertex(side.opposite, n_index))}",
-                        vertex=v,
+                        f"{describe(Vertex(side.opposite, n_index))}"
                     )
             rows.append(tuple(row))
         return rows
@@ -192,17 +167,3 @@ def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:
         return out
 
     return PreferenceInstance(shuffled(graph.x_adj), shuffled(graph.y_adj))
-
-
-def prefers(
-    instance: PreferenceInstance,
-    v: Vertex,
-    a: Optional[Vertex],
-    b: Optional[Vertex],
-) -> bool:
-    """True iff v strictly prefers a to b; None stands for staying unmatched.
-
-    Any acceptable partner beats None; None beats nothing acceptable.
-    Comparing a vertex outside v's neighborhood is an error.
-    """
-    return instance.rank(v, a) < instance.rank(v, b)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,15 +21,11 @@ from conftest import (
     path5,
     twin_blocks,
 )
-from satmatch import engine
+from satmatch import analysis, cli, engine
 from satmatch.analysis import (
-    ClaimantBound,
     adversarial_instance,
-    blockade,
-    claimant_bound,
     component_perfect_verdict,
     connected_perfect_verdict,
-    dedicated_neighbor,
     guarantee,
     perfect_verdict,
     saturation_verdict,
@@ -46,45 +44,60 @@ def _strands(graph: BipartiteGraph, v: Vertex, instance) -> bool:
     return all(m.partner(v) is None for m in ss.matchings)
 
 
+def _stranding(graph: BipartiteGraph, v: Vertex):
+    return adversarial_instance(graph, vertex_report(graph, v))
+
+
+def _competitors(graph: BipartiteGraph, v: Vertex, options) -> set[int]:
+    """N(options) minus v, as opposite-of-options indices."""
+    coadj = graph.adjacency(v.side.opposite)
+    return {c for u in options for c in coadj[u.index]} - {v.index}
+
+
 # -- cheap certificates --------------------------------------------------------
+
+
+def _bound(graph: BipartiteGraph, v: Vertex) -> tuple[bool, int, int]:
+    r = vertex_report(graph, v)
+    return r.bounded, r.options, r.claimants
 
 
 def test_claimant_bound_values():
     g = path4()
-    assert claimant_bound(g, X(0)) == ClaimantBound(True, 2, 2)
-    assert claimant_bound(g, X(1)) == ClaimantBound(False, 1, 2)
-    assert claimant_bound(g, Y(0)) == ClaimantBound(False, 1, 2)
-    assert claimant_bound(g, Y(1)) == ClaimantBound(True, 2, 2)
+    assert _bound(g, X(0)) == (True, 2, 2)
+    assert _bound(g, X(1)) == (False, 1, 2)
+    assert _bound(g, Y(0)) == (False, 1, 2)
+    assert _bound(g, Y(1)) == (True, 2, 2)
 
 
 def test_claimant_bound_on_isolated_vertex():
     g = BipartiteGraph(2, 1, [(0, 0)])
-    assert claimant_bound(g, X(1)) == ClaimantBound(True, 0, 0)
+    assert _bound(g, X(1)) == (True, 0, 0)
 
 
 def test_dedicated_neighbor_picks_lowest_index():
     g = mixed_3x4()
-    assert dedicated_neighbor(g, X(2)) == Y(2)
-    assert dedicated_neighbor(g, X(0)) is None
+    assert vertex_report(g, X(2)).dedicated == Y(2)
+    assert vertex_report(g, X(0)).dedicated is None
     # two pendants: the lower index wins
     h = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
-    assert dedicated_neighbor(h, X(0)) == Y(0)
+    assert vertex_report(h, X(0)).dedicated == Y(0)
 
 
 def test_blockade_values_on_path4():
     g = path4()
     # y0 has no competitor for x0: a one-option blockade
-    assert blockade(g, X(0)) == (Y(0),)
+    assert vertex_report(g, X(0)).blockade == (Y(0),)
     # x1's single option y1 can be absorbed by x0: no blockade
-    assert blockade(g, X(1)) is None
+    assert vertex_report(g, X(1)).blockade is None
 
 
 def test_blockade_on_mixed_3x4():
     g = mixed_3x4()
     # y0 and y3 have x1 as their only competitor against x0
-    assert blockade(g, X(0)) == (Y(0), Y(3))
-    assert blockade(g, X(1)) == (Y(0), Y(3))
-    assert blockade(g, X(2)) == (Y(2),)
+    assert vertex_report(g, X(0)).blockade == (Y(0), Y(3))
+    assert vertex_report(g, X(1)).blockade == (Y(0), Y(3))
+    assert vertex_report(g, X(2)).blockade == (Y(2),)
 
 
 def test_blockade_beyond_the_cheap_certificates():
@@ -105,9 +118,8 @@ def test_blockade_is_genuinely_deficient_on_fixtures():
         (mixed_3x4(), X(2)),
         (guarded_4x5(), X(0)),
     ]:
-        s = blockade(g, v)
-        competitors = set(g.neighborhood_of_set(s)) - {v}
-        assert len(competitors) < len(s)
+        s = vertex_report(g, v).blockade
+        assert len(_competitors(g, v, s)) < len(s)
 
 
 # -- per-vertex reports and verdicts ------------------------------------------
@@ -121,8 +133,17 @@ def test_vertex_report_fields():
     assert not r.bounded
     assert r.dedicated is None
     assert r.blockade is None
+    assert r.champions == (0,)  # x0 absorbs y1, x1's only option
     assert not r.satisfied
     assert not r.isolated
+
+
+def test_champions_align_with_the_options():
+    # x2's options y0 and y1 are absorbed by x0 and x1, one each
+    g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
+    assert vertex_report(g, X(2)).champions == (1, 0)
+    # satisfied vertices carry a blockade instead of champions
+    assert vertex_report(path4(), X(0)).champions is None
 
 
 def test_isolated_vertex_report():
@@ -131,6 +152,7 @@ def test_isolated_vertex_report():
     assert r.isolated
     assert r.bounded  # vacuously: 0 claimants, 0 options
     assert r.blockade is None
+    assert r.champions is None
     assert not r.satisfied
 
 
@@ -211,24 +233,24 @@ def test_k33_verdict_backed_by_sampling():
 def test_adversarial_refuses_isolated():
     g = BipartiteGraph(2, 1, [(0, 0)])
     with pytest.raises(InputError, match="isolated"):
-        adversarial_instance(g, X(1))
+        _stranding(g, X(1))
 
 
 def test_adversarial_refuses_bounded():
     with pytest.raises(InputError, match="2 claimants fit within its 2 options"):
-        adversarial_instance(path4(), X(0))
+        _stranding(path4(), X(0))
 
 
 def test_adversarial_refuses_dedicated():
     with pytest.raises(InputError, match=r"y\[2\] has degree 1, dedicated"):
-        adversarial_instance(mixed_3x4(), X(2))
+        _stranding(mixed_3x4(), X(2))
 
 
 def test_adversarial_refuses_blockade():
     with pytest.raises(
         InputError, match=r"y\[0\], y\[1\] have only 1 competitor besides it"
     ):
-        adversarial_instance(guarded_4x5(), X(0))
+        _stranding(guarded_4x5(), X(0))
 
 
 def test_guarantee_wording_is_singular_for_one():
@@ -243,11 +265,11 @@ def test_guarantee_wording_is_singular_for_one():
 
 def test_adversarial_rejects_unknown_vertex():
     with pytest.raises(InputError, match="out of range"):
-        adversarial_instance(path4(), X(9))
+        _stranding(path4(), X(9))
 
 
 def test_adversarial_instance_on_path4():
-    inst = adversarial_instance(path4(), X(1))
+    inst = _stranding(path4(), X(1))
     assert inst.x_lists == ((1, 0), (1,))
     assert inst.y_lists == ((0,), (0, 1))
     ss = engine.enumerate_stable(path4(), inst)
@@ -256,7 +278,7 @@ def test_adversarial_instance_on_path4():
 
 def test_adversarial_instance_structure_on_hub():
     g = hub_4x4()
-    inst = adversarial_instance(g, X(1))
+    inst = _stranding(g, X(1))
     options = set(g.x_adj[1])
     for u in options:
         row = inst.y_lists[u]
@@ -281,7 +303,7 @@ def test_adversarial_instance_structure_on_hub():
 def test_adversarial_instance_strands_every_hub_dependent():
     g = hub_4x4()
     for target in (X(1), X(3)):
-        assert _strands(g, target, adversarial_instance(g, target))
+        assert _strands(g, target, _stranding(g, target))
 
 
 def test_adversarial_instance_with_shared_options():
@@ -289,14 +311,36 @@ def test_adversarial_instance_with_shared_options():
     g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
     for i in range(3):
         target = X(i)
-        assert blockade(g, target) is None
-        assert _strands(g, target, adversarial_instance(g, target))
+        assert vertex_report(g, target).blockade is None
+        assert _strands(g, target, _stranding(g, target))
 
 
 def test_adversarial_instance_for_y_side_target():
     g = lopsided_blocks()
-    inst = adversarial_instance(g, Y(0))
+    inst = _stranding(g, Y(0))
     assert _strands(g, Y(0), inst)
+
+
+def test_stranding_instances_run_no_search_of_their_own(monkeypatch, capsys):
+    """The stranding instance is built from the report's champions, so
+    `adversary` and the verdict search only inside vertex_report."""
+    searches = []
+    real = analysis.augment
+
+    def counting(*args, **kwargs):
+        searches.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "augment", counting)
+    market = os.path.join(os.path.dirname(__file__), os.pardir, "markets", "path4.yaml")
+    assert cli.main(["adversary", market, "--target", "x2"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 1  # x2 has one option
+    searches.clear()
+    verdict = saturation_verdict(path4(), Side.X)
+    assert verdict.counterexample[0] == X(1)
+    # x0 is blocked at its first option; x1 has one option
+    assert len(searches) == 2
 
 
 # -- hypothesis cross-checks ---------------------------------------------------
@@ -311,6 +355,14 @@ def test_reports_are_internally_consistent(g: BipartiteGraph):
         for r in verdict.reports:
             assert r.satisfied == (r.blockade is not None)
             assert r.isolated == (r.options == 0)
+            assert (r.champions is not None) == (not r.satisfied and not r.isolated)
+            if r.champions is not None:
+                # an absorbing matching: one distinct competitor per option
+                row = g.adjacency(side)[r.vertex.index]
+                coadj = g.adjacency(side.opposite)
+                assert len(set(r.champions)) == len(row)
+                assert r.vertex.index not in r.champions
+                assert all(c in coadj[u] for u, c in zip(row, r.champions))
             if r.isolated:
                 assert not r.satisfied
             elif r.bounded or r.dedicated is not None:
@@ -325,10 +377,10 @@ def test_blockades_are_deficient_option_subsets(g: BipartiteGraph):
             if r.blockade is None:
                 continue
             s = r.blockade
-            assert set(s) <= set(g.neighborhood(r.vertex))
+            row = g.adjacency(side)[r.vertex.index]
+            assert {u.index for u in s} <= set(row)
             assert list(s) == sorted(s)
-            competitors = set(g.neighborhood_of_set(s)) - {r.vertex}
-            assert len(competitors) < len(s)
+            assert len(_competitors(g, r.vertex, s)) < len(s)
 
 
 def _has_deficient_option_set(g: BipartiteGraph, v: Vertex) -> bool:
@@ -352,7 +404,7 @@ def test_satisfied_exactly_when_some_option_set_is_deficient(g: BipartiteGraph):
         for r in saturation_verdict(g, side).reports:
             assert r.satisfied == _has_deficient_option_set(g, r.vertex)
             if r.blockade is not None:
-                competitors = set(g.neighborhood_of_set(r.blockade)) - {r.vertex}
+                competitors = _competitors(g, r.vertex, r.blockade)
                 assert len(competitors) < len(r.blockade)
 
 
@@ -363,9 +415,9 @@ def test_unsatisfied_vertices_can_all_be_stranded(g: BipartiteGraph):
         for r in saturation_verdict(g, side).reports:
             if r.satisfied or r.isolated:
                 with pytest.raises(InputError):
-                    adversarial_instance(g, r.vertex)
+                    adversarial_instance(g, r)
             else:
-                inst = adversarial_instance(g, r.vertex)
+                inst = adversarial_instance(g, r)
                 assert _strands(g, r.vertex, inst)
 
 

@@ -81,14 +81,13 @@ def test_induced_graph_with_empty_class_side():
     m = CompatibilityMarket.build(2, [[0], [1]], [0])
     g = induced_graph(m)
     assert g == BipartiteGraph(2, 1, [(0, 0)])
-    assert g.degree(X(1)) == 0
+    assert g.x_adj[1] == ()
 
 
 def test_coverage_verdict_deficient():
     v = coverage_verdict(_two_class_market())
     assert not v.holds
     assert v.classes == (ClassSizes(2, 1), ClassSizes(2, 1))
-    assert v.deficient_classes() == [0, 1]
 
 
 def test_coverage_verdict_holds_with_enough_slots():
@@ -96,16 +95,19 @@ def test_coverage_verdict_holds_with_enough_slots():
     v = coverage_verdict(m)
     assert v.holds
     assert v.classes == (ClassSizes(2, 2), ClassSizes(2, 2))
-    assert v.deficient_classes() == []
+
+
+def _witness(market: CompatibilityMarket):
+    return deficient_witness(market, coverage_verdict(market))
 
 
 def test_deficient_witness_picks_lowest_exclusive_member():
-    assert deficient_witness(_two_class_market()) == 0
+    assert _witness(_two_class_market()) == 0
     covered = CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 0, 1, 1])
-    assert deficient_witness(covered) is None
+    assert _witness(covered) is None
     # class 0 covered, class 1 deficient: witness is class 1's exclusive member
     m = CompatibilityMarket.build(2, [[0], [1], [1]], [0, 1])
-    assert deficient_witness(m) == 1
+    assert _witness(m) == 1
 
 
 def test_verdict_consistency_on_small_markets():
@@ -131,17 +133,18 @@ def test_deficient_markets_freeze_out_their_witness():
     leaves it unmatched in every stable matching."""
     checked = 0
     for market in harness.all_compatibility_markets(2, 3):
-        if coverage_verdict(market).holds:
+        coverage = coverage_verdict(market)
+        if coverage.holds:
             continue
-        witness = deficient_witness(market)
+        witness = deficient_witness(market, coverage)
         assert witness is not None
         g = induced_graph(market)
-        target = X(witness)
-        if g.degree(target) == 0:
+        report = analysis.vertex_report(g, X(witness))
+        if report.isolated:
             continue  # isolated: stranded in every matching trivially
-        inst = analysis.adversarial_instance(g, target)
+        inst = analysis.adversarial_instance(g, report)
         ss = engine.enumerate_stable(g, inst)
-        assert all(m.partner(target) is None for m in ss.matchings)
+        assert all(m.partner(X(witness)) is None for m in ss.matchings)
         checked += 1
     assert checked > 0
 

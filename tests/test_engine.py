@@ -31,7 +31,7 @@ from satmatch.engine import (
 )
 from satmatch.errors import InputError, SearchCapExceeded
 from satmatch.graph import BipartiteGraph, Matching, Side
-from satmatch.prefs import PreferenceInstance
+from satmatch.prefs import UNMATCHED_RANK, PreferenceInstance
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -70,12 +70,12 @@ def test_shape_mismatch_is_rejected():
     with pytest.raises(InputError):
         deferred_acceptance(path5(), inst)  # 2+3 graph, 2+2 instance
     with pytest.raises(InputError):
-        find_blocking_pairs(g, inst, Matching.from_pairs(path5(), []))
+        find_blocking_pairs(g, inst, Matching((None, None), (None, None, None)))
 
 
 def test_blocking_pairs_of_the_empty_matching():
     g, inst = _square_cycle()
-    found = find_blocking_pairs(g, inst, Matching.from_pairs(g, []))
+    found = find_blocking_pairs(g, inst, Matching((None, None), (None, None)))
     # every edge blocks, reported in ascending index order
     assert found == [
         BlockingPair(X(0), Y(0)),
@@ -83,17 +83,17 @@ def test_blocking_pairs_of_the_empty_matching():
         BlockingPair(X(1), Y(0)),
         BlockingPair(X(1), Y(1)),
     ]
-    assert not is_stable(g, inst, Matching.from_pairs(g, []))
+    assert not is_stable(g, inst, Matching((None, None), (None, None)))
 
 
 def test_blocking_pair_needs_both_sides_willing():
     g = biclique(2, 2)
     inst = PreferenceInstance([(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    swapped = Matching.from_pairs(g, [(0, 1), (1, 0)])
+    swapped = Matching((1, 0), (1, 0))
     # x0 and y0 both rank each other first: the only block
     assert find_blocking_pairs(g, inst, swapped) == [BlockingPair(X(0), Y(0))]
     assert not is_stable(g, inst, swapped)
-    assert is_stable(g, inst, Matching.from_pairs(g, [(0, 0), (1, 1)]))
+    assert is_stable(g, inst, Matching((0, 1), (0, 1)))
 
 
 def test_enumerate_stable_finds_both_square_matchings():
@@ -166,8 +166,12 @@ def test_maximum_matching_size_matches_brute_force(g: BipartiteGraph):
 
 
 def test_maximum_matching_is_a_valid_matching():
-    m = maximum_matching(guarded_4x5())
-    Matching.from_pairs(guarded_4x5(), m.pairs())  # validates edges + injectivity
+    g = guarded_4x5()
+    m = maximum_matching(g)
+    pairs = m.pairs()
+    assert all(j in g.x_adj[i] for i, j in pairs)  # every pair is an edge
+    assert len({j for _, j in pairs}) == len(pairs)  # no Y-vertex taken twice
+    assert all(m.partner_of_y[j] == i for i, j in pairs)
 
 
 def test_enumerator_equals_oracle_exhaustively():
@@ -249,10 +253,15 @@ def test_proposing_side_optimality(pair):
     for side in (Side.X, Side.Y):
         da = deferred_acceptance(g, inst, proposing=side)
         assert da.partner_of_x in {m.partner_of_x for m in ss.matchings}
+        ranks = inst.x_rank if side is Side.X else inst.y_rank
+
+        def rank(v, partner):
+            return UNMATCHED_RANK if partner is None else ranks[v.index][partner.index]
+
         for m in ss.matchings:
             for v in g.vertices(side):
                 # the proposing side never does better in any other member
-                assert not prefs.prefers(inst, v, m.partner(v), da.partner(v))
+                assert rank(v, m.partner(v)) >= rank(v, da.partner(v))
 
 
 @given(graph_with_instance())

@@ -1,0 +1,91 @@
+"""Golden reports: `analyze` and `adversary` on every shipped fixture.
+
+`tests/golden/fixtures.json` holds the exit code and `--format structured`
+report of `analyze --side x|y` on each market in `markets/` and of
+`adversary --target v` on each of their vertices. Certificates, champions
+and counterexamples are pinned byte for byte, so a change to the search
+that moves any of them shows up here.
+
+After an intended change of output, rewrite the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from satmatch import cli, market_io
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "fixtures.json")
+
+
+def _fixtures() -> list[str]:
+    markets = os.path.join(ROOT, "markets")
+    return [f"markets/{name}" for name in sorted(os.listdir(markets))]
+
+
+def _report(*argv: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--format", "structured"])
+    report = json.loads(out.getvalue())
+    report["source"] = os.path.relpath(report["source"], ROOT)
+    return {"exit": code, "report": report}
+
+
+def current() -> dict:
+    """Every golden entry as the code computes it now, keyed by argv."""
+    entries = {}
+    for rel in _fixtures():
+        path = os.path.join(ROOT, rel)
+        for side in ("x", "y"):
+            entries[f"analyze {rel} --side {side}"] = _report(
+                "analyze", path, "--side", side
+            )
+        names = market_io.load_market(path).names
+        for name in names.x_names + names.y_names:
+            entries[f"adversary {rel} --target {name}"] = _report(
+                "adversary", path, "--target", name
+            )
+    return entries
+
+
+def test_reports_match_the_golden_file():
+    with open(GOLDEN, encoding="utf-8") as f:
+        golden = json.load(f)
+    now = current()
+    assert sorted(now) == sorted(golden)
+    changed = [key for key in golden if now[key] != golden[key]]
+    assert not changed, f"{len(changed)} reports differ, first: {changed[0]}"
+
+
+def test_analyze_counterexamples_are_the_adversary_markets():
+    """A failing verdict's counterexample and `adversary` on the same vertex
+    come from the same report, so their preferences agree."""
+    now = current()
+    checked = 0
+    for key, entry in now.items():
+        ce = entry["report"].get("saturation", {}).get("counterexample")
+        if ce is None:
+            continue
+        source = entry["report"]["source"]
+        adversary = now[f"adversary {source} --target {ce['vertex']}"]
+        assert adversary["exit"] == 0
+        assert adversary["report"]["preferences"] == ce["preferences"], key
+        checked += 1
+    assert checked > 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as f:
+        json.dump(current(), f, indent=1, sort_keys=True)
+        f.write("\n")

@@ -48,19 +48,8 @@ def test_construction_rejects_bad_input(x_count, y_count, edges):
 
 def test_degree_and_neighborhood():
     g = path4()
-    assert g.degree(X(0)) == 2
-    assert g.degree(X(1)) == 1
-    assert g.degree(Y(0)) == 1
-    assert g.neighborhood(X(0)) == (Y(0), Y(1))
-    assert g.neighborhood(Y(1)) == (X(0), X(1))
-
-
-def test_neighborhood_of_set():
-    g = path4()
-    assert g.neighborhood_of_set([Y(0), Y(1)]) == (X(0), X(1))
-    assert g.neighborhood_of_set([]) == ()
-    with pytest.raises(InputError):
-        g.neighborhood_of_set([X(0), Y(0)])
+    assert g.adjacency(Side.X) == ((0, 1), (1,))
+    assert g.adjacency(Side.Y) == ((0,), (0, 1))
 
 
 def test_check_vertex_bounds():
@@ -124,8 +113,7 @@ def test_graph_equality_ignores_edge_order():
 
 
 def test_matching_from_pairs_and_accessors():
-    g = path4()
-    m = Matching.from_pairs(g, [(0, 0)])
+    m = Matching((0, None), (0, None))  # the single pair (0, 0)
     assert m.partner(X(0)) == Y(0)
     assert m.partner(Y(0)) == X(0)
     assert m.partner(X(1)) is None
@@ -133,32 +121,18 @@ def test_matching_from_pairs_and_accessors():
     assert m.size == 1
     assert m.matched_set(Side.X) == frozenset({0})
     assert m.matched_set(Side.Y) == frozenset({0})
-    assert not m.is_perfect
-
-
-def test_matching_rejects_bad_pairs():
-    g = path4()
-    with pytest.raises(InputError):
-        Matching.from_pairs(g, [(1, 0)])  # not an edge
-    with pytest.raises(InputError):
-        Matching.from_pairs(g, [(0, 0), (0, 1)])  # x0 twice
-    with pytest.raises(InputError):
-        Matching.from_pairs(g, [(0, 1), (1, 1)])  # y1 twice
 
 
 def test_matching_equality():
-    g = biclique(2, 2)
-    a = Matching.from_pairs(g, [(0, 0), (1, 1)])
-    b = Matching.from_pairs(g, [(1, 1), (0, 0)])
+    a = Matching([0, 1], [0, 1])
+    b = Matching((0, 1), (0, 1))
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Matching.from_pairs(g, [(0, 1), (1, 0)])
-    assert a.is_perfect
+    assert a != Matching((1, 0), (1, 0))
 
 
 def test_empty_matching():
-    g = path4()
-    m = Matching.from_pairs(g, [])
+    m = Matching((None, None), (None, None))
     assert m.size == 0
     assert m.pairs() == []
     assert m.matched_set(Side.X) == frozenset()
