@@ -6,23 +6,36 @@ class InputError(ValueError):
 
 
 class PreferenceError(InputError):
-    """A preference table that is not a family of neighborhood permutations."""
+    """A preference table that is not a family of neighborhood permutations.
+
+    `vertex` is the vertex whose list is at fault and `entry` the index of
+    the offending entry in that list, each None when the defect has none.
+    """
+
+    def __init__(self, message, *, vertex=None, entry=None):
+        super().__init__(message)
+        self.vertex = vertex
+        self.entry = entry
 
 
 class MarketFormatError(InputError):
     """A market file that does not parse or does not validate.
 
-    line/column are 1-based when the underlying parser reported a position.
+    `path` holds the mapping keys and list indices that lead from the
+    document root to the rejected entry; line/column are 1-based and give
+    that entry's position when the text was at hand.
     """
 
-    def __init__(self, message, *, source=None, line=None, column=None):
+    def __init__(self, message, *, source=None, line=None, column=None, path=()):
         prefix = source or ""
         if line is not None:
             prefix += f":{line}"
             if column is not None:
                 prefix += f":{column}"
         super().__init__(f"{prefix}: {message}" if prefix else message)
+        self.message = message
         self.source = source
+        self.path = tuple(path)
         self.line = line
         self.column = column
 

@@ -419,20 +419,28 @@ def coverage_suite(
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
             report = analysis.vertex_report(g, Vertex(Side.X, witness))
-            if report.isolated:
-                # an exclusive member of a class with no Y-slots: unmatched
-                # in every matching of any instance, no construction needed
-                adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
-            else:
-                adv = analysis.adversarial_instance(g, report)
-            ss = engine.enumerate_stable(g, adv)
-            counts["stable_sets"] += 1
-            counts["adversarial_confirmations"] += 1
-            if any(m.partner_of_x[witness] is not None for m in ss.matchings):
+            if report.satisfied:
+                # nothing can strand a vertex the structure guarantees a
+                # partner, so the coverage verdict is what is wrong
                 violations["adversarial"].append(
-                    f"market {m_index} {market!r}: freeze-out of x[{witness}] "
-                    f"not confirmed"
+                    f"market {m_index} {market!r}: coverage calls x[{witness}] "
+                    f"deficient but it is matched in every stable matching"
                 )
+            else:
+                if report.isolated:
+                    # an exclusive member of a class with no Y-slots: unmatched
+                    # in every matching of any instance, no construction needed
+                    adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
+                else:
+                    adv = analysis.adversarial_instance(g, report)
+                ss = engine.enumerate_stable(g, adv)
+                counts["stable_sets"] += 1
+                counts["adversarial_confirmations"] += 1
+                if any(m.partner_of_x[witness] is not None for m in ss.matchings):
+                    violations["adversarial"].append(
+                        f"market {m_index} {market!r}: freeze-out of "
+                        f"x[{witness}] not confirmed"
+                    )
         if progress and m_index % 2000 == 1999:
             progress(f"coverage: {counts['markets']} markets checked")
 

@@ -72,49 +72,104 @@ class MarketBundle:
     compat: Optional[CompatibilityMarket] = None
 
 
-def _fail(
-    message: str,
-    source: str,
-    line: Optional[int] = None,
-    column: Optional[int] = None,
-):
-    raise MarketFormatError(message, source=source, line=line, column=column)
+# libyaml when PyYAML was built with it: the same resolver and constructor
+# as the pure-Python classes, so the same data, several times faster
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-def _expect_str_list(value: Any, what: str, source: str) -> list[str]:
+def _fail(message: str, source: str, path: tuple = ()):
+    raise MarketFormatError(message, source=source, path=path)
+
+
+def _expect_str_list(value: Any, what: str, source: str, path: tuple) -> list[str]:
     if not isinstance(value, list):
-        _fail(f"{what} must be a list, got {type(value).__name__}", source)
-    for item in value:
+        _fail(f"{what} must be a list, got {type(value).__name__}", source, path)
+    for k, item in enumerate(value):
         if not isinstance(item, str) or not item:
-            _fail(f"{what} entries must be nonempty strings, got {item!r}", source)
+            _fail(
+                f"{what} entries must be nonempty strings, got {item!r}",
+                source,
+                path + (k,),
+            )
     return list(value)
+
+
+def _first_repeat(items: list) -> Optional[int]:
+    """Index of the first item equal to an earlier one, or None."""
+    seen = set()
+    for k, item in enumerate(items):
+        if item in seen:
+            return k
+        seen.add(item)
+    return None
+
+
+def _located(error: MarketFormatError, text: str) -> MarketFormatError:
+    """`error` with the 1-based line and column of the entry its path names
+    in `text`: a mapping entry starts at its key, a list entry at its item.
+    Composes `text` again, so it runs only once an error is raised."""
+    loader = _Loader(text)
+    try:
+        node = loader.get_single_node()
+        mark = None if node is None else node.start_mark  # None: an empty document
+        for step in error.path:
+            if isinstance(node, yaml.MappingNode):
+                # resolve merge keys and let the last equal key win, as
+                # loading the text does
+                loader.flatten_mapping(node)
+                for key, value in reversed(node.value):
+                    if loader.construct_object(key, deep=True) == step:
+                        mark, node = key.start_mark, value
+                        break
+                else:
+                    return error
+            elif isinstance(node, yaml.SequenceNode) and isinstance(step, int):
+                node = node.value[step]
+                mark = node.start_mark
+            else:
+                return error
+    finally:
+        loader.dispose()
+    line, column = (1, 1) if mark is None else (mark.line + 1, mark.column + 1)
+    return MarketFormatError(
+        error.message, source=error.source, line=line, column=column, path=error.path
+    )
 
 
 def parse_market(text: str, source: str = "<string>") -> MarketFile:
     """Parse one market document; structural and name-level validation only.
 
     Graph-level validation (preference tables, compatibility cross-checks)
-    happens in resolve_market.
+    happens in resolve_market. Every error names the line and column of
+    the entry it rejects.
     """
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         if mark is not None:
-            _fail(
+            raise MarketFormatError(
                 f"not valid YAML: {getattr(e, 'problem', e)}",
-                source,
+                source=source,
                 line=mark.line + 1,
                 column=mark.column + 1,
-            )
+            ) from None
         _fail(f"not valid YAML: {e}", source)
+    try:
+        return _market_file(data, source)
+    except MarketFormatError as e:
+        raise _located(e, text) from None
+
+
+def _market_file(data: Any, source: str) -> MarketFile:
     if not isinstance(data, dict):
         _fail(f"document must be a mapping, got {type(data).__name__}", source)
 
     known = {"schema_version", "x_names", "y_names", "edges", "preferences", "compatibility"}
     for key in data:
         if key not in known:
-            _fail(f"unknown key {key!r}", source)
+            _fail(f"unknown key {key!r}", source, (key,))
     for key in ("schema_version", "x_names", "y_names", "edges"):
         if key not in data:
             _fail(f"missing required key {key!r}", source)
@@ -127,41 +182,43 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
             f"unsupported schema_version {data['schema_version']!r} "
             f"(this build reads {SCHEMA_VERSION!r})",
             source,
+            ("schema_version",),
         )
 
-    x_names = _expect_str_list(data["x_names"], "x_names", source)
-    y_names = _expect_str_list(data["y_names"], "y_names", source)
+    x_names = _expect_str_list(data["x_names"], "x_names", source, ("x_names",))
+    y_names = _expect_str_list(data["y_names"], "y_names", source, ("y_names",))
     for names, label in ((x_names, "x_names"), (y_names, "y_names")):
-        seen = set()
-        for n in names:
-            if n in seen:
-                _fail(f"{label} lists {n!r} twice", source)
-            seen.add(n)
-    overlap = set(x_names) & set(y_names)
+        k = _first_repeat(names)
+        if k is not None:
+            _fail(f"{label} lists {names[k]!r} twice", source, (label, k))
+    x_set, y_set = set(x_names), set(y_names)
+    overlap = x_set & y_set
     if overlap:
+        shared = sorted(overlap)[0]
         _fail(
-            f"name {sorted(overlap)[0]!r} appears on both sides; names must be "
+            f"name {shared!r} appears on both sides; names must be "
             f"unique across the market so preference keys stay unambiguous",
             source,
+            ("y_names", y_names.index(shared)),
         )
 
-    x_set, y_set = set(x_names), set(y_names)
     if not isinstance(data["edges"], list):
-        _fail("edges must be a list of [x, y] pairs", source)
+        _fail("edges must be a list of [x, y] pairs", source, ("edges",))
     edges: list[tuple[str, str]] = []
     seen_edges = set()
-    for raw in data["edges"]:
+    for k, raw in enumerate(data["edges"]):
+        at = ("edges", k)
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            _fail(f"edge {raw!r} must be an [x, y] pair", source)
+            _fail(f"edge {raw!r} must be an [x, y] pair", source, at)
         xn, yn = raw
         if not all(isinstance(n, str) and n for n in raw):
-            _fail(f"edge {raw!r} endpoints must be nonempty strings", source)
+            _fail(f"edge {raw!r} endpoints must be nonempty strings", source, at)
         if xn not in x_set:
-            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source)
+            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source, at + (0,))
         if yn not in y_set:
-            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", source)
+            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", source, at + (1,))
         if (xn, yn) in seen_edges:
-            _fail(f"duplicate edge [{xn!r}, {yn!r}]", source)
+            _fail(f"duplicate edge [{xn!r}, {yn!r}]", source, at)
         seen_edges.add((xn, yn))
         edges.append((xn, yn))
 
@@ -169,13 +226,18 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
     if data.get("preferences") is not None:
         raw_prefs = data["preferences"]
         if not isinstance(raw_prefs, dict):
-            _fail("preferences must map vertex names to ranked name lists", source)
+            _fail(
+                "preferences must map vertex names to ranked name lists",
+                source,
+                ("preferences",),
+            )
         preferences = {}
         for name, ranked in raw_prefs.items():
+            at = ("preferences", name)
             if name not in x_set and name not in y_set:
-                _fail(f"preferences given for unknown vertex {name!r}", source)
+                _fail(f"preferences given for unknown vertex {name!r}", source, at)
             preferences[name] = _expect_str_list(
-                ranked, f"preference list for {name!r}", source
+                ranked, f"preference list for {name!r}", source, at
             )
 
     compatibility = None
@@ -202,68 +264,84 @@ def _parse_compatibility(
     y_set: set[str],
     source: str,
 ) -> CompatibilityBlock:
+    block = ("compatibility",)
     if not isinstance(raw, dict):
-        _fail("compatibility must be a mapping", source)
+        _fail("compatibility must be a mapping", source, block)
     for key in raw:
         if key not in {"classes", "x_membership", "y_class"}:
-            _fail(f"compatibility: unknown key {key!r}", source)
+            _fail(f"compatibility: unknown key {key!r}", source, block + (key,))
     for key in ("classes", "x_membership", "y_class"):
         if key not in raw:
-            _fail(f"compatibility: missing key {key!r}", source)
-    classes = _expect_str_list(raw["classes"], "compatibility.classes", source)
+            _fail(f"compatibility: missing key {key!r}", source, block)
+    at = block + ("classes",)
+    classes = _expect_str_list(raw["classes"], "compatibility.classes", source, at)
     if not classes:
-        _fail("compatibility.classes must not be empty", source)
-    if len(set(classes)) != len(classes):
-        _fail("compatibility.classes contains duplicates", source)
+        _fail("compatibility.classes must not be empty", source, at)
+    k = _first_repeat(classes)
+    if k is not None:
+        _fail("compatibility.classes contains duplicates", source, at + (k,))
     class_set = set(classes)
 
     membership_raw = raw["x_membership"]
+    at = block + ("x_membership",)
     if not isinstance(membership_raw, dict):
-        _fail("compatibility.x_membership must map X names to class lists", source)
+        _fail("compatibility.x_membership must map X names to class lists", source, at)
     x_membership: dict[str, list[str]] = {}
     for xn in x_names:
         if xn not in membership_raw:
-            _fail(f"compatibility.x_membership missing {xn!r}", source)
+            _fail(f"compatibility.x_membership missing {xn!r}", source, at)
     for name, classes_of in membership_raw.items():
+        entry = at + (name,)
         if name not in x_set:
-            _fail(f"compatibility.x_membership names unknown X-vertex {name!r}", source)
-        listed = _expect_str_list(
-            classes_of, f"compatibility.x_membership[{name!r}]", source
-        )
+            _fail(
+                f"compatibility.x_membership names unknown X-vertex {name!r}",
+                source,
+                entry,
+            )
+        what = f"compatibility.x_membership[{name!r}]"
+        listed = _expect_str_list(classes_of, what, source, entry)
         if not listed:
-            _fail(f"compatibility.x_membership[{name!r}] must not be empty", source)
-        if len(set(listed)) != len(listed):
-            _fail(f"compatibility.x_membership[{name!r}] lists a class twice", source)
-        for c in listed:
+            _fail(f"{what} must not be empty", source, entry)
+        k = _first_repeat(listed)
+        if k is not None:
+            _fail(f"{what} lists a class twice", source, entry + (k,))
+        for k, c in enumerate(listed):
             if c not in class_set:
-                _fail(
-                    f"compatibility.x_membership[{name!r}] names unknown class {c!r}",
-                    source,
-                )
+                _fail(f"{what} names unknown class {c!r}", source, entry + (k,))
         x_membership[name] = listed
 
     y_class_raw = raw["y_class"]
+    at = block + ("y_class",)
     if not isinstance(y_class_raw, dict):
-        _fail("compatibility.y_class must map Y names to a class name", source)
+        _fail("compatibility.y_class must map Y names to a class name", source, at)
     y_class: dict[str, str] = {}
     for yn in y_names:
         if yn not in y_class_raw:
-            _fail(f"compatibility.y_class missing {yn!r}", source)
+            _fail(f"compatibility.y_class missing {yn!r}", source, at)
     for name, c in y_class_raw.items():
         if name not in y_set:
-            _fail(f"compatibility.y_class names unknown Y-vertex {name!r}", source)
+            _fail(
+                f"compatibility.y_class names unknown Y-vertex {name!r}",
+                source,
+                at + (name,),
+            )
         if not isinstance(c, str) or c not in class_set:
-            _fail(f"compatibility.y_class[{name!r}] names unknown class {c!r}", source)
+            _fail(
+                f"compatibility.y_class[{name!r}] names unknown class {c!r}",
+                source,
+                at + (name,),
+            )
         y_class[name] = c
 
     # exclusivity gets checked here with names so the message is readable;
     # CompatibilityMarket re-checks it on indices regardless
-    for c in classes:
+    for k, c in enumerate(classes):
         if not any(set(m) == {c} for m in x_membership.values()):
             _fail(
                 f"compatibility: class {c!r} has no exclusive member; some "
                 f"X-vertex must belong to it and to no other class",
                 source,
+                block + ("classes", k),
             )
 
     return CompatibilityBlock(
@@ -284,19 +362,25 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
         table = {}
         for name, ranked in mf.preferences.items():
             entries = []
-            for cand in ranked:
+            for k, cand in enumerate(ranked):
                 cv = names.vertex(cand)
                 if cv is None:
                     _fail(
                         f"preference list for {name!r} names unknown vertex {cand!r}",
                         source,
+                        ("preferences", name, k),
                     )
                 entries.append(cv)
             table[names.vertex(name)] = entries
         try:
             instance = prefs.validate(graph, table, describe=names.name)
         except PreferenceError as e:
-            _fail(f"preferences: {e}", source)
+            at: tuple = ("preferences",)
+            if e.vertex is not None:
+                at += (names.name(e.vertex),)
+                if e.entry is not None:
+                    at += (e.entry,)
+            _fail(f"preferences: {e}", source, at)
 
     compat = None
     if mf.compatibility is not None:
@@ -319,13 +403,16 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
                     f"compatibility classes imply; edges must equal the induced "
                     f"acceptability exactly",
                     source,
+                    ("edges",),
                 )
             for xi, yi in sorted(declared - wanted):
+                edge = (mf.x_names[xi], mf.y_names[yi])
                 _fail(
-                    f"edge [{mf.x_names[xi]!r}, {mf.y_names[yi]!r}] joins "
+                    f"edge [{edge[0]!r}, {edge[1]!r}] joins "
                     f"incompatible classes; edges must equal the induced "
                     f"acceptability exactly",
                     source,
+                    ("edges", mf.edges.index(edge)),
                 )
 
     return MarketBundle(
@@ -340,7 +427,11 @@ def load_market(path: str) -> MarketBundle:
             text = fh.read()
     except OSError as e:
         raise MarketFormatError(str(e), source=path) from None
-    return resolve_market(parse_market(text, source=path), source=path)
+    mf = parse_market(text, source=path)
+    try:
+        return resolve_market(mf, source=path)
+    except MarketFormatError as e:
+        raise _located(e, text) from None
 
 
 def market_to_dict(mf: MarketFile) -> dict:
@@ -362,8 +453,11 @@ def market_to_dict(mf: MarketFile) -> dict:
 
 
 def dump_market(mf: MarketFile) -> str:
-    return yaml.safe_dump(
-        market_to_dict(mf), sort_keys=False, default_flow_style=None
+    return yaml.dump(
+        market_to_dict(mf),
+        Dumper=_Dumper,
+        sort_keys=False,
+        default_flow_style=None,
     )
 
 

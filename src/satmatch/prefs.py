@@ -84,35 +84,44 @@ def validate(
             entries = table[v]
             seen = set()
             row = []
-            for c in entries:
+            for k, c in enumerate(entries):
                 if not isinstance(c, Vertex):
                     raise PreferenceError(
-                        f"list for {describe(v)} contains {c!r}, not a vertex"
+                        f"list for {describe(v)} contains {c!r}, not a vertex",
+                        vertex=v,
+                        entry=k,
                     )
                 if c.side is v.side:
                     raise PreferenceError(
                         f"list for {describe(v)} contains same-side vertex "
-                        f"{describe(c)}"
+                        f"{describe(c)}",
+                        vertex=v,
+                        entry=k,
                     )
                 if c.index in seen:
                     raise PreferenceError(
-                        f"list for {describe(v)} contains {describe(c)} twice"
+                        f"list for {describe(v)} contains {describe(c)} twice",
+                        vertex=v,
+                        entry=k,
                     )
                 seen.add(c.index)
                 row.append(c.index)
             neighborhood = graph.adjacency(side)[v.index]
-            for c_index in row:
+            for k, c_index in enumerate(row):
                 if c_index not in neighborhood:
                     raise PreferenceError(
                         f"list for {describe(v)} contains "
                         f"{describe(Vertex(side.opposite, c_index))}, "
-                        f"which is not adjacent to it"
+                        f"which is not adjacent to it",
+                        vertex=v,
+                        entry=k,
                     )
             for n_index in neighborhood:
                 if n_index not in seen:
                     raise PreferenceError(
                         f"list for {describe(v)} omits neighbor "
-                        f"{describe(Vertex(side.opposite, n_index))}"
+                        f"{describe(Vertex(side.opposite, n_index))}",
+                        vertex=v,
                     )
             rows.append(tuple(row))
         return rows

@@ -198,6 +198,27 @@ def test_suite_catches_a_coverage_verdict_that_always_holds(monkeypatch):
     assert result.violations["consistency"]
 
 
+def test_coverage_suite_records_a_deficiency_the_structure_rules_out(monkeypatch):
+    # every class reported with zero slots: the witness of many markets is
+    # guaranteed a partner, which nothing can strand
+    def no_slots(market):
+        sizes = tuple(
+            compatibility.ClassSizes(len(market.class_members(c)), 0)
+            for c in range(market.n_classes)
+        )
+        return compatibility.CoverageVerdict(holds=False, classes=sizes)
+
+    monkeypatch.setattr(compatibility, "coverage_verdict", no_slots)
+    result = harness.coverage_suite(max_classes=2, max_side=2, samples=5)
+    assert not result.passed
+    guaranteed = [
+        v for v in result.violations["adversarial"]
+        if "deficient but it is matched in every stable matching" in v
+    ]
+    assert guaranteed
+    assert all(v.startswith("market ") and "x[" in v for v in guaranteed)
+
+
 def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypatch):
     def always_holds(graph, side):
         return analysis.SaturationVerdict(

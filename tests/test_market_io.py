@@ -7,8 +7,10 @@ import os
 import textwrap
 
 import pytest
+import yaml
 
 from conftest import X, Y
+from satmatch import market_io
 from satmatch.errors import MarketFormatError
 from satmatch.graph import BipartiteGraph
 from satmatch.market_io import (
@@ -29,6 +31,28 @@ MARKETS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "markets")
 
 def _doc(body: str) -> str:
     return textwrap.dedent(body).lstrip()
+
+
+def _each_loader(monkeypatch):
+    """Yield the name of the YAML classes in use: first market_io's own
+    (libyaml when PyYAML has it), then PyYAML's pure-Python ones, so the
+    fallback for a build without libyaml stays tested."""
+    yield market_io._Loader.__name__
+    monkeypatch.setattr(market_io, "_Loader", yaml.SafeLoader)
+    monkeypatch.setattr(market_io, "_Dumper", yaml.SafeDumper)
+    yield "SafeLoader"
+    monkeypatch.undo()
+
+
+def _load_text(tmp_path, text: str):
+    path = tmp_path / "m.yaml"
+    path.write_text(text, encoding="utf-8")
+    return load_market(str(path))
+
+
+def _assert_at(error: MarketFormatError, source: str, line: int, column: int):
+    assert (error.line, error.column) == (line, column), str(error)
+    assert str(error).startswith(f"{source}:{line}:{column}: "), str(error)
 
 
 BARE = _doc(
@@ -117,11 +141,46 @@ def test_integer_schema_version_is_tolerated():
     assert mf.schema_version == "1"
 
 
-def test_round_trip_preserves_everything():
-    for text in (BARE, WITH_PREFS, WITH_COMPAT):
-        mf = parse_market(text)
-        again = parse_market(dump_market(mf))
-        assert market_to_dict(again) == market_to_dict(mf)
+def test_round_trip_preserves_everything(monkeypatch):
+    for _ in _each_loader(monkeypatch):
+        for text in (BARE, WITH_PREFS, WITH_COMPAT):
+            mf = parse_market(text)
+            again = parse_market(dump_market(mf))
+            assert market_to_dict(again) == market_to_dict(mf)
+
+
+AWKWARD_NAMES = ["é", "名前", "yes", "null", "1e3", "a: b", "#c", "'q'",
+                 "n" * 200, "tab\there"]
+
+
+def test_dump_matches_safe_dump_on_awkward_names(monkeypatch):
+    xs, ys = AWKWARD_NAMES[:5], AWKWARD_NAMES[5:]
+    mf = MarketFile(
+        schema_version=SCHEMA_VERSION,
+        x_names=xs,
+        y_names=ys,
+        edges=[(x, y) for x in xs for y in ys if (len(x) + len(y)) % 2],
+        preferences={n: [] for n in AWKWARD_NAMES},
+    )
+    for edge in mf.edges:
+        mf.preferences[edge[0]].append(edge[1])
+        mf.preferences[edge[1]].insert(0, edge[0])
+    expected = yaml.safe_dump(
+        market_to_dict(mf), sort_keys=False, default_flow_style=None
+    )
+    for loader in _each_loader(monkeypatch):
+        text = dump_market(mf)
+        assert text == expected, loader
+        assert market_to_dict(parse_market(text)) == market_to_dict(mf), loader
+        resolve_market(parse_market(text))
+
+
+def test_libyaml_is_used_when_present():
+    # the pure-Python classes are 5-7x slower on large markets
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    assert market_io._Loader is yaml.CSafeLoader
+    assert market_io._Dumper is yaml.CSafeDumper
 
 
 def test_save_and_load(tmp_path):
@@ -146,116 +205,174 @@ def test_every_shipped_fixture_loads():
         assert bundle.graph.y_count == len(bundle.market.y_names)
 
 
-def test_invalid_yaml_reports_position():
-    with pytest.raises(MarketFormatError, match="not valid YAML") as exc:
-        parse_market("x_names: [a\nedges: oops", source="bad.yaml")
-    assert exc.value.source == "bad.yaml"
-    assert exc.value.line is not None
-    assert exc.value.column is not None
-    assert "bad.yaml:" in str(exc.value)
+def test_invalid_yaml_reports_position(monkeypatch):
+    for loader in _each_loader(monkeypatch):
+        for text, line, column in (
+            ("x_names: [a\nedges: oops", 2, 6),
+            ("edges: [[a, b]]\n  x: 1\n", 2, 3),
+            ("edges: [[a, b]: c\n", 2, 1),
+            ("x_names: [a]\n- b\n", 2, 1),
+            ("x_names: &n [a]\ny_names: *m\n", 2, 10),
+            ("x_names: [a]\ny_names: 'b\n", 3, 1),
+        ):
+            with pytest.raises(MarketFormatError, match="not valid YAML") as exc:
+                parse_market(text, source="bad.yaml")
+            assert exc.value.source == "bad.yaml"
+            assert (exc.value.line, exc.value.column) == (line, column), loader
+            assert str(exc.value).startswith(f"bad.yaml:{line}:{column}: ")
 
 
 def test_non_mapping_document():
-    with pytest.raises(MarketFormatError, match="must be a mapping"):
-        parse_market("- just\n- a list\n")
+    for text in ("- just\n- a list\n", ""):
+        with pytest.raises(MarketFormatError, match="must be a mapping") as exc:
+            parse_market(text, source="m.yaml")
+        _assert_at(exc.value, "m.yaml", 1, 1)
+
+
+# In the error tables below, each mutation returns the broken document and
+# the line and column of the entry the error must point at.
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda d: d + "extra_key: 1\n", "unknown key 'extra_key'"),
-        (lambda d: d.replace("edges:", "links:"), "unknown key 'links'"),
-        (lambda d: d.replace('schema_version: "1"\n', ""), "missing required key"),
-        (lambda d: d.replace('"1"', '"2"'), "unsupported schema_version"),
-        (lambda d: d.replace("[ann, bob]", "[ann, ann]"), "lists 'ann' twice"),
-        (lambda d: d.replace("[sew, cut]", "[sew, ann]"), "appears on both sides"),
-        (lambda d: d.replace("x_names: [ann, bob]", "x_names: [ann, 3]"),
+        (lambda d: (d + "extra_key: 1\n", 5, 1), "unknown key 'extra_key'"),
+        (lambda d: (d.replace("edges:", "links:"), 4, 1), "unknown key 'links'"),
+        (lambda d: (d.replace('schema_version: "1"\n', ""), 1, 1),
+         "missing required key"),
+        (lambda d: (d.replace('"1"', '"2"'), 1, 1), "unsupported schema_version"),
+        (lambda d: (d.replace("[ann, bob]", "[ann, ann]"), 2, 16),
+         "lists 'ann' twice"),
+        (lambda d: (d.replace("[sew, cut]", "[sew, ann]"), 3, 16),
+         "appears on both sides"),
+        (lambda d: (d.replace("x_names: [ann, bob]", "x_names: [ann, 3]"), 2, 16),
          "nonempty strings"),
-        (lambda d: d.replace("[bob, cut]", "[zoe, cut]"), "unknown X-vertex 'zoe'"),
-        (lambda d: d.replace("[bob, cut]", "[bob, tie]"), "unknown Y-vertex 'tie'"),
-        (lambda d: d.replace("[bob, cut]", "[ann, sew]"), "duplicate edge"),
-        (lambda d: d.replace("edges: [", "edges: [[ann], "), "must be an .x, y. pair"),
-        (lambda d: d.replace("[bob, cut]", "[[bob], cut]"), "endpoints must be nonempty"),
+        (lambda d: (d.replace("[bob, cut]", "[zoe, cut]"), 4, 34),
+         "unknown X-vertex 'zoe'"),
+        (lambda d: (d.replace("[bob, cut]", "[bob, tie]"), 4, 39),
+         "unknown Y-vertex 'tie'"),
+        (lambda d: (d.replace("[bob, cut]", "[ann, sew]"), 4, 33), "duplicate edge"),
+        (lambda d: (d.replace("edges: [", "edges: [[ann], "), 4, 9),
+         "must be an .x, y. pair"),
+        (lambda d: (d.replace("[bob, cut]", "[[bob], cut]"), 4, 33),
+         "endpoints must be nonempty"),
     ],
 )
-def test_structural_errors(mutate, message):
-    with pytest.raises(MarketFormatError, match=message):
-        parse_market(mutate(BARE))
+def test_structural_errors(mutate, message, monkeypatch):
+    text, line, column = mutate(BARE)
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(MarketFormatError, match=message) as exc:
+            parse_market(text, source="m.yaml")
+        _assert_at(exc.value, "m.yaml", line, column)
 
 
 def test_preferences_for_unknown_vertex():
     doc = WITH_PREFS.replace("ann: [cut, sew]", "zoe: [cut, sew]")
-    with pytest.raises(MarketFormatError, match="unknown vertex 'zoe'"):
-        parse_market(doc)
+    with pytest.raises(MarketFormatError, match="unknown vertex 'zoe'") as exc:
+        parse_market(doc, source="m.yaml")
+    _assert_at(exc.value, "m.yaml", 6, 3)
 
 
-def test_preference_entry_unknown_vertex():
+def test_preference_entry_unknown_vertex(tmp_path, monkeypatch):
     doc = WITH_PREFS.replace("bob: [cut]", "bob: [tie]")
-    with pytest.raises(MarketFormatError, match="unknown vertex 'tie'"):
+    # without the text, the error names the entry's path but no position
+    with pytest.raises(MarketFormatError, match="unknown vertex 'tie'") as exc:
         resolve_market(parse_market(doc))
+    assert exc.value.path == ("preferences", "bob", 0)
+    assert exc.value.line is None
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(MarketFormatError, match="unknown vertex 'tie'") as exc:
+            _load_text(tmp_path, doc)
+        _assert_at(exc.value, str(tmp_path / "m.yaml"), 7, 9)
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
         # missing table entry for cut
-        (lambda d: d.replace("  cut: [ann, bob]\n", ""), "no preference list for cut"),
+        (lambda d: (d.replace("  cut: [ann, bob]\n", ""), 5, 1),
+         "no preference list for cut"),
         # sew ranks a vertex that is not adjacent
-        (lambda d: d.replace("sew: [ann]", "sew: [ann, bob]"),
+        (lambda d: (d.replace("sew: [ann]", "sew: [ann, bob]"), 8, 14),
          "bob, which is not adjacent"),
         # ann omits a neighbor
-        (lambda d: d.replace("ann: [cut, sew]", "ann: [cut]"),
+        (lambda d: (d.replace("ann: [cut, sew]", "ann: [cut]"), 6, 3),
          "omits neighbor sew"),
         # duplicate entry
-        (lambda d: d.replace("ann: [cut, sew]", "ann: [cut, cut, sew]"),
+        (lambda d: (d.replace("ann: [cut, sew]", "ann: [cut, cut, sew]"), 6, 14),
          "contains cut twice"),
         # same-side entry
-        (lambda d: d.replace("ann: [cut, sew]", "ann: [bob, cut, sew]"),
+        (lambda d: (d.replace("ann: [cut, sew]", "ann: [bob, cut, sew]"), 6, 9),
          "same-side vertex bob"),
     ],
 )
-def test_preference_errors_use_display_names(mutate, message):
-    with pytest.raises(MarketFormatError, match=message):
-        resolve_market(parse_market(mutate(WITH_PREFS)))
+def test_preference_errors_use_display_names(mutate, message, tmp_path, monkeypatch):
+    text, line, column = mutate(WITH_PREFS)
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(MarketFormatError, match=message) as exc:
+            _load_text(tmp_path, text)
+        _assert_at(exc.value, str(tmp_path / "m.yaml"), line, column)
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda d: d.replace("  x_membership:", "  extra: 1\n  x_membership:"),
+        (lambda d: (d.replace("  x_membership:", "  extra: 1\n  x_membership:"), 7, 3),
          "unknown key 'extra'"),
-        (lambda d: d.replace("  y_class:\n    sew: cloth\n    cut: paper\n", ""),
+        (lambda d: (d.replace("  y_class:\n    sew: cloth\n    cut: paper\n", ""),
+                    5, 1),
          "missing key 'y_class'"),
-        (lambda d: d.replace("classes: [cloth, paper]", "classes: [cloth, cloth]"),
+        (lambda d: (d.replace("classes: [cloth, paper]", "classes: [cloth, cloth]"),
+                    6, 20),
          "duplicates"),
-        (lambda d: d.replace("    ann: [cloth]\n", ""),
+        (lambda d: (d.replace("    ann: [cloth]\n", ""), 7, 3),
          "x_membership missing 'ann'"),
-        (lambda d: d.replace("ann: [cloth]", "ann: [cloth]\n    zoe: [paper]"),
+        (lambda d: (d.replace("ann: [cloth]", "ann: [cloth]\n    zoe: [paper]"), 9, 5),
          "unknown X-vertex 'zoe'"),
-        (lambda d: d.replace("ann: [cloth]", "ann: [wool]"),
+        (lambda d: (d.replace("ann: [cloth]", "ann: [wool]"), 8, 11),
          "unknown class 'wool'"),
-        (lambda d: d.replace("ann: [cloth]", "ann: [cloth, cloth]"),
+        (lambda d: (d.replace("ann: [cloth]", "ann: [cloth, cloth]"), 8, 18),
          "lists a class twice"),
-        (lambda d: d.replace("sew: cloth", "sew: wool"), "unknown class 'wool'"),
-        (lambda d: d.replace("eve: [paper]", "eve: [paper, cloth]"),
+        (lambda d: (d.replace("sew: cloth", "sew: wool"), 12, 5),
+         "unknown class 'wool'"),
+        (lambda d: (d.replace("eve: [paper]", "eve: [paper, cloth]"), 6, 20),
          "class 'paper' has no exclusive member"),
     ],
 )
-def test_compatibility_block_errors(mutate, message):
-    with pytest.raises(MarketFormatError, match=message):
-        parse_market(mutate(WITH_COMPAT))
+def test_compatibility_block_errors(mutate, message, monkeypatch):
+    text, line, column = mutate(WITH_COMPAT)
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(MarketFormatError, match=message) as exc:
+            parse_market(text, source="m.yaml")
+        _assert_at(exc.value, "m.yaml", line, column)
 
 
-def test_compat_edges_must_include_induced():
+def test_compat_edges_must_include_induced(tmp_path):
     doc = WITH_COMPAT.replace("[bob, sew], ", "")
-    with pytest.raises(MarketFormatError, match="edges omit .'bob', 'sew'."):
-        resolve_market(parse_market(doc))
+    with pytest.raises(MarketFormatError, match="edges omit .'bob', 'sew'.") as exc:
+        _load_text(tmp_path, doc)
+    _assert_at(exc.value, str(tmp_path / "m.yaml"), 4, 1)
 
 
-def test_compat_edges_must_not_exceed_induced():
+def test_compat_edges_must_not_exceed_induced(tmp_path):
     doc = WITH_COMPAT.replace("[eve, cut]", "[eve, cut], [ann, cut]")
-    with pytest.raises(MarketFormatError, match="joins incompatible classes"):
-        resolve_market(parse_market(doc))
+    with pytest.raises(MarketFormatError, match="joins incompatible classes") as exc:
+        _load_text(tmp_path, doc)
+    _assert_at(exc.value, str(tmp_path / "m.yaml"), 4, 57)
+
+
+def test_positions_follow_yaml_keys(monkeypatch):
+    # a merged entry is found where it was written; of two equal keys the
+    # last one counts, as it does when the document is loaded
+    base = 'schema_version: "1"\nx_names: [a]\ny_names: [b]\nedges: [[a, b]]\n'
+    for text, line, column in (
+        (base + "preferences:\n  <<: {zz: [b]}\n  a: [b]\n", 6, 8),
+        (base + "preferences:\n  a: [b]\n  a: [3]\n", 7, 7),
+    ):
+        for _ in _each_loader(monkeypatch):
+            with pytest.raises(MarketFormatError) as exc:
+                parse_market(text, source="m.yaml")
+            _assert_at(exc.value, "m.yaml", line, column)
 
 
 def test_market_with_preferences_renders_names():
