@@ -31,6 +31,18 @@ Either implies a blockade, but not conversely: two options sharing their
 only competitor block absorption even when the claimant count stays under
 the option count and nobody is dedicated.
 
+When either cheap certificate holds, the search is known to end in a
+blockade, so each option first takes a free competitor if it has one
+(Kuhn's cheap assignment) and searches only when none is free; on K(n,n)
+that is one search per vertex instead of one per option. Neither the
+blockade nor the champions depend on that step. The blockade is the set
+of options alternating-reachable from the first option u* whose
+ascending prefix cannot be absorbed: every search that keeps the earlier
+options absorbed stops at the same u*, and that set is the prefix's
+Dulmage–Mendelsohn overfull part, which is unique whatever paths were
+taken. Champions exist only for a vertex with neither cheap certificate,
+so they always come from plain ascending augmenting paths.
+
 The perfect-matching variants characterize when every stable matching is
 perfect for all preferences: for a connected balanced graph this happens
 exactly when the graph is a balanced biclique, and in general exactly when
@@ -107,6 +119,13 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     exactly the competitors alternating-reachable from u, all of them
     taken, so u and the options they absorb form the blockade: a set
     adjacent to strictly fewer competitors than its own size.
+
+    A bounded or dedicated v must end in a blockade, so its options take
+    their lowest free competitor first and search only when none is free.
+    That changes which competitor absorbs which option, but not u or the
+    set reachable from it, so the blockade is the same; and the champions
+    of a strandable v, which has neither certificate, come from the plain
+    ascending search.
     """
     graph.check_vertex(v)
     opp = v.side.opposite
@@ -115,9 +134,16 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     claimants = len(_claimants(coadj, row))
     dedicated = next((Vertex(opp, u) for u in row if len(coadj[u]) == 1), None)
 
+    # bounded or dedicated: the search must end in a blockade
+    cheap = claimants <= len(row) or dedicated is not None
     taken: dict[int, int] = {}  # competitor -> option it absorbs
     blockade = champions = None
     for u in row:
+        if cheap:
+            free = next((c for c in coadj[u] if c != v.index and c not in taken), None)
+            if free is not None:
+                taken[free] = u
+                continue
         seen: set[int] = set()
         if not augment(coadj, taken, u, seen, skip=v.index):
             stuck = sorted({u} | {taken[c] for c in seen})

@@ -56,6 +56,18 @@ class InstanceCapExceeded(CapExceeded):
         self.cap = cap
 
 
+class GraphCountExceeded(CapExceeded):
+    """Exhaustive verification refused: too many graphs to enumerate."""
+
+    def __init__(self, max_side, count, cap):
+        super().__init__(
+            f"verification with max side {max_side} would enumerate {count} "
+            f"graphs, above the limit of {cap}"
+        )
+        self.count = count
+        self.cap = cap
+
+
 class SearchCapExceeded(CapExceeded):
     """Stable-matching search refused: step budget exhausted.
 

@@ -20,9 +20,11 @@ from itertools import product
 from typing import Callable, Iterator, Optional
 
 from . import analysis, compatibility, engine, prefs
+from .errors import GraphCountExceeded
 from .graph import BipartiteGraph, Matching, Side, Vertex
 
 DEFAULT_SEED = 20260816
+MAX_GRAPHS = 1 << 20  # admits max side 4 (74,963 graphs); 5 has 2^25 at 5x5 alone
 
 Progress = Optional[Callable[[str], None]]
 
@@ -69,6 +71,11 @@ def all_graphs(max_x: int, max_y: int) -> Iterator[BipartiteGraph]:
     for a in range(max_x + 1):
         for b in range(max_y + 1):
             yield from graphs_of_shape(a, b)
+
+
+def graph_count(max_x: int, max_y: int) -> int:
+    """How many graphs all_graphs(max_x, max_y) yields: the sum of 2^(a*b)."""
+    return sum(1 << (a * b) for a in range(max_x + 1) for b in range(max_y + 1))
 
 
 def all_matchings(graph: BipartiteGraph) -> Iterator[Matching]:
@@ -563,7 +570,12 @@ def run_all(
     The graph suites honor max_side directly; the market and engine-oracle
     suites run one size larger (their reference scales), so the defaults
     give sides up to 3 for the verdict families and 4 for the cross-checks.
+    A max_side whose graph family exceeds MAX_GRAPHS is refused before any
+    suite runs.
     """
+    count = graph_count(max_side, max_side)
+    if count > MAX_GRAPHS:
+        raise GraphCountExceeded(max_side, count, MAX_GRAPHS)
     return [
         saturation_suite(max_side, instance_cap, seeds, seed, progress),
         perfection_suite(max_side, instance_cap, seeds, seed, progress),

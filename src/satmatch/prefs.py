@@ -107,8 +107,9 @@ def validate(
                 seen.add(c.index)
                 row.append(c.index)
             neighborhood = graph.adjacency(side)[v.index]
+            adjacent = set(neighborhood)
             for k, c_index in enumerate(row):
-                if c_index not in neighborhood:
+                if c_index not in adjacent:
                     raise PreferenceError(
                         f"list for {describe(v)} contains "
                         f"{describe(Vertex(side.opposite, c_index))}, "

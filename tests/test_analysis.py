@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from conftest import (
     path5,
     twin_blocks,
 )
-from satmatch import analysis, cli, engine
+from satmatch import analysis, cli, engine, harness
 from satmatch.analysis import (
     adversarial_instance,
     component_perfect_verdict,
@@ -341,6 +342,120 @@ def test_stranding_instances_run_no_search_of_their_own(monkeypatch, capsys):
     assert verdict.counterexample[0] == X(1)
     # x0 is blocked at its first option; x1 has one option
     assert len(searches) == 2
+
+
+# -- references that never run the search --------------------------------------
+
+
+def _random_graphs(count: int, max_side: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = rng.randint(2, max_side), rng.randint(2, max_side)
+        p = rng.choice((0.4, 0.5, 0.6, 0.7))
+        cells = [(i, j) for i in range(a) for j in range(b)]
+        yield BipartiteGraph(a, b, [e for e in cells if rng.random() < p])
+
+
+def _reference_blockade(g: BipartiteGraph, v: Vertex):
+    """The options that competitors cannot absorb, found by brute force.
+
+    For the smallest k such that no matching of v's first k+1 options
+    (ascending) to competitors other than v covers all of them, the options
+    of that prefix that some maximum matching leaves unmatched; None when
+    every prefix can be absorbed.
+    """
+    row = g.adjacency(v.side)[v.index]
+    coadj = g.adjacency(v.side.opposite)
+    competitors = [c for c in range(len(g.adjacency(v.side))) if c != v.index]
+    at = {c: k for k, c in enumerate(competitors)}
+    for k in range(len(row)):
+        prefix = row[: k + 1]
+        sub = BipartiteGraph(
+            len(prefix),
+            len(competitors),
+            [(i, at[c]) for i, u in enumerate(prefix) for c in coadj[u] if c in at],
+        )
+        matchings = [m.partner_of_x for m in harness.all_matchings(sub)]
+        fewest_left = min(m.count(None) for m in matchings)
+        if fewest_left > 0:
+            maximum = [m for m in matchings if m.count(None) == fewest_left]
+            return tuple(
+                Vertex(v.side.opposite, u)
+                for i, u in enumerate(prefix)
+                if any(m[i] is None for m in maximum)
+            )
+    return None
+
+
+def test_blockade_matches_the_brute_force_prefix_reference():
+    kinds = {"bounded": 0, "dedicated": 0, "other satisfied": 0, "strandable": 0}
+    for g in _random_graphs(300, 6, seed=10):
+        for side in (Side.X, Side.Y):
+            for v in g.vertices(side):
+                r = vertex_report(g, v)
+                expected = _reference_blockade(g, v)
+                assert r.blockade == expected, (g, v)
+                assert r.satisfied == (expected is not None)
+                if r.isolated:
+                    continue
+                kind = (
+                    "bounded" if r.bounded
+                    else "dedicated" if r.dedicated is not None
+                    else "other satisfied" if r.satisfied
+                    else "strandable"
+                )
+                kinds[kind] += 1
+    assert min(kinds.values()) >= 10, kinds  # every kind of vertex is exercised
+
+
+def _plain_kuhn(g: BipartiteGraph, v: Vertex):
+    """Champions from plain ascending augmenting paths avoiding v, or None."""
+    coadj = g.adjacency(v.side.opposite)
+    owner: dict[int, int] = {}
+
+    def place(u: int, seen: set[int]) -> bool:
+        for c in coadj[u]:
+            if c != v.index and c not in seen:
+                seen.add(c)
+                if c not in owner or place(owner[c], seen):
+                    owner[c] = u
+                    return True
+        return False
+
+    row = g.adjacency(v.side)[v.index]
+    if not all(place(u, set()) for u in row):
+        return None
+    absorbed_by = {u: c for c, u in owner.items()}
+    return tuple(absorbed_by[u] for u in row)
+
+
+def test_champions_are_those_of_plain_ascending_kuhn():
+    strandable = 0
+    for g in _random_graphs(300, 8, seed=9):
+        for side in (Side.X, Side.Y):
+            for r in saturation_verdict(g, side).reports:
+                if r.champions is not None:
+                    assert r.champions == _plain_kuhn(g, r.vertex), (g, r.vertex)
+                    strandable += 1
+    assert strandable >= 200
+
+
+def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
+    """Every vertex of K(n,n) is bounded, so its options take free
+    competitors and only the last one, with none left, searches."""
+    calls = []
+    real = analysis.augment
+
+    def counting(*args, **kwargs):
+        found = real(*args, **kwargs)
+        calls.append(found)
+        return found
+
+    monkeypatch.setattr(analysis, "augment", counting)
+    n = 30
+    verdict = saturation_verdict(biclique(n, n), Side.X)
+    assert verdict.holds
+    assert calls == [False] * n
 
 
 # -- hypothesis cross-checks ---------------------------------------------------

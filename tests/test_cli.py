@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from satmatch import cli, engine, market_io
+from satmatch import cli, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
 
 MARKETS = os.path.join(os.path.dirname(__file__), os.pardir, "markets")
@@ -468,6 +468,18 @@ def test_verify_text_rendering(capsys):
     assert code == 0
     assert out.count("[PASS]") == 4
     assert "overall: all suites passed" in out
+
+
+def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(harness, "saturation_suite", no_suite)
+    code, out, err = _run(capsys, "verify", "--max-side", "5", "--quiet")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "35794197 graphs" in err
 
 
 # -- plumbing ------------------------------------------------------------------

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from conftest import biclique, path4
 from satmatch import analysis, compatibility, engine, harness, prefs
+from satmatch.errors import GraphCountExceeded
 from satmatch.graph import BipartiteGraph, Matching
 from satmatch.prefs import PreferenceInstance
 
@@ -20,6 +23,43 @@ def test_all_graphs_counts():
     assert sum(1 for _ in harness.all_graphs(2, 2)) == 31  # sum of 2^(a*b)
     sizes = {(g.x_count, g.y_count) for g in harness.all_graphs(2, 1)}
     assert sizes == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}
+
+
+def test_graph_count_matches_all_graphs():
+    for m in range(4):
+        assert harness.graph_count(m, m) == sum(1 for _ in harness.all_graphs(m, m))
+    assert harness.graph_count(2, 1) == 1 + 1 + 1 + 2 + 1 + 4
+    assert harness.graph_count(4, 4) <= harness.MAX_GRAPHS < harness.graph_count(5, 5)
+
+
+def _stub_suites(monkeypatch) -> list[str]:
+    """Replace every suite with a stub that records its name and does no work."""
+    ran: list[str] = []
+    for name in ("saturation", "perfection", "coverage", "oracle"):
+
+        def stub(*args, _name=name, **kwargs):
+            ran.append(_name)
+            return harness.SuiteResult(_name)
+
+        monkeypatch.setattr(harness, f"{name}_suite", stub)
+    return ran
+
+
+def test_run_all_admits_max_side_4(monkeypatch):
+    ran = _stub_suites(monkeypatch)
+    results = harness.run_all(max_side=4)
+    assert ran == ["saturation", "perfection", "coverage", "oracle"]
+    assert all(r.passed for r in results)
+
+
+def test_run_all_refuses_max_side_5_before_any_suite(monkeypatch):
+    ran = _stub_suites(monkeypatch)
+    with pytest.raises(GraphCountExceeded) as caught:
+        harness.run_all(max_side=5)
+    assert ran == []
+    assert caught.value.count == 35_794_197  # 2^25 at 5x5 alone
+    assert caught.value.cap == harness.MAX_GRAPHS
+    assert "35794197 graphs" in str(caught.value)
 
 
 def test_all_graphs_enumerates_every_edge_set():

@@ -119,6 +119,18 @@ def test_validate_omitted_neighbor():
         validate(g, table)
 
 
+def test_validate_reports_a_stranger_before_an_omission():
+    # y2 is a stranger to x0 at entry 1, and x0's neighbor y0 is missing
+    g = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    table = _neighborhoods(g)
+    table[X(0)] = [Y(1), Y(2)]
+    with pytest.raises(PreferenceError, match="not adjacent") as caught:
+        validate(g, table)
+    assert "y[2]" in str(caught.value)
+    assert caught.value.vertex == X(0)
+    assert caught.value.entry == 1
+
+
 def test_validate_uses_describe_for_names():
     g = path4()
     table = _neighborhoods(g)
