@@ -121,7 +121,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     coverage = None
     if bundle.compat is not None:
         # resolve_market has checked that the induced graph is g
-        cross = compatibility.verdict_consistency(bundle.compat, perfect.x)
+        cross = compatibility.verdict_consistency(bundle.compat, perfect.x.holds)
         class_names = bundle.market.compatibility.classes
         coverage = {
             "holds": cross.coverage.holds,

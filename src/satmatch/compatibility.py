@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import analysis
 from .errors import InputError
 from .graph import BipartiteGraph
 
@@ -110,26 +109,26 @@ def coverage_verdict(market: CompatibilityMarket) -> CoverageVerdict:
 @dataclass(frozen=True)
 class ConsistencyReport:
     coverage: CoverageVerdict
-    saturation: analysis.SaturationVerdict
+    saturation_holds: bool
     consistent: bool
 
 
 def verdict_consistency(
-    market: CompatibilityMarket, saturation: analysis.SaturationVerdict
+    market: CompatibilityMarket, saturation_holds: bool
 ) -> ConsistencyReport:
     """Cross-check the class-size verdict against the structural one.
 
-    `saturation` is the X-side saturation verdict of the induced graph.
-    On induced graphs the two verdicts are equivalent: a deficient class
-    lets its exclusive member be absorbed, and a covered class's slots are
-    a blockade for each of its members. So they must agree both ways, or
-    one of the two checkers is wrong.
+    `saturation_holds` is whether the X-side saturation verdict of the
+    induced graph holds. On induced graphs the two verdicts are equivalent:
+    a deficient class lets its exclusive member be absorbed, and a covered
+    class's slots are a blockade for each of its members. So they must
+    agree both ways, or one of the two checkers is wrong.
     """
     cov = coverage_verdict(market)
     return ConsistencyReport(
         coverage=cov,
-        saturation=saturation,
-        consistent=cov.holds == saturation.holds,
+        saturation_holds=saturation_holds,
+        consistent=cov.holds == saturation_holds,
     )
 
 

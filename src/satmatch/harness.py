@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable, Iterator, Optional
 
 from . import analysis, compatibility, engine, prefs
-from .errors import GraphCountExceeded
+from .errors import GraphCountExceeded, InputError
 from .graph import BipartiteGraph, Matching, Side, Vertex
 
 DEFAULT_SEED = 20260816
@@ -366,6 +366,43 @@ def all_compatibility_markets(
                         )
 
 
+# what freezing out a deficient class's witness showed; coverage_suite keeps
+# one per (induced graph, witness)
+_SATISFIED, _STRANDED, _STILL_MATCHED = range(3)
+
+
+def _induced_key(market: compatibility.CompatibilityMarket, width: int) -> int:
+    """The induced graph as one int: its edge mask, with edge (x_i, y_j) at
+    bit i*|Y| + j as in graphs_of_shape, then |X| and |Y| in `width` bits
+    each. Markets with equal keys induce equal graphs."""
+    a, b = len(market.x_membership), len(market.y_class)
+    slots = [0] * market.n_classes
+    for j, c in enumerate(market.y_class):
+        slots[c] |= 1 << j
+    mask = 0
+    for i, classes in enumerate(market.x_membership):
+        for c in classes:
+            mask |= slots[c] << (i * b)
+    return (mask << width | a) << width | b
+
+
+def _freeze_out(g: BipartiteGraph, witness: int) -> int:
+    """Try to strand x[witness] in every stable matching of one instance."""
+    report = analysis.vertex_report(g, Vertex(Side.X, witness))
+    if report.satisfied:
+        return _SATISFIED
+    if report.isolated:
+        # an exclusive member of a class with no Y-slots: unmatched in
+        # every matching of any instance, no construction needed
+        adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
+    else:
+        adv = analysis.adversarial_instance(g, report)
+    ss = engine.enumerate_stable(g, adv)
+    if any(m.partner_of_x[witness] is not None for m in ss.matchings):
+        return _STILL_MATCHED
+    return _STRANDED
+
+
 def coverage_suite(
     max_classes: int = 3,
     max_side: int = 4,
@@ -381,6 +418,13 @@ def coverage_suite(
     concrete freeze-out of an exclusive member of a deficient class. The
     structural verdict on the induced graph must agree with the class-size
     verdict on every market, both ways.
+
+    Many markets induce the same graph, and the structural verdict and the
+    freeze-out depend only on the graph (and the witness), so each runs
+    once per distinct graph or (graph, witness) pair and its outcome is
+    replayed for the other markets. Every other count, every violation and
+    every sampled instance is still per market. `structural_verdicts` and
+    `freeze_outs` count the verdicts and freeze-outs actually computed.
     """
     result = SuiteResult(
         name="coverage",
@@ -390,28 +434,41 @@ def coverage_suite(
             "instances": 0,
             "stable_sets": 0,
             "adversarial_confirmations": 0,
+            "structural_verdicts": 0,
+            "freeze_outs": 0,
         },
         violations={"saturating": [], "adversarial": [], "consistency": []},
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
+    # int keys and bool or small-int values: keeping tuples, verdicts or
+    # graphs would cost memory. A side size or witness fits in `width` bits.
+    width = max_side.bit_length()
+    holds_by_graph: dict[int, bool] = {}
+    outcome_by_witness: dict[int, int] = {}
 
     for m_index, market in enumerate(
         all_compatibility_markets(max_classes, max_side)
     ):
         counts["markets"] += 1
-        g = compatibility.induced_graph(market)
-        cross = compatibility.verdict_consistency(
-            market, analysis.saturation_verdict(g, Side.X)
-        )
+        key = _induced_key(market, width)
+        g = None
+        holds = holds_by_graph.get(key)
+        if holds is None:
+            g = compatibility.induced_graph(market)
+            holds = analysis.saturation_verdict(g, Side.X).holds
+            holds_by_graph[key] = holds
+            counts["structural_verdicts"] += 1
+        cross = compatibility.verdict_consistency(market, holds)
         if not cross.consistent:
             violations["consistency"].append(
                 f"market {m_index} {market!r}: coverage verdict "
-                f"{cross.coverage.holds} but structural verdict "
-                f"{cross.saturation.holds}"
+                f"{cross.coverage.holds} but structural verdict {holds}"
             )
         if cross.coverage.holds:
             counts["verdicts_true"] += 1
+            if g is None:
+                g = compatibility.induced_graph(market)
             seed_base = seed * 3_000_017 + m_index * 1_019
             for k in range(samples):
                 p = prefs.sample_uniform(g, seed_base + k)
@@ -425,8 +482,15 @@ def coverage_suite(
                     )
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
-            report = analysis.vertex_report(g, Vertex(Side.X, witness))
-            if report.satisfied:
+            witness_key = key << width | witness
+            outcome = outcome_by_witness.get(witness_key)
+            if outcome is None:
+                if g is None:
+                    g = compatibility.induced_graph(market)
+                outcome = _freeze_out(g, witness)
+                outcome_by_witness[witness_key] = outcome
+                counts["freeze_outs"] += 1
+            if outcome == _SATISFIED:
                 # nothing can strand a vertex the structure guarantees a
                 # partner, so the coverage verdict is what is wrong
                 violations["adversarial"].append(
@@ -434,16 +498,9 @@ def coverage_suite(
                     f"deficient but it is matched in every stable matching"
                 )
             else:
-                if report.isolated:
-                    # an exclusive member of a class with no Y-slots: unmatched
-                    # in every matching of any instance, no construction needed
-                    adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
-                else:
-                    adv = analysis.adversarial_instance(g, report)
-                ss = engine.enumerate_stable(g, adv)
                 counts["stable_sets"] += 1
                 counts["adversarial_confirmations"] += 1
-                if any(m.partner_of_x[witness] is not None for m in ss.matchings):
+                if outcome == _STILL_MATCHED:
                     violations["adversarial"].append(
                         f"market {m_index} {market!r}: freeze-out of "
                         f"x[{witness}] not confirmed"
@@ -570,9 +627,16 @@ def run_all(
     The graph suites honor max_side directly; the market and engine-oracle
     suites run one size larger (their reference scales), so the defaults
     give sides up to 3 for the verdict families and 4 for the cross-checks.
-    A max_side whose graph family exceeds MAX_GRAPHS is refused before any
-    suite runs.
+    A negative bound, which would check nothing and pass, and a max_side
+    whose graph family exceeds MAX_GRAPHS are refused before any suite runs.
     """
+    for name, bound in (
+        ("max_side", max_side),
+        ("instance_cap", instance_cap),
+        ("seeds", seeds),
+    ):
+        if bound < 0:
+            raise InputError(f"verify bound {name} must be at least 0, got {bound}")
     count = graph_count(max_side, max_side)
     if count > MAX_GRAPHS:
         raise GraphCountExceeded(max_side, count, MAX_GRAPHS)

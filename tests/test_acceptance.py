@@ -164,8 +164,11 @@ def test_c6_coverage_verdicts_confirmed_both_ways(coverage, report):
         not r.violations.get("consistency")
         and not r.violations.get("saturating")
         and not r.violations.get("adversarial")
-        and r.counts["markets"] > 0
-        and r.counts["adversarial_confirmations"] > 0
+        and r.counts["markets"] == 18702
+        and r.counts["verdicts_true"] == 920
+        and r.counts["instances"] == 46000
+        and r.counts["stable_sets"] == 63782
+        and r.counts["adversarial_confirmations"] == 17782
         and r.seconds < 120.0
     )
     report(

@@ -482,6 +482,24 @@ def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):
     assert "35794197 graphs" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, bound",
+    [("--max-side", "-1", "max_side"), ("--seeds", "-3", "seeds"),
+     ("--cap", "-1", "instance_cap")],
+)
+def test_verify_refuses_a_negative_bound(capsys, monkeypatch, flag, value, bound):
+    # a negative bound checks nothing, so it must not pass as a release gate
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("saturation", "perfection", "coverage", "oracle"):
+        monkeypatch.setattr(harness, f"{name}_suite", no_suite)
+    code, out, err = _run(capsys, "verify", flag, value, "--quiet")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify bound {bound} must be at least 0, got {value}\n"
+
+
 # -- plumbing ------------------------------------------------------------------
 
 

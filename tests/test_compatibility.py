@@ -29,7 +29,7 @@ def _two_class_market() -> CompatibilityMarket:
 
 def _consistency(market: CompatibilityMarket):
     saturation = analysis.saturation_verdict(induced_graph(market), Side.X)
-    return verdict_consistency(market, saturation)
+    return verdict_consistency(market, saturation.holds)
 
 
 def test_build_normalizes_memberships():
@@ -113,12 +113,12 @@ def test_deficient_witness_picks_lowest_exclusive_member():
 def test_verdict_consistency_on_small_markets():
     report = _consistency(_two_class_market())
     assert not report.coverage.holds
-    assert not report.saturation.holds
+    assert not report.saturation_holds
     assert report.consistent  # both verdicts fail together
     covered = CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 0, 1, 1])
     report = _consistency(covered)
     assert report.coverage.holds
-    assert report.saturation.holds
+    assert report.saturation_holds
     assert report.consistent
 
 

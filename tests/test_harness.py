@@ -14,7 +14,7 @@ import pytest
 from conftest import biclique, path4
 from satmatch import analysis, compatibility, engine, harness, prefs
 from satmatch.errors import GraphCountExceeded
-from satmatch.graph import BipartiteGraph, Matching
+from satmatch.graph import BipartiteGraph, Matching, Side, Vertex
 from satmatch.prefs import PreferenceInstance
 
 
@@ -248,14 +248,21 @@ def test_coverage_suite_records_a_deficiency_the_structure_rules_out(monkeypatch
         )
         return compatibility.CoverageVerdict(holds=False, classes=sizes)
 
+    satisfied = 0
+    for market in harness.all_compatibility_markets(2, 3):
+        witness = compatibility.deficient_witness(market, no_slots(market))
+        g = compatibility.induced_graph(market)
+        satisfied += analysis.vertex_report(g, Vertex(Side.X, witness)).satisfied
+
     monkeypatch.setattr(compatibility, "coverage_verdict", no_slots)
-    result = harness.coverage_suite(max_classes=2, max_side=2, samples=5)
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=5)
     assert not result.passed
     guaranteed = [
         v for v in result.violations["adversarial"]
         if "deficient but it is matched in every stable matching" in v
     ]
-    assert guaranteed
+    # one violation per market, even where markets share a graph and witness
+    assert len(guaranteed) == satisfied > 0
     assert all(v.startswith("market ") and "x[" in v for v in guaranteed)
 
 
@@ -265,11 +272,52 @@ def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypat
             side=side, holds=True, reports=(), counterexample=None
         )
 
+    deficient = sum(
+        not compatibility.coverage_verdict(market).holds
+        for market in harness.all_compatibility_markets(2, 2)
+    )
     monkeypatch.setattr(harness.analysis, "saturation_verdict", always_holds)
     result = harness.coverage_suite(max_classes=2, max_side=2, samples=5)
     assert not result.passed
-    assert result.violations["consistency"]
+    # one violation per deficient market, not per distinct induced graph
+    assert len(result.violations["consistency"]) == deficient > 0
     assert not result.violations["saturating"]  # class counting untouched
+
+
+def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
+    graphs, witnesses, deficient = set(), set(), 0
+    for market in harness.all_compatibility_markets(2, 3):
+        g = compatibility.induced_graph(market)
+        coverage = compatibility.coverage_verdict(market)
+        graphs.add(g)
+        if not coverage.holds:
+            deficient += 1
+            witness = compatibility.deficient_witness(market, coverage)
+            witnesses.add((g, witness))
+    calls = {"verdict": 0, "enumerate": 0}
+    real_verdict, real_enumerate = analysis.saturation_verdict, engine.enumerate_stable
+
+    def counting_verdict(graph, side):
+        calls["verdict"] += 1
+        return real_verdict(graph, side)
+
+    def counting_enumerate(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        calls["enumerate"] += 1
+        return real_enumerate(graph, instance, cap)
+
+    monkeypatch.setattr(harness.analysis, "saturation_verdict", counting_verdict)
+    monkeypatch.setattr(harness.engine, "enumerate_stable", counting_enumerate)
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
+    assert result.passed
+    counts = result.counts
+    assert counts["markets"] > len(graphs)  # some markets share a graph
+    assert calls["verdict"] == counts["structural_verdicts"] == len(graphs)
+    # every enumeration that is not of a sampled instance is a freeze-out
+    freeze_outs = calls["enumerate"] - counts["instances"]
+    assert freeze_outs == counts["freeze_outs"] == len(witnesses) < deficient
+    # yet every deficient market is confirmed
+    assert counts["adversarial_confirmations"] == deficient
+    assert counts["instances"] == 3 * counts["verdicts_true"]
 
 
 def test_suite_catches_disagreeing_matched_sets(monkeypatch):
