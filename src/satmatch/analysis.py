@@ -56,7 +56,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .engine import augment
 from .errors import InputError
-from .graph import BipartiteGraph, Side, Vertex
+from .graph import BipartiteGraph, Component, Side, Vertex
 from .prefs import PreferenceInstance
 
 
@@ -322,17 +322,9 @@ def connected_perfect_verdict(graph: BipartiteGraph) -> CompletenessVerdict:
 
 
 @dataclass(frozen=True)
-class ComponentSummary:
-    x_vertices: tuple[int, ...]
-    y_vertices: tuple[int, ...]
-    biclique: bool
-    balanced: bool
-
-
-@dataclass(frozen=True)
 class ComponentVerdict:
     holds: bool
-    components: tuple[ComponentSummary, ...]
+    components: tuple[Component, ...]
 
 
 def component_perfect_verdict(graph: BipartiteGraph) -> ComponentVerdict:
@@ -347,18 +339,9 @@ def component_perfect_verdict(graph: BipartiteGraph) -> ComponentVerdict:
             f"sides must balance for a perfect matching to exist at all, "
             f"got {graph.x_count}+{graph.y_count}"
         )
-    summaries = []
-    for piece in graph.components():
-        summaries.append(
-            ComponentSummary(
-                x_vertices=piece.x_vertices,
-                y_vertices=piece.y_vertices,
-                biclique=piece.graph.is_biclique(),
-                balanced=piece.graph.x_count == piece.graph.y_count,
-            )
-        )
-    holds = all(s.biclique and s.balanced for s in summaries)
-    return ComponentVerdict(holds=holds, components=tuple(summaries))
+    pieces = tuple(graph.components())
+    holds = all(p.biclique and p.balanced for p in pieces)
+    return ComponentVerdict(holds=holds, components=pieces)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,9 @@ from typing import Optional
 
 from . import analysis, compatibility, engine, harness, market_io
 from .errors import CapExceeded, InputError, MarketFormatError, SearchCapExceeded
-from .graph import Side, Vertex
+from .graph import Side
 
 _SIDES = {"x": Side.X, "y": Side.Y}
-
-
-def _fmt_vertex(names: market_io.NameMap, v: Optional[Vertex]) -> Optional[str]:
-    return None if v is None else names.name(v)
 
 
 # -- analyze -------------------------------------------------------------------
@@ -51,7 +47,9 @@ def cmd_analyze(args) -> tuple[dict, int]:
                 "options": r.options,
                 "claimants": r.claimants,
                 "bounded": r.bounded,
-                "dedicated": _fmt_vertex(names, r.dedicated),
+                "dedicated": None
+                if r.dedicated is None
+                else names.name(r.dedicated),
                 "blockade": None
                 if r.blockade is None
                 else [names.name(u) for u in r.blockade],
@@ -484,6 +482,18 @@ def _render_verify(report: dict) -> list[str]:
 # -- plumbing ----------------------------------------------------------------------
 
 
+def _node_cap(text: str) -> int:
+    """The `--cap` of `enumerate` and `adversary`; a negative budget is refused
+    while parsing, before any search runs or any file is written."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 _RENDERERS = {
     "analyze": _render_analyze,
     "match": _render_match,
@@ -512,6 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="report rendering: human text or JSON (default: text)",
         )
 
+    def add_node_cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--cap",
+            type=_node_cap,
+            default=engine.DEFAULT_NODE_CAP,
+            help="search-step budget of the stable-matching enumeration "
+            f"(default: {engine.DEFAULT_NODE_CAP})",
+        )
+
     p = sub.add_parser("analyze", help="saturation and perfection verdicts")
     p.add_argument("market", help="market file (YAML)")
     p.add_argument(
@@ -533,12 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every stable matching")
     p.add_argument("market", help="market file with a preferences block")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=engine.DEFAULT_NODE_CAP,
-        help=f"search-node budget (default: {engine.DEFAULT_NODE_CAP})",
-    )
+    add_node_cap(p)
     add_format(p)
     p.set_defaults(handler=cmd_enumerate)
 
@@ -548,12 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("market", help="market file (YAML)")
     p.add_argument("--target", required=True, help="vertex name to strand")
     p.add_argument("--out", help="write the emitted market to this path")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=engine.DEFAULT_NODE_CAP,
-        help="search-node budget for the in-report confirmation",
-    )
+    add_node_cap(p)
     add_format(p)
     p.set_defaults(handler=cmd_adversary)
 
@@ -593,9 +602,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except MarketFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

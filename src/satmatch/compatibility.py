@@ -109,7 +109,6 @@ def coverage_verdict(market: CompatibilityMarket) -> CoverageVerdict:
 @dataclass(frozen=True)
 class ConsistencyReport:
     coverage: CoverageVerdict
-    saturation_holds: bool
     consistent: bool
 
 
@@ -125,11 +124,7 @@ def verdict_consistency(
     agree both ways, or one of the two checkers is wrong.
     """
     cov = coverage_verdict(market)
-    return ConsistencyReport(
-        coverage=cov,
-        saturation_holds=saturation_holds,
-        consistent=cov.holds == saturation_holds,
-    )
+    return ConsistencyReport(coverage=cov, consistent=cov.holds == saturation_holds)
 
 
 def deficient_witness(

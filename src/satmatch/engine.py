@@ -100,7 +100,7 @@ def _propose(
     return partner, other_partner, sum(next_choice)
 
 
-def _to_partner_tuple(row: list[int]) -> tuple[Optional[int], ...]:
+def _to_partner_tuple(row: Sequence[int]) -> tuple[Optional[int], ...]:
     return tuple(None if i < 0 else i for i in row)
 
 
@@ -117,10 +117,10 @@ def deferred_acceptance(
     """
     _check_shapes(graph, instance)
     if proposing is Side.X:
-        px, py, _ = _propose(instance.x_lists, instance.y_rank, graph.y_count)
+        px, _, _ = _propose(instance.x_lists, instance.y_rank, graph.y_count)
     else:
-        py, px, _ = _propose(instance.y_lists, instance.x_rank, graph.x_count)
-    return Matching(_to_partner_tuple(px), _to_partner_tuple(py))
+        _, px, _ = _propose(instance.y_lists, instance.x_rank, graph.x_count)
+    return Matching(_to_partner_tuple(px), graph.y_count)
 
 
 def _blocking_pairs(
@@ -170,12 +170,12 @@ def is_stable(
     return next(_blocking_pairs(graph, instance, matching), None) is None
 
 
-def _stable_vectors(
+def _stable_matchings(
     graph: BipartiteGraph,
     instance: PreferenceInstance,
     cap: int,
-) -> tuple[list[tuple[int, ...]], int]:
-    """Every stable assignment as an X-partner vector, by walking the lattice.
+) -> tuple[list[tuple[tuple[int, ...], Matching]], int]:
+    """Every stable matching with its X-partner vector, by walking the lattice.
 
     Deferred acceptance run both ways gives the X-optimal matching M0 and
     the Y-optimal Mz. Every stable matching is reached from M0 by
@@ -185,8 +185,9 @@ def _stable_vectors(
     prefers x to M(y), and next(x) = M(s(x)); the cycles of x -> next(x)
     are the rotations exposed in M, and moving every x on one to s(x) gives
     a stable successor. An explicit stack and a seen set visit each stable
-    matching once. -1 marks unmatched. Nodes count the proposals of both
-    runs plus every list entry scanned; raises once they exceed `cap`.
+    matching once; M(y) is read from the Matching built for M. -1 marks
+    unmatched in the vectors. Nodes count the proposals of both runs plus
+    every list entry scanned; raises once they exceed `cap`.
     """
     x_lists = instance.x_lists
     x_rank = instance.x_rank
@@ -205,14 +206,12 @@ def _stable_vectors(
     first = tuple(m0)
     seen = {first}
     stack = [first]
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], Matching]] = []
     while stack:
         m = stack.pop()
-        out.append(m)
-        py = [-1] * graph.y_count
-        for x, y in enumerate(m):
-            if y >= 0:
-                py[y] = x
+        matching = Matching(_to_partner_tuple(m), graph.y_count)
+        out.append((m, matching))
+        py = matching.partner_of_y
         s: dict[int, int] = {}
         nxt: dict[int, int] = {}
         for x, y in enumerate(m):
@@ -223,7 +222,7 @@ def _stable_vectors(
                 nodes += 1
                 t = lst[i]
                 h = py[t]
-                if h < 0:
+                if h is None:
                     break  # t is single in every stable matching: x never passes it
                 if y_rank[t][x] < y_rank[t][h]:
                     s[x] = t
@@ -264,16 +263,16 @@ def enumerate_stable(
     from the others only in who is matched to whom, never in who is matched.
     """
     _check_shapes(graph, instance)
-    vectors, nodes = _stable_vectors(graph, instance, cap)
-    if not vectors:
+    found, nodes = _stable_matchings(graph, instance, cap)
+    if not found:
         raise EngineInvariantError(
             "search found no stable matching, but one always exists"
         )
-    vectors.sort()
-    matched_x = frozenset(k for k, v in enumerate(vectors[0]) if v >= 0)
-    matched_y = frozenset(v for v in vectors[0] if v >= 0)
-    matchings = []
-    for vec in vectors:
+    found.sort(key=lambda item: item[0])
+    first = found[0][0]
+    matched_x = frozenset(k for k, v in enumerate(first) if v >= 0)
+    matched_y = frozenset(v for v in first if v >= 0)
+    for vec, _ in found:
         mx = frozenset(k for k, v in enumerate(vec) if v >= 0)
         my = frozenset(v for v in vec if v >= 0)
         if mx != matched_x or my != matched_y:
@@ -282,14 +281,9 @@ def enumerate_stable(
                 f"{sorted(matched_x)}/{sorted(matched_y)} vs "
                 f"{sorted(mx)}/{sorted(my)} — engine bug"
             )
-        py: list[Optional[int]] = [None] * graph.y_count
-        for k, v in enumerate(vec):
-            if v >= 0:
-                py[v] = k
-        matchings.append(Matching(_to_partner_tuple(list(vec)), py))
     return StableSet(
         graph=graph,
-        matchings=tuple(matchings),
+        matchings=tuple(m for _, m in found),
         matched_x=matched_x,
         matched_y=matched_y,
         nodes_visited=nodes,
@@ -347,8 +341,6 @@ def maximum_matching(graph: BipartiteGraph) -> Matching:
     for x in range(graph.x_count):
         augment(graph.x_adj, owner, x, set())
     px: list[Optional[int]] = [None] * graph.x_count
-    py: list[Optional[int]] = [None] * graph.y_count
     for y, x in owner.items():
         px[x] = y
-        py[y] = x
-    return Matching(px, py)
+    return Matching(px, graph.y_count)

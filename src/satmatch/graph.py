@@ -2,6 +2,9 @@
 
 Vertices are dense integer indices per side; a `Vertex` pairs the side with
 the index. Display names (strings) belong to the file layer, never here.
+Each result has one stored form: a `Matching` is its X-partner vector, from
+which it derives the Y side, and a `Component` is its original vertex
+indices and edge count.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class BipartiteGraph:
     # -- structure ----------------------------------------------------------
 
     def components(self) -> list["Component"]:
-        """Maximal connected pieces, each with maps back to original indices.
+        """Maximal connected pieces, by original indices and edge count.
 
         Order is deterministic: pieces containing an X-vertex come first,
         sorted by their smallest original X-index; pure-Y pieces (isolated
@@ -113,12 +116,13 @@ class BipartiteGraph:
         for start in range(self.x_count):
             if seen_x[start]:
                 continue
-            xs, ys = [start], []
+            xs, ys, edges = [start], [], 0
             seen_x[start] = True
             frontier = [(0, start)]
             while frontier:
                 side_tag, i = frontier.pop()
                 if side_tag == 0:
+                    edges += len(self.x_adj[i])
                     for j in self.x_adj[i]:
                         if not seen_y[j]:
                             seen_y[j] = True
@@ -130,22 +134,11 @@ class BipartiteGraph:
                             seen_x[j] = True
                             xs.append(j)
                             frontier.append((0, j))
-            pieces.append(self._carve(sorted(xs), sorted(ys)))
+            pieces.append(Component(tuple(sorted(xs)), tuple(sorted(ys)), edges))
         for j in range(self.y_count):
             if not seen_y[j]:
-                pieces.append(self._carve([], [j]))
+                pieces.append(Component((), (j,), 0))
         return pieces
-
-    def _carve(self, xs: list[int], ys: list[int]) -> "Component":
-        xpos = {orig: k for k, orig in enumerate(xs)}
-        ypos = {orig: k for k, orig in enumerate(ys)}
-        sub_edges = [
-            (xpos[xi], ypos[yi])
-            for xi in xs
-            for yi in self.x_adj[xi]
-        ]
-        sub = BipartiteGraph(len(xs), len(ys), sub_edges)
-        return Component(graph=sub, x_vertices=tuple(xs), y_vertices=tuple(ys))
 
     def is_biclique(self) -> bool:
         """True iff every cross-side pair is an edge (vacuously true when empty)."""
@@ -179,33 +172,52 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class Component:
-    """One connected piece, reindexed densely from 0 on both sides.
+    """One connected piece: the original indices of its X- and Y-vertices,
+    ascending, and the number of edges among them (every edge at one of its
+    vertices, since the piece is maximal)."""
 
-    x_vertices[k] / y_vertices[k] give the original index of the piece's
-    k-th X/Y vertex, so `graph` plus the two tuples recover the embedding.
-    """
-
-    graph: BipartiteGraph
     x_vertices: tuple[int, ...]
     y_vertices: tuple[int, ...]
+    edge_count: int
+
+    @property
+    def biclique(self) -> bool:
+        """True iff every cross-side pair of the piece is an edge."""
+        return self.edge_count == len(self.x_vertices) * len(self.y_vertices)
+
+    @property
+    def balanced(self) -> bool:
+        return len(self.x_vertices) == len(self.y_vertices)
 
 
 class Matching:
-    """A partial matching as mutual partner maps; None marks unmatched.
+    """A partial matching, stored as its X-partner vector; None marks unmatched.
 
-    partner_of_x[i] is the Y-index matched to X-vertex i (or None), and
-    partner_of_y is the mirror. Equality and hashing use the partner maps
-    only, so matchings found by different routes compare equal.
+    partner_of_x[i] is the Y-index matched to X-vertex i (or None). The
+    constructor derives the mirror partner_of_y over `y_count` Y-vertices and
+    raises InputError for a partner out of range or taken twice, so the two
+    maps always agree. Equality and hashing use the partner maps only, so
+    matchings found by different routes compare equal.
     """
 
     __slots__ = ("partner_of_x", "partner_of_y")
 
-    def __init__(
-        self,
-        partner_of_x: Sequence[Optional[int]],
-        partner_of_y: Sequence[Optional[int]],
-    ):
+    def __init__(self, partner_of_x: Sequence[Optional[int]], y_count: int):
         self.partner_of_x = tuple(partner_of_x)
+        partner_of_y: list[Optional[int]] = [None] * y_count
+        for i, j in enumerate(self.partner_of_x):
+            if j is None:
+                continue
+            if not isinstance(j, int) or not 0 <= j < y_count:
+                raise InputError(
+                    f"X-vertex {i}: partner {j!r} out of range [0, {y_count})"
+                )
+            if partner_of_y[j] is not None:
+                raise InputError(
+                    f"Y-vertex {j} is the partner of both X-vertex "
+                    f"{partner_of_y[j]} and X-vertex {i}"
+                )
+            partner_of_y[j] = i
         self.partner_of_y = tuple(partner_of_y)
 
     def partner(self, v: Vertex) -> Optional[Vertex]:

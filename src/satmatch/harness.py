@@ -83,17 +83,7 @@ def all_matchings(graph: BipartiteGraph) -> Iterator[Matching]:
     for vec in product(*((None, *row) for row in graph.x_adj)):
         taken = [y for y in vec if y is not None]
         if len(taken) == len(set(taken)):
-            yield _matching_from_vector(graph, vec)
-
-
-def _matching_from_vector(
-    graph: BipartiteGraph, vec: tuple[Optional[int], ...]
-) -> Matching:
-    py: list[Optional[int]] = [None] * graph.y_count
-    for i, y in enumerate(vec):
-        if y is not None:
-            py[y] = i
-    return Matching(vec, py)
+            yield Matching(vec, graph.y_count)
 
 
 def naive_stable_matchings(

@@ -237,6 +237,15 @@ def test_enumerate_tiny_cap(capsys):
     assert "cap" in err
 
 
+def test_enumerate_refuses_a_negative_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", _market("square_cycle.yaml"), "--cap", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap: must be at least 0, got -1" in captured.err
+
+
 def test_enumerate_requires_preferences(capsys):
     code, _, err = _run(capsys, "enumerate", _market("path4.yaml"))
     assert code == 2
@@ -426,6 +435,18 @@ def test_adversary_confirmation_cap(capsys):
         "1",
     )
     assert "confirmation skipped" in out
+
+
+def test_adversary_refuses_a_negative_cap_before_writing(capsys, tmp_path):
+    out = tmp_path / "emitted.yaml"
+    argv = ["adversary", _market("path4.yaml"), "--target", "x2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--cap", "-5", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap: must be at least 0, got -5" in captured.err
+    assert not out.exists()
 
 
 def test_adversary_strands_exclusive_class_member(capsys):

@@ -113,12 +113,10 @@ def test_deficient_witness_picks_lowest_exclusive_member():
 def test_verdict_consistency_on_small_markets():
     report = _consistency(_two_class_market())
     assert not report.coverage.holds
-    assert not report.saturation_holds
     assert report.consistent  # both verdicts fail together
     covered = CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 0, 1, 1])
     report = _consistency(covered)
     assert report.coverage.holds
-    assert report.saturation_holds
     assert report.consistent
 
 

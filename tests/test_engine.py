@@ -70,12 +70,12 @@ def test_shape_mismatch_is_rejected():
     with pytest.raises(InputError):
         deferred_acceptance(path5(), inst)  # 2+3 graph, 2+2 instance
     with pytest.raises(InputError):
-        find_blocking_pairs(g, inst, Matching((None, None), (None, None, None)))
+        find_blocking_pairs(g, inst, Matching((None, None), 3))
 
 
 def test_blocking_pairs_of_the_empty_matching():
     g, inst = _square_cycle()
-    found = find_blocking_pairs(g, inst, Matching((None, None), (None, None)))
+    found = find_blocking_pairs(g, inst, Matching((None, None), 2))
     # every edge blocks, reported in ascending index order
     assert found == [
         BlockingPair(X(0), Y(0)),
@@ -83,17 +83,17 @@ def test_blocking_pairs_of_the_empty_matching():
         BlockingPair(X(1), Y(0)),
         BlockingPair(X(1), Y(1)),
     ]
-    assert not is_stable(g, inst, Matching((None, None), (None, None)))
+    assert not is_stable(g, inst, Matching((None, None), 2))
 
 
 def test_blocking_pair_needs_both_sides_willing():
     g = biclique(2, 2)
     inst = PreferenceInstance([(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    swapped = Matching((1, 0), (1, 0))
+    swapped = Matching((1, 0), 2)
     # x0 and y0 both rank each other first: the only block
     assert find_blocking_pairs(g, inst, swapped) == [BlockingPair(X(0), Y(0))]
     assert not is_stable(g, inst, swapped)
-    assert is_stable(g, inst, Matching((0, 1), (0, 1)))
+    assert is_stable(g, inst, Matching((0, 1), 2))
 
 
 def test_enumerate_stable_finds_both_square_matchings():

@@ -1,10 +1,12 @@
-"""Golden reports: `analyze` and `adversary` on every shipped fixture.
+"""Golden reports: every per-market command on every shipped fixture.
 
 `tests/golden/fixtures.json` holds the exit code and `--format structured`
 report of `analyze --side x|y` on each market in `markets/` and of
 `adversary --target v` on each of their vertices. Certificates, champions
 and counterexamples are pinned byte for byte, so a change to the search
-that moves any of them shows up here.
+that moves any of them shows up here. `tests/golden/preferences.json`
+does the same for `enumerate` and `match --propose x|y` on each market
+with a preferences block, pinning the engine's matchings and counts.
 
 After an intended change of output, rewrite the file with
 
@@ -23,6 +25,7 @@ from satmatch import cli, market_io
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "fixtures.json")
+PREFERENCES_GOLDEN = os.path.join(ROOT, "tests", "golden", "preferences.json")
 
 
 def _fixtures() -> list[str]:
@@ -56,13 +59,35 @@ def current() -> dict:
     return entries
 
 
-def test_reports_match_the_golden_file():
-    with open(GOLDEN, encoding="utf-8") as f:
+def current_preferences() -> dict:
+    """`enumerate` and `match` entries on every market with preferences."""
+    entries = {}
+    for rel in _fixtures():
+        path = os.path.join(ROOT, rel)
+        if market_io.load_market(path).instance is None:
+            continue
+        entries[f"enumerate {rel}"] = _report("enumerate", path)
+        for side in ("x", "y"):
+            entries[f"match {rel} --propose {side}"] = _report(
+                "match", path, "--propose", side
+            )
+    return entries
+
+
+def _assert_golden(path: str, now: dict) -> None:
+    with open(path, encoding="utf-8") as f:
         golden = json.load(f)
-    now = current()
     assert sorted(now) == sorted(golden)
     changed = [key for key in golden if now[key] != golden[key]]
     assert not changed, f"{len(changed)} reports differ, first: {changed[0]}"
+
+
+def test_reports_match_the_golden_file():
+    _assert_golden(GOLDEN, current())
+
+
+def test_preference_reports_match_the_golden_file():
+    _assert_golden(PREFERENCES_GOLDEN, current_preferences())
 
 
 def test_analyze_counterexamples_are_the_adversary_markets():
@@ -86,6 +111,10 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden.py --write")
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as f:
-        json.dump(current(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    for path, entries in (
+        (GOLDEN, current()),
+        (PREFERENCES_GOLDEN, current_preferences()),
+    ):
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(entries, f, indent=1, sort_keys=True)
+            f.write("\n")

@@ -74,19 +74,33 @@ def test_components_of_twin_blocks():
     assert pieces[1].x_vertices == (2, 3)
     assert pieces[1].y_vertices == (2, 3)
     for piece in pieces:
-        assert piece.graph.is_biclique()
-        assert piece.graph.x_count == piece.graph.y_count == 2
+        assert piece.edge_count == 4
+        assert piece.biclique
+        assert piece.balanced
 
 
 def test_components_pick_up_isolated_vertices():
     g = BipartiteGraph(2, 2, [(0, 0)])
     pieces = g.components()
     # x0-y0 edge, then isolated x1, then isolated y1
-    assert [(p.x_vertices, p.y_vertices) for p in pieces] == [
-        ((0,), (0,)),
-        ((1,), ()),
-        ((), (1,)),
+    assert [(p.x_vertices, p.y_vertices, p.edge_count) for p in pieces] == [
+        ((0,), (0,), 1),
+        ((1,), (), 0),
+        ((), (1,), 0),
     ]
+    # a lone vertex is a biclique (no cross-side pair is missing), never balanced
+    assert [(p.biclique, p.balanced) for p in pieces] == [
+        (True, True),
+        (True, False),
+        (True, False),
+    ]
+
+
+def test_a_component_missing_an_edge_is_no_biclique():
+    (piece,) = path4().components()
+    assert piece.edge_count == 3
+    assert not piece.biclique
+    assert piece.balanced
 
 
 def test_biclique_predicates():
@@ -113,7 +127,7 @@ def test_graph_equality_ignores_edge_order():
 
 
 def test_matching_from_pairs_and_accessors():
-    m = Matching((0, None), (0, None))  # the single pair (0, 0)
+    m = Matching((0, None), 2)  # the single pair (0, 0)
     assert m.partner(X(0)) == Y(0)
     assert m.partner(Y(0)) == X(0)
     assert m.partner(X(1)) is None
@@ -124,15 +138,40 @@ def test_matching_from_pairs_and_accessors():
 
 
 def test_matching_equality():
-    a = Matching([0, 1], [0, 1])
-    b = Matching((0, 1), (0, 1))
+    a = Matching([0, 1], 2)
+    b = Matching((0, 1), 2)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Matching((1, 0), (1, 0))
+    assert a != Matching((1, 0), 2)
+    assert a != Matching((0, 1), 3)  # same pairs, one more Y-vertex
+
+
+def test_matching_derives_the_y_side():
+    m = Matching((2, None, 0), 4)
+    assert m.partner_of_y == (2, None, 0, None)
+    assert m.partner(Y(2)) == X(0)
+    assert m.partner(Y(3)) is None
+    assert m.matched_set(Side.Y) == frozenset({0, 2})
+
+
+@pytest.mark.parametrize(
+    "partner_of_x, y_count, message",
+    [
+        ((0, 0), 2, "Y-vertex 0 is the partner of both X-vertex 0 and X-vertex 1"),
+        ((None, 2), 2, r"X-vertex 1: partner 2 out of range \[0, 2\)"),
+        ((-1, None), 2, r"X-vertex 0: partner -1 out of range \[0, 2\)"),
+        ((0,), 0, r"X-vertex 0: partner 0 out of range \[0, 0\)"),
+    ],
+)
+def test_matching_rejects_a_partner_out_of_range_or_taken_twice(
+    partner_of_x, y_count, message
+):
+    with pytest.raises(InputError, match=message):
+        Matching(partner_of_x, y_count)
 
 
 def test_empty_matching():
-    m = Matching((None, None), (None, None))
+    m = Matching((None, None), 2)
     assert m.size == 0
     assert m.pairs() == []
     assert m.matched_set(Side.X) == frozenset()
@@ -146,14 +185,10 @@ def test_components_partition_the_graph(g: BipartiteGraph):
     seen_y = [j for p in pieces for j in p.y_vertices]
     assert sorted(seen_x) == list(range(g.x_count))
     assert sorted(seen_y) == list(range(g.y_count))
-    assert sum(p.graph.edge_count for p in pieces) == g.edge_count
-
-
-@given(graphs())
-@PROPERTY_SETTINGS
-def test_component_graphs_preserve_adjacency(g: BipartiteGraph):
-    for piece in g.components():
-        for xi_local, row in enumerate(piece.graph.x_adj):
-            xi = piece.x_vertices[xi_local]
-            mapped = tuple(piece.y_vertices[j] for j in row)
-            assert mapped == g.x_adj[xi]
+    assert sum(p.edge_count for p in pieces) == g.edge_count
+    for p in pieces:
+        inside = set(p.y_vertices)
+        assert all(set(g.x_adj[i]) <= inside for i in p.x_vertices)
+        assert p.edge_count == sum(len(g.x_adj[i]) for i in p.x_vertices)
+        assert p.biclique == all(set(g.x_adj[i]) == inside for i in p.x_vertices)
+        assert p.balanced == (len(p.x_vertices) == len(p.y_vertices))

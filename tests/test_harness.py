@@ -214,7 +214,7 @@ def test_suite_catches_an_adversary_that_does_not_strand(monkeypatch):
 
 def test_suite_catches_a_broken_deferred_acceptance(monkeypatch):
     def empty_matching(graph, instance, proposing=None, **kwargs):
-        return Matching([None] * graph.x_count, [None] * graph.y_count)
+        return Matching([None] * graph.x_count, graph.y_count)
 
     monkeypatch.setattr(harness.engine, "deferred_acceptance", empty_matching)
     result = harness.oracle_suite(pairs=50, max_side=2)
