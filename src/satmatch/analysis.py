@@ -4,14 +4,15 @@ Decides whether every stable matching of a graph saturates one side no
 matter what the preferences are. The decisive per-vertex question: can
 v's neighborhood be fully absorbed by v's competitors — is there a
 matching, avoiding v, that covers every option in N(v)? `vertex_report`
-answers it with one augmenting-path search per option, and records
-whichever certificate the search ends with:
+answers it: each option takes a free competitor if it has one and runs an
+augmenting-path search only when none is free. The answer is one of two
+certificates:
 
-* If yes, the absorbing matching pairs each option with a champion
-  competitor (`VertexReport.champions`). Preferences in which every option
+* If yes, v can be stranded. `adversarial_instance` finds the absorbing
+  matching again with plain ascending augmenting paths, pairing each
+  option with a champion competitor; preferences in which every option
   and its champion rank each other first strand v in every stable
-  matching of that instance; `adversarial_instance` builds them from the
-  report without searching again.
+  matching of that instance.
 * If no, some set of options is a blockade: more options than the
   competitors adjacent to them, so however the options match away from v,
   one of them is left over — and an unmatched option next to an unmatched
@@ -31,17 +32,16 @@ Either implies a blockade, but not conversely: two options sharing their
 only competitor block absorption even when the claimant count stays under
 the option count and nobody is dedicated.
 
-When either cheap certificate holds, the search is known to end in a
-blockade, so each option first takes a free competitor if it has one
-(Kuhn's cheap assignment) and searches only when none is free; on K(n,n)
-that is one search per vertex instead of one per option. Neither the
-blockade nor the champions depend on that step. The blockade is the set
-of options alternating-reachable from the first option u* whose
-ascending prefix cannot be absorbed: every search that keeps the earlier
-options absorbed stops at the same u*, and that set is the prefix's
-Dulmage–Mendelsohn overfull part, which is unique whatever paths were
-taken. Champions exist only for a vertex with neither cheap certificate,
-so they always come from plain ascending augmenting paths.
+The free-competitor step (Kuhn's cheap assignment) runs on every vertex;
+on K(n,n) it makes one search per vertex instead of one per option.
+Neither certificate depends on it. Whether N(v) can be absorbed does not
+depend on the order of the search. The blockade is the set of options
+alternating-reachable from the first option u* whose ascending prefix
+cannot be absorbed: every search that keeps the earlier options absorbed
+stops at the same u*, and that set is the prefix's Dulmage–Mendelsohn
+overfull part, which is unique whatever paths were taken. The champions
+are searched for only when an instance is built, so they always come from
+plain ascending augmenting paths.
 
 The perfect-matching variants characterize when every stable matching is
 perfect for all preferences: for a connected balanced graph this happens
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .engine import augment
-from .errors import InputError
+from .errors import EngineInvariantError, InputError
 from .graph import BipartiteGraph, Component, Side, Vertex
 from .prefs import PreferenceInstance
 
@@ -66,13 +66,13 @@ class VertexReport:
 
     `satisfied` means v is matched in every stable matching of every
     preference instance; `blockade` is the certifying option set (present
-    exactly when satisfied). `champions` is the absorbing matching,
-    present exactly when v is neither satisfied nor isolated:
-    champions[k] is the competitor index that absorbs option
-    graph.adjacency(v.side)[v.index][k]. `bounded` and `dedicated` are the
-    cheap sufficient certificates. An isolated vertex is vacuously bounded
-    (0 <= 0) yet can never be matched: blockade and champions None,
-    satisfied False, isolated True.
+    exactly when satisfied). A vertex that is neither satisfied nor
+    isolated can be stranded: its options can all be absorbed, which the
+    free-competitor step decided without keeping the absorbing matching;
+    `adversarial_instance` finds its champions when an instance is built.
+    `bounded` and `dedicated` are the cheap sufficient certificates. An
+    isolated vertex is vacuously bounded (0 <= 0) yet can never be
+    matched: blockade None, satisfied False, isolated True.
     """
 
     vertex: Vertex
@@ -81,7 +81,6 @@ class VertexReport:
     bounded: bool
     dedicated: Optional[Vertex]
     blockade: Optional[tuple[Vertex, ...]]
-    champions: Optional[tuple[int, ...]]
     satisfied: bool
     isolated: bool
 
@@ -109,50 +108,47 @@ def _claimants(coadj: tuple[tuple[int, ...], ...], options: Iterable[int]) -> se
 
 
 def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
-    """Certify v, or find the matching that lets it be stranded.
+    """Certify v, or decide that it can be stranded.
 
     Claimants N(N(v)) always include v itself when v has any option. The
     dedicated neighbor is the lowest-index option whose only neighbor is
-    v. The absorption search runs one augmenting path per option, in
-    ascending option order, over the competitors other than v; the first
-    option u it cannot place ends it. That failed search has visited
-    exactly the competitors alternating-reachable from u, all of them
-    taken, so u and the options they absorb form the blockade: a set
-    adjacent to strictly fewer competitors than its own size.
+    v. The options are placed in ascending order over the competitors
+    other than v: each takes its lowest free competitor if it has one, and
+    otherwise runs one augmenting-path search; the first option u that
+    search cannot place ends it. That failed search has visited exactly
+    the competitors alternating-reachable from u, all of them taken, so u
+    and the options they absorb form the blockade: a set adjacent to
+    strictly fewer competitors than its own size.
 
-    A bounded or dedicated v must end in a blockade, so its options take
-    their lowest free competitor first and search only when none is free.
-    That changes which competitor absorbs which option, but not u or the
-    set reachable from it, so the blockade is the same; and the champions
-    of a strandable v, which has neither certificate, come from the plain
-    ascending search.
+    The free-competitor step runs on every vertex. It changes which
+    competitor absorbs which option, but not u or the set reachable from
+    it, so the blockade is the same as plain ascending search would give.
+    A vertex whose options are all placed can be stranded; its champions
+    are left to `adversarial_instance`.
     """
     graph.check_vertex(v)
     opp = v.side.opposite
     row = graph.adjacency(v.side)[v.index]
     coadj = graph.adjacency(opp)
-    claimants = len(_claimants(coadj, row))
+    free = _claimants(coadj, row)  # competitors not yet absorbing an option
+    claimants = len(free)
+    free.discard(v.index)
     dedicated = next((Vertex(opp, u) for u in row if len(coadj[u]) == 1), None)
 
-    # bounded or dedicated: the search must end in a blockade
-    cheap = claimants <= len(row) or dedicated is not None
     taken: dict[int, int] = {}  # competitor -> option it absorbs
-    blockade = champions = None
+    blockade = None
     for u in row:
-        if cheap:
-            free = next((c for c in coadj[u] if c != v.index and c not in taken), None)
-            if free is not None:
-                taken[free] = u
-                continue
+        c = next(filter(free.__contains__, coadj[u]), None)
+        if c is not None:
+            free.remove(c)
+            taken[c] = u
+            continue
         seen: set[int] = set()
         if not augment(coadj, taken, u, seen, skip=v.index):
             stuck = sorted({u} | {taken[c] for c in seen})
             blockade = tuple(Vertex(opp, w) for w in stuck)
             break
-    else:
-        if row:
-            absorbed_by = {u: c for c, u in taken.items()}
-            champions = tuple(absorbed_by[u] for u in row)
+        free -= seen  # the one free competitor a path visits is the one it takes
     return VertexReport(
         vertex=v,
         options=len(row),
@@ -160,7 +156,6 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
         bounded=claimants <= len(row),
         dedicated=dedicated,
         blockade=blockade,
-        champions=champions,
         satisfied=blockade is not None,
         isolated=not row,
     )
@@ -213,12 +208,36 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
     holds = all(r.satisfied for r in reports)
     counterexample = None
     if not holds:
-        failing = next((r for r in reports if r.champions is not None), None)
+        failing = next(
+            (r for r in reports if not r.satisfied and not r.isolated), None
+        )
         if failing is not None:
             counterexample = (failing.vertex, adversarial_instance(graph, failing))
     return SaturationVerdict(
         side=side, holds=holds, reports=reports, counterexample=counterexample
     )
+
+
+def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
+    """The absorbing matching of plain ascending Kuhn: champions[k] is the
+    competitor of v that absorbs option graph.adjacency(v.side)[v.index][k].
+
+    Each option in ascending order runs one augmenting-path search over the
+    competitors other than v, trying them in ascending order. An option
+    that cannot be placed means v was wrongly reported strandable, which
+    raises EngineInvariantError.
+    """
+    row = graph.adjacency(v.side)[v.index]
+    coadj = graph.adjacency(v.side.opposite)
+    taken: dict[int, int] = {}  # competitor -> option it absorbs
+    for u in row:
+        if not augment(coadj, taken, u, set(), skip=v.index):
+            raise EngineInvariantError(
+                f"{v!r} was reported strandable, but option "
+                f"{Vertex(v.side.opposite, u)!r} cannot be absorbed"
+            )
+    absorbed_by = {u: c for c, u in taken.items()}
+    return tuple(absorbed_by[u] for u in row)
 
 
 def adversarial_instance(
@@ -228,10 +247,13 @@ def adversarial_instance(
     every stable matching.
 
     `report` is the vertex's `vertex_report` on `graph`. The instance
-    exists exactly when the report has champions, i.e. v is not isolated
-    and has no blockade; otherwise this raises an InputError whose message
-    is v's `guarantee`. The construction uses the champion competitor of
-    every option of v (the absorbing matching) and sets:
+    exists exactly when v is neither isolated nor satisfied; otherwise this
+    raises an InputError whose message is v's `guarantee`. The report
+    keeps no absorbing matching, so this runs the one plain ascending
+    augmenting-path pass that finds it: the champion competitor of every
+    option of v. If that pass cannot absorb every option, the report was
+    wrong and this raises EngineInvariantError rather than build an
+    instance that does not strand v. The construction then sets:
 
     * every option of v ranks its champion first, its other neighbors
       next by ascending index, and v dead last;
@@ -245,14 +267,14 @@ def adversarial_instance(
     covers all of N(v), and v — ranked last by every option — is left
     unmatched in every stable matching, not merely in one.
     """
-    if report.champions is None:
+    if report.satisfied or report.isolated:
         raise InputError(guarantee(graph, report, repr))
 
     v = report.vertex
     adj = graph.adjacency(v.side)
     coadj = graph.adjacency(v.side.opposite)
     options = set(adj[v.index])
-    champions = dict(zip(adj[v.index], report.champions))  # option -> competitor
+    champions = dict(zip(adj[v.index], _champions(graph, v)))  # option -> competitor
     absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
     claimants = _claimants(coadj, options) - {v.index}
 

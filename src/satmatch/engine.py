@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EngineInvariantError, InputError, SearchCapExceeded
@@ -307,10 +308,11 @@ def augment(
     """
     lefts = [start]  # left vertices on the current alternating path
     rights: list[int] = []  # rights[k] links lefts[k] to lefts[k + 1]
-    stack = [iter(adj[start])]
+    is_seen = seen.__contains__  # filterfalse re-reads `seen` at each step
+    stack = [filterfalse(is_seen, adj[start])]
     while stack:
         for r in stack[-1]:
-            if r == skip or r in seen:
+            if r == skip:
                 continue
             seen.add(r)
             holder = owner.get(r)
@@ -321,7 +323,7 @@ def augment(
                 return True
             lefts.append(holder)
             rights.append(r)
-            stack.append(iter(adj[holder]))
+            stack.append(filterfalse(is_seen, adj[holder]))
             break
         else:
             stack.pop()

@@ -88,6 +88,7 @@ class EngineInvariantError(RuntimeError):
     """Internal consistency failure in the matching engine.
 
     This is never a user error: it means the engine produced a set of stable
-    matchings whose matched vertex sets disagree, which established theory
-    rules out. Raising loudly beats returning a corrupt result.
+    matchings whose matched vertex sets disagree, or the analysis reported a
+    vertex strandable whose options cannot all be absorbed. Established
+    theory rules both out. Raising loudly beats returning a corrupt result.
     """

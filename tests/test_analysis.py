@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -32,7 +33,7 @@ from satmatch.analysis import (
     saturation_verdict,
     vertex_report,
 )
-from satmatch.errors import InputError
+from satmatch.errors import EngineInvariantError, InputError
 from satmatch.graph import BipartiteGraph, Side, Vertex
 from satmatch.prefs import sample_uniform
 
@@ -134,17 +135,19 @@ def test_vertex_report_fields():
     assert not r.bounded
     assert r.dedicated is None
     assert r.blockade is None
-    assert r.champions == (0,)  # x0 absorbs y1, x1's only option
     assert not r.satisfied
     assert not r.isolated
+    assert analysis._champions(path4(), X(1)) == (0,)  # x0 absorbs y1, x1's only option
 
 
 def test_champions_align_with_the_options():
     # x2's options y0 and y1 are absorbed by x0 and x1, one each
     g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
-    assert vertex_report(g, X(2)).champions == (1, 0)
-    # satisfied vertices carry a blockade instead of champions
-    assert vertex_report(path4(), X(0)).champions is None
+    assert analysis._champions(g, X(2)) == (1, 0)
+    # a satisfied vertex carries a blockade, and its options cannot be absorbed
+    assert vertex_report(path4(), X(0)).blockade == (Y(0),)
+    with pytest.raises(EngineInvariantError):
+        analysis._champions(path4(), X(0))
 
 
 def test_isolated_vertex_report():
@@ -153,7 +156,6 @@ def test_isolated_vertex_report():
     assert r.isolated
     assert r.bounded  # vacuously: 0 claimants, 0 options
     assert r.blockade is None
-    assert r.champions is None
     assert not r.satisfied
 
 
@@ -322,26 +324,68 @@ def test_adversarial_instance_for_y_side_target():
     assert _strands(g, Y(0), inst)
 
 
-def test_stranding_instances_run_no_search_of_their_own(monkeypatch, capsys):
-    """The stranding instance is built from the report's champions, so
-    `adversary` and the verdict search only inside vertex_report."""
+def _recording_searches(monkeypatch) -> list[tuple[int, bool]]:
+    """Patch analysis.augment to record (start option, found) per search."""
     searches = []
     real = analysis.augment
 
-    def counting(*args, **kwargs):
-        searches.append(args[2])
-        return real(*args, **kwargs)
+    def recording(*args, **kwargs):
+        found = real(*args, **kwargs)
+        searches.append((args[2], found))
+        return found
 
-    monkeypatch.setattr(analysis, "augment", counting)
+    monkeypatch.setattr(analysis, "augment", recording)
+    return searches
+
+
+def test_each_built_instance_runs_one_plain_ascending_pass(monkeypatch, capsys):
+    """vertex_report places X(1)'s one option on a free competitor, X(0),
+    so the only searches for that strandable vertex are its instance's
+    plain pass: one successful search per option, in ascending order."""
+    searches = _recording_searches(monkeypatch)
     market = os.path.join(os.path.dirname(__file__), os.pardir, "markets", "path4.yaml")
     assert cli.main(["adversary", market, "--target", "x2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 1  # x2 has one option
+    assert searches == [(1, True)]  # x2 is X(1); its one option is y2, Y(1)
     searches.clear()
     verdict = saturation_verdict(path4(), Side.X)
     assert verdict.counterexample[0] == X(1)
-    # x0 is blocked at its first option; x1 has one option
-    assert len(searches) == 2
+    # x0's first option has no competitor at all; then X(1)'s instance pass
+    assert searches == [(0, False), (1, True)]
+
+
+def test_a_strandable_vertex_with_free_competitors_runs_no_search(monkeypatch):
+    """x2 is neither bounded (3 claimants, 2 options) nor dedicated, and
+    each of its options finds a free competitor, so deciding it searches
+    nothing; plain ascending search would run once per option."""
+    searches = _recording_searches(monkeypatch)
+    g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
+    r = vertex_report(g, X(2))
+    assert not r.bounded and r.dedicated is None
+    assert not r.satisfied and not r.isolated
+    assert searches == []
+    adversarial_instance(g, r)
+    assert searches == [(0, True), (1, True)]
+
+
+def test_a_report_wrongly_marked_strandable_builds_no_instance(monkeypatch, capsys):
+    """path4's x0 has a blockade; a report that says otherwise must not
+    yield an instance, since no instance can strand x0. `adversary` exits
+    4 on it, an internal failure."""
+    forged = dataclasses.replace(
+        vertex_report(path4(), X(0)),
+        bounded=False,
+        dedicated=None,
+        blockade=None,
+        satisfied=False,
+    )
+    with pytest.raises(EngineInvariantError, match="reported strandable"):
+        adversarial_instance(path4(), forged)
+
+    monkeypatch.setattr(analysis, "vertex_report", lambda graph, v: forged)
+    market = os.path.join(os.path.dirname(__file__), os.pardir, "markets", "path4.yaml")
+    assert cli.main(["adversary", market, "--target", "x1"]) == 4
+    assert capsys.readouterr().err.startswith("error: internal: EngineInvariantError: ")
 
 
 # -- references that never run the search --------------------------------------
@@ -434,8 +478,9 @@ def test_champions_are_those_of_plain_ascending_kuhn():
     for g in _random_graphs(300, 8, seed=9):
         for side in (Side.X, Side.Y):
             for r in saturation_verdict(g, side).reports:
-                if r.champions is not None:
-                    assert r.champions == _plain_kuhn(g, r.vertex), (g, r.vertex)
+                if not r.satisfied and not r.isolated:
+                    champions = analysis._champions(g, r.vertex)
+                    assert champions == _plain_kuhn(g, r.vertex), (g, r.vertex)
                     strandable += 1
     assert strandable >= 200
 
@@ -470,14 +515,14 @@ def test_reports_are_internally_consistent(g: BipartiteGraph):
         for r in verdict.reports:
             assert r.satisfied == (r.blockade is not None)
             assert r.isolated == (r.options == 0)
-            assert (r.champions is not None) == (not r.satisfied and not r.isolated)
-            if r.champions is not None:
+            if not r.satisfied and not r.isolated:
                 # an absorbing matching: one distinct competitor per option
+                champions = analysis._champions(g, r.vertex)
                 row = g.adjacency(side)[r.vertex.index]
                 coadj = g.adjacency(side.opposite)
-                assert len(set(r.champions)) == len(row)
-                assert r.vertex.index not in r.champions
-                assert all(c in coadj[u] for u, c in zip(row, r.champions))
+                assert len(set(champions)) == len(row)
+                assert r.vertex.index not in champions
+                assert all(c in coadj[u] for u, c in zip(row, champions))
             if r.isolated:
                 assert not r.satisfied
             elif r.bounded or r.dedicated is not None:
