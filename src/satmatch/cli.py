@@ -364,7 +364,11 @@ def cmd_adversary(args) -> tuple[dict, int]:
     emitted = market_io.market_with_preferences(bundle.market, names, instance)
     market_text = market_io.dump_market(emitted)
     if args.out:
-        market_io.save_market(emitted, args.out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(market_text)
+        except OSError as e:
+            raise InputError(f"cannot write --out: {e}") from None
 
     try:
         ss = engine.enumerate_stable(g, instance, cap=args.cap)

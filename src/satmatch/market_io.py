@@ -8,6 +8,8 @@ only here; the core works on dense indices, and this layer owns the mapping.
 
 from __future__ import annotations
 
+import gc
+import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -105,6 +107,34 @@ def _first_repeat(items: list) -> Optional[int]:
     return None
 
 
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+
+
+def _line_column(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of character `index` of `text`, with the
+    line breaks YAML counts: LF, CR LF, a lone CR, NEL, LS and PS."""
+    lines = _LINE_BREAK.split(text[:index])
+    return len(lines), len(lines[-1]) + 1
+
+
+def _reader_error(
+    e: yaml.reader.ReaderError, text: str, source: str
+) -> MarketFormatError:
+    """`e`, a character YAML does not accept, at its line and column.
+    libyaml reads the UTF-8 encoding of `text`, so its position counts
+    bytes; PyYAML's own reader counts characters."""
+    index = e.position
+    if issubclass(_Loader, getattr(yaml, "CSafeLoader", ())):
+        index = len(text.encode("utf-8")[:index].decode("utf-8", "ignore"))
+    line, column = _line_column(text, index)
+    return MarketFormatError(
+        f"not valid YAML: unacceptable character #x{e.character:04x}: {e.reason}",
+        source=source,
+        line=line,
+        column=column,
+    )
+
+
 def _located(error: MarketFormatError, text: str) -> MarketFormatError:
     """`error` with the 1-based line and column of the entry its path names
     in `text`: a mapping entry starts at its key, a list entry at its item.
@@ -143,9 +173,17 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
     Graph-level validation (preference tables, compatibility cross-checks)
     happens in resolve_market. Every error names the line and column of
     the entry it rejects.
+
+    The cyclic garbage collector is paused while YAML builds the document,
+    whose many small nodes would otherwise set off pass after pass over
+    everything built so far; its previous state is restored on every path.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         data = yaml.load(text, Loader=_Loader)
+    except yaml.reader.ReaderError as e:
+        raise _reader_error(e, text, source) from None
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         if mark is not None:
@@ -156,6 +194,9 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
                 column=mark.column + 1,
             ) from None
         _fail(f"not valid YAML: {e}", source)
+    finally:
+        if collecting:
+            gc.enable()
     try:
         return _market_file(data, source)
     except MarketFormatError as e:
@@ -423,10 +464,21 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
 def load_market(path: str) -> MarketBundle:
     """Read, parse, and fully validate a market file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise MarketFormatError(str(e), source=path) from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        good = raw[: e.start].decode("utf-8")
+        line, column = _line_column(good, len(good))
+        raise MarketFormatError(
+            f"not UTF-8: byte 0x{raw[e.start]:02x} ({e.reason})",
+            source=path,
+            line=line,
+            column=column,
+        ) from None
     mf = parse_market(text, source=path)
     try:
         return resolve_market(mf, source=path)

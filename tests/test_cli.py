@@ -449,6 +449,17 @@ def test_adversary_refuses_a_negative_cap_before_writing(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_adversary_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "emitted.yaml"
+    code, stdout, err = _run(
+        capsys, "adversary", _market("path4.yaml"), "--target", "x2", "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write --out: [Errno 2] No such file")
+    assert len(err.splitlines()) == 1
+
+
 def test_adversary_strands_exclusive_class_member(capsys):
     code, report = _structured(
         capsys, "adversary", _market("two_classes.yaml"), "--target", "ada"
@@ -562,6 +573,25 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_non_utf8_market_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bin.yaml"
+    bad.write_bytes(b"\xff\xfe bad")
+    code, out, err = _run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}:1:1: not UTF-8: byte 0xff")
+
+
+def test_control_character_exits_2_at_its_position(capsys, tmp_path):
+    bad = tmp_path / "ctl.yaml"
+    bad.write_text('schema_version: "1"\nx_names: [a\x07]\n', encoding="utf-8")
+    code, out, err = _run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}:2:12: not valid YAML: unacceptable character")
+    assert len(err.splitlines()) == 1
 
 
 def test_non_string_edge_endpoint_exits_2(capsys, tmp_path):

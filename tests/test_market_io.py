@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 import textwrap
@@ -196,6 +197,53 @@ def test_load_missing_file():
         load_market("no-such-market.yaml")
 
 
+def test_non_utf8_file_names_the_first_bad_byte(tmp_path):
+    for raw, line, column in (
+        (b"\xff\xfe bad", 1, 1),
+        (b'schema_version: "1"\nx_names: [\xc3\xa9, b\xe9]\n', 2, 15),
+    ):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(raw)
+        with pytest.raises(MarketFormatError, match="not UTF-8") as exc:
+            load_market(str(path))
+        _assert_at(exc.value, str(path), line, column)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_parse_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeypatch):
+    """The cyclic collector is off while YAML builds each document, and
+    afterwards in the state the caller left it, on success and on every
+    error path: a YAML syntax error, a validation error and a failing
+    load_market."""
+    outcomes = (
+        lambda: parse_market(BARE),
+        lambda: parse_market("x_names: [a\nedges: oops"),
+        lambda: parse_market(BARE.replace("[ann, bob]", "[ann, ann]")),
+        lambda: _load_text(tmp_path, WITH_PREFS.replace("bob: [cut]", "bob: [tie]")),
+    )
+    if not collecting:
+        gc.disable()
+    try:
+        for loader in _each_loader(monkeypatch):
+            seen = []
+
+            class Spy(market_io._Loader):
+                def get_single_data(self):
+                    seen.append(gc.isenabled())
+                    return super().get_single_data()
+
+            monkeypatch.setattr(market_io, "_Loader", Spy)
+            for outcome in outcomes:
+                try:
+                    outcome()
+                except MarketFormatError:
+                    pass
+                assert gc.isenabled() == collecting, loader
+            assert seen == [False] * len(outcomes), loader
+    finally:
+        gc.enable()
+
+
 def test_every_shipped_fixture_loads():
     paths = sorted(glob.glob(os.path.join(MARKETS_DIR, "*.yaml")))
     assert len(paths) >= 10
@@ -214,12 +262,18 @@ def test_invalid_yaml_reports_position(monkeypatch):
             ("x_names: [a]\n- b\n", 2, 1),
             ("x_names: &n [a]\ny_names: *m\n", 2, 10),
             ("x_names: [a]\ny_names: 'b\n", 3, 1),
+            # characters YAML does not accept: libyaml counts their position
+            # in bytes, PyYAML in characters, and neither gives a line
+            ("x_names: [a\x07]", 1, 12),
+            ("x: [\u00e9\u00e9]\r\ny: [\u00e9\x07]\n", 2, 6),
+            ("x: [a]\r\ry: [\x85 b\x1b]", 4, 3),
         ):
             with pytest.raises(MarketFormatError, match="not valid YAML") as exc:
                 parse_market(text, source="bad.yaml")
             assert exc.value.source == "bad.yaml"
             assert (exc.value.line, exc.value.column) == (line, column), loader
             assert str(exc.value).startswith(f"bad.yaml:{line}:{column}: ")
+            assert "\n" not in str(exc.value)
 
 
 def test_non_mapping_document():
