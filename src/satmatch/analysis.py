@@ -8,11 +8,12 @@ answers it: each option takes a free competitor if it has one and runs an
 augmenting-path search only when none is free. The answer is one of two
 certificates:
 
-* If yes, v can be stranded. `adversarial_instance` finds the absorbing
-  matching again with plain ascending augmenting paths, pairing each
-  option with a champion competitor; preferences in which every option
-  and its champion rank each other first strand v in every stable
-  matching of that instance.
+* If yes, v can be stranded. The caller that prints or checks a
+  stranding instance builds it with `adversarial_instance`, which finds
+  the absorbing matching again with plain ascending augmenting paths,
+  pairing each option with a champion competitor; preferences in which
+  every option and its champion rank each other first strand v in every
+  stable matching of that instance.
 * If no, some set of options is a blockade: more options than the
   competitors adjacent to them, so however the options match away from v,
   one of them is left over — and an unmatched option next to an unmatched
@@ -43,6 +44,9 @@ overfull part, which is unique whatever paths were taken. The champions
 are searched for only when an instance is built, so they always come from
 plain ascending augmenting paths.
 
+Each verdict stores only what its search found; whether it holds, and
+each vertex's status, are derived from that.
+
 The perfect-matching variants characterize when every stable matching is
 perfect for all preferences: for a connected balanced graph this happens
 exactly when the graph is a balanced biclique, and in general exactly when
@@ -62,44 +66,64 @@ from .prefs import PreferenceInstance
 
 @dataclass(frozen=True)
 class VertexReport:
-    """Per-vertex certificate data.
+    """Per-vertex certificate data: what the search found, and what follows.
 
-    `satisfied` means v is matched in every stable matching of every
-    preference instance; `blockade` is the certifying option set (present
-    exactly when satisfied). A vertex that is neither satisfied nor
-    isolated can be stranded: its options can all be absorbed, which the
-    free-competitor step decided without keeping the absorbing matching;
-    `adversarial_instance` finds its champions when an instance is built.
-    `bounded` and `dedicated` are the cheap sufficient certificates. An
-    isolated vertex is vacuously bounded (0 <= 0) yet can never be
-    matched: blockade None, satisfied False, isolated True.
+    `blockade` is the certifying option set, present exactly when v is
+    `satisfied`: matched in every stable matching of every preference
+    instance. `dedicated` is the cheap one-vertex certificate and
+    `bounded` (claimants <= options) the other. A `strandable` vertex is
+    neither satisfied nor isolated: its options can all be absorbed,
+    which the free-competitor step decided without keeping the absorbing
+    matching; the caller that wants its stranding instance builds it with
+    `adversarial_instance`. An isolated vertex is vacuously bounded
+    (0 <= 0) yet can never be matched: blockade None, not satisfied, not
+    strandable.
     """
 
     vertex: Vertex
     options: int
     claimants: int
-    bounded: bool
     dedicated: Optional[Vertex]
     blockade: Optional[tuple[Vertex, ...]]
-    satisfied: bool
-    isolated: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.blockade is not None
+
+    @property
+    def isolated(self) -> bool:
+        return self.options == 0
+
+    @property
+    def bounded(self) -> bool:
+        return self.claimants <= self.options
+
+    @property
+    def strandable(self) -> bool:
+        return not self.satisfied and not self.isolated
 
 
 @dataclass(frozen=True)
 class SaturationVerdict:
     """Does every stable matching saturate `side`, for every instance?
 
-    holds ⇔ every report is satisfied. When false because some
-    non-isolated vertex lacks a blockade, `counterexample` carries that
-    vertex and an adversarial instance leaving it unmatched in every
-    stable matching; an all-isolated failure carries no counterexample
-    (no instance is needed — an isolated vertex is never matched).
+    holds ⇔ every report is satisfied. When it fails because some vertex
+    is strandable, `first_strandable` is the first such report; the caller
+    that wants a stranding instance builds it with `adversarial_instance`.
+    An all-isolated failure has no strandable report (no instance is
+    needed — an isolated vertex is never matched).
     """
 
     side: Side
-    holds: bool
     reports: tuple[VertexReport, ...]
-    counterexample: Optional[tuple[Vertex, PreferenceInstance]]
+
+    @property
+    def holds(self) -> bool:
+        return all(r.satisfied for r in self.reports)
+
+    @property
+    def first_strandable(self) -> Optional[VertexReport]:
+        return next((r for r in self.reports if r.strandable), None)
 
 
 def _claimants(coadj: tuple[tuple[int, ...], ...], options: Iterable[int]) -> set[int]:
@@ -153,11 +177,8 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
         vertex=v,
         options=len(row),
         claimants=claimants,
-        bounded=claimants <= len(row),
         dedicated=dedicated,
         blockade=blockade,
-        satisfied=blockade is not None,
-        isolated=not row,
     )
 
 
@@ -203,19 +224,10 @@ def guarantee(
 
 
 def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> SaturationVerdict:
-    """The full verdict for one side, with per-vertex certificates."""
+    """The full verdict for one side, with per-vertex certificates; the
+    caller builds any stranding instance from `first_strandable`."""
     reports = tuple(vertex_report(graph, v) for v in graph.vertices(side))
-    holds = all(r.satisfied for r in reports)
-    counterexample = None
-    if not holds:
-        failing = next(
-            (r for r in reports if not r.satisfied and not r.isolated), None
-        )
-        if failing is not None:
-            counterexample = (failing.vertex, adversarial_instance(graph, failing))
-    return SaturationVerdict(
-        side=side, holds=holds, reports=reports, counterexample=counterexample
-    )
+    return SaturationVerdict(side=side, reports=reports)
 
 
 def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
@@ -247,9 +259,9 @@ def adversarial_instance(
     every stable matching.
 
     `report` is the vertex's `vertex_report` on `graph`. The instance
-    exists exactly when v is neither isolated nor satisfied; otherwise this
-    raises an InputError whose message is v's `guarantee`. The report
-    keeps no absorbing matching, so this runs the one plain ascending
+    exists exactly when v is strandable; otherwise this raises an
+    InputError whose message is v's `guarantee`. The report keeps no
+    absorbing matching, so this runs the one plain ascending
     augmenting-path pass that finds it: the champion competitor of every
     option of v. If that pass cannot absorb every option, the report was
     wrong and this raises EngineInvariantError rather than build an
@@ -267,7 +279,7 @@ def adversarial_instance(
     covers all of N(v), and v — ranked last by every option — is left
     unmatched in every stable matching, not merely in one.
     """
-    if report.satisfied or report.isolated:
+    if not report.strandable:
         raise InputError(guarantee(graph, report, repr))
 
     v = report.vertex
@@ -345,8 +357,11 @@ def connected_perfect_verdict(graph: BipartiteGraph) -> CompletenessVerdict:
 
 @dataclass(frozen=True)
 class ComponentVerdict:
-    holds: bool
     components: tuple[Component, ...]
+
+    @property
+    def holds(self) -> bool:
+        return all(p.biclique and p.balanced for p in self.components)
 
 
 def component_perfect_verdict(graph: BipartiteGraph) -> ComponentVerdict:
@@ -361,16 +376,17 @@ def component_perfect_verdict(graph: BipartiteGraph) -> ComponentVerdict:
             f"sides must balance for a perfect matching to exist at all, "
             f"got {graph.x_count}+{graph.y_count}"
         )
-    pieces = tuple(graph.components())
-    holds = all(p.biclique and p.balanced for p in pieces)
-    return ComponentVerdict(holds=holds, components=pieces)
+    return ComponentVerdict(components=tuple(graph.components()))
 
 
 @dataclass(frozen=True)
 class PerfectVerdict:
-    holds: bool
     x: SaturationVerdict
     y: SaturationVerdict
+
+    @property
+    def holds(self) -> bool:
+        return self.x.holds and self.y.holds
 
 
 def perfect_verdict(graph: BipartiteGraph) -> PerfectVerdict:
@@ -380,6 +396,6 @@ def perfect_verdict(graph: BipartiteGraph) -> PerfectVerdict:
     conjunction of the two one-sided verdicts; on balanced graphs it agrees
     with component_perfect_verdict.
     """
-    vx = saturation_verdict(graph, Side.X)
-    vy = saturation_verdict(graph, Side.Y)
-    return PerfectVerdict(holds=vx.holds and vy.holds, x=vx, y=vy)
+    return PerfectVerdict(
+        x=saturation_verdict(graph, Side.X), y=saturation_verdict(graph, Side.Y)
+    )

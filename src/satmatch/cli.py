@@ -58,10 +58,11 @@ def cmd_analyze(args) -> tuple[dict, int]:
             }
         )
     counterexample = None
-    if verdict.counterexample is not None:
-        target, instance = verdict.counterexample
+    failing = verdict.first_strandable
+    if failing is not None:
+        instance = analysis.adversarial_instance(g, failing)
         counterexample = {
-            "vertex": names.name(target),
+            "vertex": names.name(failing.vertex),
             "preferences": market_io.preference_table(names, instance),
         }
     saturation = {
@@ -69,11 +70,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "holds": verdict.holds,
         "vertices": vertices,
         "isolated": [names.name(r.vertex) for r in verdict.reports if r.isolated],
-        "failing": [
-            names.name(r.vertex)
-            for r in verdict.reports
-            if not r.satisfied and not r.isolated
-        ],
+        "failing": [names.name(r.vertex) for r in verdict.reports if r.strandable],
         "counterexample": counterexample,
     }
 
@@ -128,7 +125,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
                     "name": class_names[c],
                     "members": sizes.members,
                     "slots": sizes.slots,
-                    "covered": sizes.slots >= sizes.members,
+                    "covered": sizes.covered,
                 }
                 for c, sizes in enumerate(cross.coverage.classes)
             ],
@@ -237,13 +234,18 @@ def _render_analyze(report: dict) -> list[str]:
 # -- match ---------------------------------------------------------------------
 
 
-def cmd_match(args) -> tuple[dict, int]:
-    bundle = market_io.load_market(args.market)
+def _load_with_preferences(path: str, command: str) -> market_io.MarketBundle:
+    """The market at `path`, refused when it has no preferences block."""
+    bundle = market_io.load_market(path)
     if bundle.instance is None:
         raise MarketFormatError(
-            "market has no preferences block; `match` needs one",
-            source=args.market,
+            f"market has no preferences block; `{command}` needs one", source=path
         )
+    return bundle
+
+
+def cmd_match(args) -> tuple[dict, int]:
+    bundle = _load_with_preferences(args.market, "match")
     g, names = bundle.graph, bundle.names
     side = _SIDES[args.propose]
     m = engine.deferred_acceptance(g, bundle.instance, proposing=side)
@@ -292,12 +294,7 @@ def _render_match(report: dict) -> list[str]:
 
 
 def cmd_enumerate(args) -> tuple[dict, int]:
-    bundle = market_io.load_market(args.market)
-    if bundle.instance is None:
-        raise MarketFormatError(
-            "market has no preferences block; `enumerate` needs one",
-            source=args.market,
-        )
+    bundle = _load_with_preferences(args.market, "enumerate")
     g, names = bundle.graph, bundle.names
     ss = engine.enumerate_stable(g, bundle.instance, cap=args.cap)
     report = {
@@ -351,7 +348,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
             f"no vertex named {args.target!r} in the market", source=args.market
         )
     r = analysis.vertex_report(g, target)
-    if r.satisfied or r.isolated:
+    if not r.strandable:
         report = {
             "command": "adversary",
             "source": args.market,

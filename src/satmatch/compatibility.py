@@ -86,6 +86,11 @@ class ClassSizes(NamedTuple):
     members: int  # |A_i|
     slots: int  # |B_i|
 
+    @property
+    def covered(self) -> bool:
+        """The class has a slot for each of its members."""
+        return self.slots >= self.members
+
 
 @dataclass(frozen=True)
 class CoverageVerdict:
@@ -101,9 +106,7 @@ def coverage_verdict(market: CompatibilityMarket) -> CoverageVerdict:
         ClassSizes(len(market.class_members(c)), len(market.class_slots(c)))
         for c in range(market.n_classes)
     )
-    return CoverageVerdict(
-        holds=all(s.slots >= s.members for s in sizes), classes=sizes
-    )
+    return CoverageVerdict(holds=all(s.covered for s in sizes), classes=sizes)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def deficient_witness(
     of `coverage` (the market's coverage verdict), or None when every class
     covers its members."""
     for c, sizes in enumerate(coverage.classes):
-        if sizes.slots < sizes.members:
+        if not sizes.covered:
             exclusive = market.exclusive_members(c)
             if exclusive:
                 return exclusive[0]

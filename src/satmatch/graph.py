@@ -48,6 +48,8 @@ class BipartiteGraph:
     __slots__ = ("x_count", "y_count", "x_adj", "y_adj", "edge_count")
 
     def __init__(self, x_count: int, y_count: int, edges: Iterable[tuple[int, int]]):
+        if not (isinstance(x_count, int) and isinstance(y_count, int)):
+            raise InputError(f"side sizes must be integers, got {x_count!r}, {y_count!r}")
         if x_count < 0 or y_count < 0:
             raise InputError(f"side sizes must be nonnegative, got {x_count}, {y_count}")
         x_rows: list[list[int]] = [[] for _ in range(x_count)]
@@ -58,6 +60,8 @@ class BipartiteGraph:
                 xi, yi = edge
             except (TypeError, ValueError):
                 raise InputError(f"edge {edge!r} is not an (x, y) index pair") from None
+            if not (isinstance(xi, int) and isinstance(yi, int)):
+                raise InputError(f"edge ({xi!r}, {yi!r}): indices must be integers")
             if not (0 <= xi < x_count):
                 raise InputError(f"edge ({xi}, {yi}): X-index {xi} out of range [0, {x_count})")
             if not (0 <= yi < y_count):

@@ -126,16 +126,15 @@ def perfect_counterexample(
     graph: BipartiteGraph,
 ) -> Optional[prefs.PreferenceInstance]:
     """An instance whose stable matchings are never perfect, if the
-    structural verdict knows one: the stranding instance for the first
-    non-isolated vertex that lacks a guarantee, on either side. None when
-    the verdict holds, or when only isolated vertices fail (then every
-    instance already confirms the failure)."""
+    structural verdict knows one. This builds one stranding instance, for
+    the verdict's first strandable vertex: on side X if it has one, else
+    on side Y. None when the verdict holds, or when only isolated vertices
+    fail (then every instance already confirms the failure)."""
     pv = analysis.perfect_verdict(graph)
-    if pv.holds:
-        return None
     for sv in (pv.x, pv.y):
-        if sv.counterexample is not None:
-            return sv.counterexample[1]
+        failing = sv.first_strandable
+        if failing is not None:
+            return analysis.adversarial_instance(graph, failing)
     return None
 
 
@@ -199,12 +198,16 @@ def saturation_suite(
         if verdict.holds:
             counts["verdicts_true"] += 1
 
-        # the verdict claims: every SM of every instance saturates X.
-        # sampled fallbacks additionally get the constructed counterexample
-        # injected so a negative verdict stays checkable under sampling.
-        extra = None
-        if not verdict.holds and verdict.counterexample is not None:
-            extra = verdict.counterexample[1]
+        # the verdict claims: every SM of every instance saturates X. Each
+        # strandable vertex gets one stranding instance, checked below; the
+        # first also joins sampled fallbacks, so a negative verdict stays
+        # checkable under sampling.
+        adversarial = [
+            (report, analysis.adversarial_instance(g, report))
+            for report in verdict.reports
+            if report.strandable
+        ]
+        extra = adversarial[0][1] if adversarial else None
         ground = True
         seed_base = seed * 1_000_003 + g_index * 1_009
         for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
@@ -224,11 +227,8 @@ def saturation_suite(
                 f"force says {ground}"
             )
 
-        for report in verdict.reports:
-            if report.satisfied or report.isolated:
-                continue
+        for report, adv in adversarial:
             counts["adversarial_targets"] += 1
-            adv = analysis.adversarial_instance(g, report)
             ss = engine.enumerate_stable(g, adv)
             counts["stable_sets"] += 1
             counts["stable_matchings"] += len(ss.matchings)

@@ -163,8 +163,9 @@ def test_saturation_verdict_on_path4():
     v = saturation_verdict(path4(), Side.X)
     assert not v.holds
     assert [r.satisfied for r in v.reports] == [True, False]
-    target, instance = v.counterexample
-    assert target == X(1)
+    failing = v.first_strandable
+    assert failing.vertex == X(1)
+    instance = adversarial_instance(path4(), failing)
     assert instance.x_lists == ((1, 0), (1,))
     assert instance.y_lists == ((0,), (0, 1))
     assert _strands(path4(), X(1), instance)
@@ -174,7 +175,7 @@ def test_saturation_verdict_on_path5():
     # y2 is dedicated to x1, so the extra leaf repairs the path4 failure
     v = saturation_verdict(path5(), Side.X)
     assert v.holds
-    assert v.counterexample is None
+    assert v.first_strandable is None
     assert v.reports[1].dedicated == Y(2)
 
 
@@ -189,9 +190,9 @@ def test_saturation_verdict_fails_on_hub():
     v = saturation_verdict(hub_4x4(), Side.X)
     assert not v.holds
     assert [r.vertex for r in v.reports if not r.satisfied] == [X(1), X(3)]
-    target, instance = v.counterexample
-    assert target == X(1)
-    assert _strands(hub_4x4(), X(1), instance)
+    failing = v.first_strandable
+    assert failing.vertex == X(1)
+    assert _strands(hub_4x4(), X(1), adversarial_instance(hub_4x4(), failing))
 
 
 def test_saturation_verdict_mirrors_sides():
@@ -199,8 +200,9 @@ def test_saturation_verdict_mirrors_sides():
     v = saturation_verdict(path4(), Side.Y)
     assert not v.holds
     assert [r.satisfied for r in v.reports] == [False, True]
-    target, instance = v.counterexample
-    assert target == Y(0)
+    failing = v.first_strandable
+    assert failing.vertex == Y(0)
+    instance = adversarial_instance(path4(), failing)
     assert instance.x_lists == ((1, 0), (1,))
     assert instance.y_lists == ((0,), (0, 1))
     assert _strands(path4(), Y(0), instance)
@@ -210,7 +212,7 @@ def test_saturation_verdict_with_only_isolated_failures():
     g = BipartiteGraph(2, 1, [(0, 0)])
     v = saturation_verdict(g, Side.X)
     assert not v.holds
-    assert v.counterexample is None  # nothing to construct: x1 has no edges
+    assert v.first_strandable is None  # nothing to construct: x1 has no edges
     assert [r.isolated for r in v.reports] == [False, True]
 
 
@@ -348,8 +350,9 @@ def test_each_built_instance_runs_one_plain_ascending_pass(monkeypatch, capsys):
     capsys.readouterr()
     assert searches == [(1, True)]  # x2 is X(1); its one option is y2, Y(1)
     searches.clear()
-    verdict = saturation_verdict(path4(), Side.X)
-    assert verdict.counterexample[0] == X(1)
+    failing = saturation_verdict(path4(), Side.X).first_strandable
+    assert failing.vertex == X(1)
+    adversarial_instance(path4(), failing)
     # x0's first option has no competitor at all; then X(1)'s instance pass
     assert searches == [(0, False), (1, True)]
 
@@ -373,11 +376,7 @@ def test_a_report_wrongly_marked_strandable_builds_no_instance(monkeypatch, caps
     yield an instance, since no instance can strand x0. `adversary` exits
     4 on it, an internal failure."""
     forged = dataclasses.replace(
-        vertex_report(path4(), X(0)),
-        bounded=False,
-        dedicated=None,
-        blockade=None,
-        satisfied=False,
+        vertex_report(path4(), X(0)), dedicated=None, blockade=None
     )
     with pytest.raises(EngineInvariantError, match="reported strandable"):
         adversarial_instance(path4(), forged)
@@ -584,11 +583,10 @@ def test_unsatisfied_vertices_can_all_be_stranded(g: BipartiteGraph):
 @given(graphs(max_x=3, max_y=3))
 @PROPERTY_SETTINGS
 def test_counterexample_instance_strands_its_vertex(g: BipartiteGraph):
-    verdict = saturation_verdict(g, Side.X)
-    if verdict.counterexample is None:
+    failing = saturation_verdict(g, Side.X).first_strandable
+    if failing is None:
         return
-    target, inst = verdict.counterexample
-    assert _strands(g, target, inst)
+    assert _strands(g, failing.vertex, adversarial_instance(g, failing))
 
 
 # -- perfect-matching verdicts -------------------------------------------------

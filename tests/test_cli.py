@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from satmatch import cli, engine, harness, market_io
+from satmatch import analysis, cli, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
+from satmatch.graph import Side, Vertex
 
 MARKETS = os.path.join(os.path.dirname(__file__), os.pardir, "markets")
 
@@ -78,6 +79,23 @@ def test_analyze_path4_text_rendering(capsys):
     assert "counterexample stranding x2:" in out
     assert "x1: y2 > y1" in out
     assert "missing edge [x2, y1]" in out
+
+
+def test_analyze_builds_an_instance_for_the_printed_side_only(capsys, monkeypatch):
+    """Both sides of path4 fail; only side X's counterexample is printed,
+    so only its instance is built."""
+    built = []
+    real = analysis.adversarial_instance
+
+    def counting(graph, report):
+        built.append(report.vertex)
+        return real(graph, report)
+
+    monkeypatch.setattr(cli.analysis, "adversarial_instance", counting)
+    code, report = _structured(capsys, "analyze", _market("path4.yaml"), "--side", "x")
+    assert code == 1
+    assert not report["perfect"]["y_holds"]
+    assert built == [Vertex(Side.X, 1)]
 
 
 def test_analyze_path5_holds(capsys):

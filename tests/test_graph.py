@@ -39,6 +39,10 @@ def test_construction_sorts_and_freezes_adjacency():
         (2, 2, [(0, 2)]),
         (2, 2, [(-1, 0)]),
         (2, 2, [(0, 0), (0, 0)]),
+        (1, 1, [("0", 0)]),
+        (1, 1, [(0, None)]),
+        (1, 1, [(0.0, 0)]),
+        (1.0, 1, []),
     ],
 )
 def test_construction_rejects_bad_input(x_count, y_count, edges):

@@ -154,6 +154,22 @@ def test_perfect_counterexample_pins_negative_verdicts():
     assert harness.perfect_counterexample(biclique(2, 2)) is None
 
 
+def test_saturation_suite_builds_one_instance_per_target(monkeypatch):
+    """Each strandable vertex's instance is built once, and the first of
+    a graph also serves as its sampled extra; the verdict builds none."""
+    built = []
+    real = analysis.adversarial_instance
+
+    def counting(graph, report):
+        built.append(report.vertex)
+        return real(graph, report)
+
+    monkeypatch.setattr(harness.analysis, "adversarial_instance", counting)
+    result = harness.saturation_suite(max_side=2, instance_cap=10**4, seeds=5)
+    assert result.passed
+    assert len(built) == result.counts["adversarial_targets"] == 10
+
+
 def test_coverage_suite_passes_at_small_scale():
     result = harness.coverage_suite(max_classes=2, max_side=2, samples=10)
     assert result.passed
@@ -190,9 +206,7 @@ def test_progress_callback_fires():
 
 def test_suite_catches_a_verdict_that_always_holds(monkeypatch):
     def always_holds(graph, side):
-        return analysis.SaturationVerdict(
-            side=side, holds=True, reports=(), counterexample=None
-        )
+        return analysis.SaturationVerdict(side=side, reports=())
 
     monkeypatch.setattr(harness.analysis, "saturation_verdict", always_holds)
     result = harness.saturation_suite(max_side=2, instance_cap=10**4, seeds=5)
@@ -268,9 +282,7 @@ def test_coverage_suite_records_a_deficiency_the_structure_rules_out(monkeypatch
 
 def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypatch):
     def always_holds(graph, side):
-        return analysis.SaturationVerdict(
-            side=side, holds=True, reports=(), counterexample=None
-        )
+        return analysis.SaturationVerdict(side=side, reports=())
 
     deficient = sum(
         not compatibility.coverage_verdict(market).holds
@@ -335,7 +347,7 @@ def test_suite_catches_disagreeing_matched_sets(monkeypatch):
 
 def test_perfection_suite_catches_a_broken_component_verdict(monkeypatch):
     def always_perfect(graph):
-        return analysis.ComponentVerdict(holds=True, components=())
+        return analysis.ComponentVerdict(components=())
 
     monkeypatch.setattr(
         harness.analysis, "component_perfect_verdict", always_perfect
