@@ -369,13 +369,10 @@ def cmd_adversary(args) -> tuple[dict, int]:
 
     try:
         ss = engine.enumerate_stable(g, instance, cap=args.cap)
-        stranded = all(
-            ss_m.partner(target) is None for ss_m in ss.matchings
-        )
         confirmation = {
             "within_cap": True,
             "stable_matchings": len(ss.matchings),
-            "target_always_unmatched": stranded,
+            "target_always_unmatched": ss.always_unmatched(target),
         }
     except SearchCapExceeded as e:
         confirmation = {"within_cap": False, "estimate": e.estimate}

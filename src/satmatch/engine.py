@@ -3,9 +3,10 @@
 Deferred acceptance, stability checks, enumeration of all stable matchings
 by a walk over the rotation lattice from the X-optimal matching (McVitie &
 Wilson 1971; Gusfield & Irving 1989, ch. 2-3), classical maximum matching,
-and the matched-set invariance that enumeration asserts before returning
-(the set of unmatched vertices is the same in every stable matching of an
-instance, so a disagreement can only be an engine bug).
+and the matched-set invariance that enumeration asserts on every member it
+returns (the set of unmatched vertices is the same in every stable matching
+of an instance, so a disagreement can only be an engine bug), and
+StableSet.always_unmatched, the one test of "unmatched in every member".
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ class StableSet:
     """The complete set of stable matchings of one instance.
 
     matched_x / matched_y hold the indices matched in every member; the
-    constructor path (enumerate_stable) has already asserted that those
-    sets agree across members on both sides.
+    constructor path (enumerate_stable) has already asserted, with
+    Matching.matched_set on each returned member, that those sets agree
+    across members on both sides. always_unmatched(v) scans every member
+    for a partner of v.
     """
 
     graph: BipartiteGraph
@@ -53,6 +56,10 @@ class StableSet:
     @property
     def perfect(self) -> bool:
         return self.x_saturating and self.y_saturating
+
+    def always_unmatched(self, v: Vertex) -> bool:
+        """True iff v has no partner in any member."""
+        return all(m.partner(v) is None for m in self.matchings)
 
 
 def _check_shapes(graph: BipartiteGraph, instance: PreferenceInstance) -> None:
@@ -171,12 +178,12 @@ def is_stable(
     return next(_blocking_pairs(graph, instance, matching), None) is None
 
 
-def _stable_matchings(
+def enumerate_stable(
     graph: BipartiteGraph,
     instance: PreferenceInstance,
-    cap: int,
-) -> tuple[list[tuple[tuple[int, ...], Matching]], int]:
-    """Every stable matching with its X-partner vector, by walking the lattice.
+    cap: int = DEFAULT_NODE_CAP,
+) -> StableSet:
+    """The complete set of stable matchings, sorted by X-partner vector.
 
     Deferred acceptance run both ways gives the X-optimal matching M0 and
     the Y-optimal Mz. Every stable matching is reached from M0 by
@@ -185,11 +192,19 @@ def _stable_matchings(
     M(x) != Mz(x) takes as s(x) the first y after M(x) on its list that
     prefers x to M(y), and next(x) = M(s(x)); the cycles of x -> next(x)
     are the rotations exposed in M, and moving every x on one to s(x) gives
-    a stable successor. An explicit stack and a seen set visit each stable
-    matching once; M(y) is read from the Matching built for M. -1 marks
-    unmatched in the vectors. Nodes count the proposals of both runs plus
-    every list entry scanned; raises once they exceed `cap`.
+    a stable successor. An explicit stack and one map from each visited
+    partner vector to its Matching visit each stable matching once; the
+    Matching is built when its vector is popped, and M(y) is read from it.
+    -1 marks unmatched in the vectors. Nodes count the proposals of both
+    runs plus every list entry scanned; raises SearchCapExceeded once they
+    exceed `cap`.
+
+    Unmatched sorts before any partner index, so the first member is the
+    one leaving the lowest-indexed vertices unmatched... which, by the
+    matched-set invariance asserted on every returned member, differs
+    from the others only in who is matched to whom, never in who is matched.
     """
+    _check_shapes(graph, instance)
     x_lists = instance.x_lists
     x_rank = instance.x_rank
     y_rank = instance.y_rank
@@ -205,13 +220,11 @@ def _stable_matchings(
         raise SearchCapExceeded(nodes, cap, estimate)
 
     first = tuple(m0)
-    seen = {first}
+    found: dict[tuple[int, ...], Optional[Matching]] = {first: None}
     stack = [first]
-    out: list[tuple[tuple[int, ...], Matching]] = []
     while stack:
         m = stack.pop()
-        matching = Matching(_to_partner_tuple(m), graph.y_count)
-        out.append((m, matching))
+        matching = found[m] = Matching(_to_partner_tuple(m), graph.y_count)
         py = matching.partner_of_y
         s: dict[int, int] = {}
         nxt: dict[int, int] = {}
@@ -243,39 +256,18 @@ def _stable_matchings(
                 for r in path[path.index(x):]:
                     succ[r] = s[r]
                 key = tuple(succ)
-                if key not in seen:
-                    seen.add(key)
+                if key not in found:
+                    found[key] = None
                     stack.append(key)
             for r in path:
                 state[r] = False
-    return out, nodes
 
-
-def enumerate_stable(
-    graph: BipartiteGraph,
-    instance: PreferenceInstance,
-    cap: int = DEFAULT_NODE_CAP,
-) -> StableSet:
-    """The complete set of stable matchings, sorted by partner vector.
-
-    Unmatched sorts before any partner index, so the first member is the
-    one leaving the lowest-indexed vertices unmatched... which, by the
-    matched-set invariance this function asserts before returning, differs
-    from the others only in who is matched to whom, never in who is matched.
-    """
-    _check_shapes(graph, instance)
-    found, nodes = _stable_matchings(graph, instance, cap)
-    if not found:
-        raise EngineInvariantError(
-            "search found no stable matching, but one always exists"
-        )
-    found.sort(key=lambda item: item[0])
-    first = found[0][0]
-    matched_x = frozenset(k for k, v in enumerate(first) if v >= 0)
-    matched_y = frozenset(v for v in first if v >= 0)
-    for vec, _ in found:
-        mx = frozenset(k for k, v in enumerate(vec) if v >= 0)
-        my = frozenset(v for v in vec if v >= 0)
+    matchings = tuple(found[key] for key in sorted(found))
+    matched_x = matchings[0].matched_set(Side.X)
+    matched_y = matchings[0].matched_set(Side.Y)
+    for member in matchings[1:]:
+        mx = member.matched_set(Side.X)
+        my = member.matched_set(Side.Y)
         if mx != matched_x or my != matched_y:
             raise EngineInvariantError(
                 f"matched sets differ across stable matchings: "
@@ -284,7 +276,7 @@ def enumerate_stable(
             )
     return StableSet(
         graph=graph,
-        matchings=tuple(m for _, m in found),
+        matchings=matchings,
         matched_x=matched_x,
         matched_y=matched_y,
         nodes_visited=nodes,

@@ -126,16 +126,17 @@ def perfect_counterexample(
     graph: BipartiteGraph,
 ) -> Optional[prefs.PreferenceInstance]:
     """An instance whose stable matchings are never perfect, if the
-    structural verdict knows one. This builds one stranding instance, for
-    the verdict's first strandable vertex: on side X if it has one, else
-    on side Y. None when the verdict holds, or when only isolated vertices
-    fail (then every instance already confirms the failure)."""
+    structural verdict says one exists. This builds one stranding instance,
+    for the verdict's first strandable vertex: on side X if it has one,
+    else on side Y. When only isolated vertices fail, it is the ascending
+    instance, since every instance leaves them unmatched. None when the
+    verdict holds."""
     pv = analysis.perfect_verdict(graph)
     for sv in (pv.x, pv.y):
         failing = sv.first_strandable
         if failing is not None:
             return analysis.adversarial_instance(graph, failing)
-    return None
+    return None if pv.holds else prefs.PreferenceInstance(graph.x_adj, graph.y_adj)
 
 
 def _recheck_invariance(
@@ -201,13 +202,16 @@ def saturation_suite(
         # the verdict claims: every SM of every instance saturates X. Each
         # strandable vertex gets one stranding instance, checked below; the
         # first also joins sampled fallbacks, so a negative verdict stays
-        # checkable under sampling.
+        # checkable under sampling. A verdict failing only at isolated
+        # vertices, unmatched under any instance, joins the ascending one.
         adversarial = [
             (report, analysis.adversarial_instance(g, report))
             for report in verdict.reports
             if report.strandable
         ]
         extra = adversarial[0][1] if adversarial else None
+        if extra is None and not verdict.holds:
+            extra = prefs.PreferenceInstance(g.x_adj, g.y_adj)
         ground = True
         seed_base = seed * 1_000_003 + g_index * 1_009
         for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
@@ -235,10 +239,7 @@ def saturation_suite(
             counts["invariance_checks"] += _recheck_invariance(
                 ss, f"graph {g_index} adversarial", violations
             )
-            stranded = all(
-                m.partner_of_x[report.vertex.index] is None for m in ss.matchings
-            )
-            if not stranded:
+            if not ss.always_unmatched(report.vertex):
                 violations["adversarial"].append(
                     f"graph {g_index} {g!r}: adversarial instance for "
                     f"{report.vertex!r} still lets it match"
@@ -387,10 +388,9 @@ def _freeze_out(g: BipartiteGraph, witness: int) -> int:
         adv = prefs.PreferenceInstance(g.x_adj, g.y_adj)
     else:
         adv = analysis.adversarial_instance(g, report)
-    ss = engine.enumerate_stable(g, adv)
-    if any(m.partner_of_x[witness] is not None for m in ss.matchings):
-        return _STILL_MATCHED
-    return _STRANDED
+    if engine.enumerate_stable(g, adv).always_unmatched(report.vertex):
+        return _STRANDED
+    return _STILL_MATCHED
 
 
 def coverage_suite(

@@ -510,15 +510,18 @@ def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
 def test_reports_are_internally_consistent(g: BipartiteGraph):
     for side in (Side.X, Side.Y):
         verdict = saturation_verdict(g, side)
-        assert verdict.holds == all(r.satisfied for r in verdict.reports)
+        coadj = g.adjacency(side.opposite)
         for r in verdict.reports:
-            assert r.satisfied == (r.blockade is not None)
-            assert r.isolated == (r.options == 0)
+            row = g.adjacency(side)[r.vertex.index]
+            assert r.options == len(row)
+            assert r.claimants == len({c for u in row for c in coadj[u]})
+            lone = [u for u in row if len(coadj[u]) == 1]
+            assert r.dedicated == (
+                Vertex(side.opposite, min(lone)) if lone else None
+            )
             if not r.satisfied and not r.isolated:
                 # an absorbing matching: one distinct competitor per option
                 champions = analysis._champions(g, r.vertex)
-                row = g.adjacency(side)[r.vertex.index]
-                coadj = g.adjacency(side.opposite)
                 assert len(set(champions)) == len(row)
                 assert r.vertex.index not in champions
                 assert all(c in coadj[u] for u, c in zip(row, champions))

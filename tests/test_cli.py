@@ -14,7 +14,8 @@ from satmatch import analysis, cli, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
 from satmatch.graph import Side, Vertex
 
-MARKETS = os.path.join(os.path.dirname(__file__), os.pardir, "markets")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+MARKETS = os.path.join(ROOT, "markets")
 
 
 def _market(name: str) -> str:
@@ -520,6 +521,16 @@ def test_verify_text_rendering(capsys):
     assert "overall: all suites passed" in out
 
 
+def test_verify_with_no_sampling_budget_confirms_isolated_failures(capsys):
+    # every graph has more instances than --cap 0 and --seeds 0 samples
+    # none, so a verdict failing only at isolated vertices rests on its extra
+    code, out, _ = _run(
+        capsys, "verify", "--max-side", "1", "--cap", "0", "--seeds", "0", "--quiet"
+    )
+    assert code == 0, out
+    assert "overall: all suites passed" in out
+
+
 def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):
     def no_suite(*args, **kwargs):
         raise AssertionError("a suite ran")
@@ -636,8 +647,13 @@ def test_no_subcommand_is_a_usage_error(capsys):
 
 
 def test_module_invocation_matches_the_console_script():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH")))
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "satmatch", "analyze", _market("path5.yaml")],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -19,17 +19,18 @@ from conftest import (
     path5,
     twin_blocks,
 )
-from satmatch import harness, prefs
+from satmatch import engine, harness, prefs
 from satmatch.engine import (
     DEFAULT_NODE_CAP,
     BlockingPair,
+    StableSet,
     deferred_acceptance,
     enumerate_stable,
     find_blocking_pairs,
     is_stable,
     maximum_matching,
 )
-from satmatch.errors import InputError, SearchCapExceeded
+from satmatch.errors import EngineInvariantError, InputError, SearchCapExceeded
 from satmatch.graph import BipartiteGraph, Matching, Side
 from satmatch.prefs import UNMATCHED_RANK, PreferenceInstance
 
@@ -107,6 +108,58 @@ def test_enumerate_stable_finds_both_square_matchings():
     assert ss.matched_x == frozenset({0, 1})
     assert ss.matched_y == frozenset({0, 1})
     assert ss.x_saturating and ss.y_saturating and ss.perfect
+
+
+def test_invariant_covers_the_returned_members(monkeypatch):
+    # corrupt the second member as it is built: the check must read the
+    # Matching objects returned, not the partner vectors walked
+    real = engine._to_partner_tuple
+    calls = []
+
+    def corrupt_second(row):
+        calls.append(row)
+        built = real(row)
+        return (None,) * len(built) if len(calls) == 2 else built
+
+    monkeypatch.setattr(engine, "_to_partner_tuple", corrupt_second)
+    g, inst = _square_cycle()
+    with pytest.raises(EngineInvariantError, match="matched sets differ"):
+        enumerate_stable(g, inst)
+
+
+def test_enumerate_stable_builds_one_matching_per_member(monkeypatch):
+    real = engine._to_partner_tuple
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return real(row)
+
+    monkeypatch.setattr(engine, "_to_partner_tuple", counting)
+    # two disjoint opposed squares: the bottom of the 2x2 lattice is
+    # reached from both of its parents, and must still be built only once
+    g = BipartiteGraph(
+        4, 4, [(x, y) for x in range(4) for y in range(4) if x // 2 == y // 2]
+    )
+    inst = PreferenceInstance(
+        [(0, 1), (1, 0), (2, 3), (3, 2)], [(1, 0), (0, 1), (3, 2), (2, 3)]
+    )
+    ss = enumerate_stable(g, inst)
+    assert len(ss.matchings) == 4
+    assert len(calls) == len(set(ss.matchings)) == 4
+
+
+def test_always_unmatched_scans_every_member():
+    g = biclique(2, 2)
+    alone = Matching((0, None), 2)
+    both = Matching((0, 1), 2)
+    ss = StableSet(g, (alone, both), frozenset({0}), frozenset({0}), 0)
+    assert not ss.always_unmatched(X(1))  # matched in the second member only
+    assert not ss.always_unmatched(Y(0))
+    single = StableSet(g, (alone,), frozenset({0}), frozenset({0}), 0)
+    assert single.always_unmatched(X(1))
+    assert single.always_unmatched(Y(1))
+    assert not single.always_unmatched(X(0))
 
 
 def test_enumerate_stable_unique_matching():

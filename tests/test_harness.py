@@ -152,6 +152,8 @@ def test_perfect_counterexample_pins_negative_verdicts():
     ss = engine.enumerate_stable(g, witness)
     assert not ss.perfect
     assert harness.perfect_counterexample(biclique(2, 2)) is None
+    # fails only at isolated vertices: the ascending instance confirms it
+    assert harness.perfect_counterexample(BipartiteGraph(1, 1, [])) is not None
 
 
 def test_saturation_suite_builds_one_instance_per_target(monkeypatch):
