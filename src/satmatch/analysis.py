@@ -167,8 +167,9 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
             free.remove(c)
             taken[c] = u
             continue
-        seen: set[int] = set()
-        if not augment(coadj, taken, u, seen, skip=v.index):
+        seen = {v.index}
+        if not augment(coadj, taken, u, seen):
+            seen.remove(v.index)  # v holds no option
             stuck = sorted({u} | {taken[c] for c in seen})
             blockade = tuple(Vertex(opp, w) for w in stuck)
             break
@@ -243,7 +244,7 @@ def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
     coadj = graph.adjacency(v.side.opposite)
     taken: dict[int, int] = {}  # competitor -> option it absorbs
     for u in row:
-        if not augment(coadj, taken, u, set(), skip=v.index):
+        if not augment(coadj, taken, u, {v.index}):
             raise EngineInvariantError(
                 f"{v!r} was reported strandable, but option "
                 f"{Vertex(v.side.opposite, u)!r} cannot be absorbed"

@@ -204,7 +204,7 @@ def _render_analyze(report: dict) -> list[str]:
         lines.append(
             f"every component a balanced biclique: n/a ({components['reason']})"
         )
-    if components["applicable"]:
+    else:
         lines.append(
             f"every component a balanced biclique: "
             f"{'YES' if components['holds'] else 'NO'}"
@@ -260,16 +260,8 @@ def cmd_match(args) -> tuple[dict, int]:
         "size": m.size,
         "matched_x": [names.x_names[i] for i in sorted(m.matched_set(Side.X))],
         "matched_y": [names.y_names[j] for j in sorted(m.matched_set(Side.Y))],
-        "unmatched_x": [
-            names.x_names[i]
-            for i in range(g.x_count)
-            if m.partner_of_x[i] is None
-        ],
-        "unmatched_y": [
-            names.y_names[j]
-            for j in range(g.y_count)
-            if m.partner_of_y[j] is None
-        ],
+        "unmatched_x": [n for n, p in zip(names.x_names, m.partner_of_x) if p is None],
+        "unmatched_y": [n for n, p in zip(names.y_names, m.partner_of_y) if p is None],
         "stable": stable,
     }
     return report, 0
@@ -412,10 +404,8 @@ def _render_adversary(report: dict) -> list[str]:
         found = analysis.counted(conf["stable_matchings"], "stable matching")
         lines.append(f"confirmation: {found}, target {outcome}")
     else:
-        lines.append(
-            f"confirmation skipped: search cap reached "
-            f"(at most {conf['estimate']} stable matchings)"
-        )
+        bound = analysis.counted(conf["estimate"], "stable matching")
+        lines.append(f"confirmation skipped: search cap reached (at most {bound})")
     if report["out"]:
         lines.append(f"market written to {report['out']}")
     lines.append("emitted market:")

@@ -11,7 +11,6 @@ StableSet.always_unmatched, the one test of "unmatched in every member".
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -77,8 +76,9 @@ def _propose(
 ) -> tuple[list[int], list[int], int]:
     """One-sided deferred acceptance on index arrays; -1 marks unmatched.
 
-    The lowest-index free proposer moves each round (a min-heap), which
-    makes runs reproducible; the outcome is order-independent anyway.
+    Free proposers wait on a plain stack. The order they move in changes
+    neither the outcome nor the proposals made: each proposer walks down
+    its list to its optimal stable partner, or to the end of the list.
     Returns both partner arrays and the number of proposals made.
     """
     n = len(lists)
@@ -86,9 +86,8 @@ def _propose(
     other_partner = [-1] * other_count
     next_choice = [0] * n
     free = [i for i in range(n) if lists[i]]
-    heapq.heapify(free)
     while free:
-        p = heapq.heappop(free)
+        p = free.pop()
         choices = lists[p]
         target = choices[next_choice[p]]
         next_choice[p] += 1
@@ -101,10 +100,10 @@ def _propose(
             other_partner[target] = p
             partner[holder] = -1
             if next_choice[holder] < len(lists[holder]):
-                heapq.heappush(free, holder)
+                free.append(holder)
         else:
             if next_choice[p] < len(choices):
-                heapq.heappush(free, p)
+                free.append(p)
     return partner, other_partner, sum(next_choice)
 
 
@@ -288,15 +287,15 @@ def augment(
     owner: dict[int, int],
     start: int,
     seen: set[int],
-    skip: int = -1,
 ) -> bool:
     """Kuhn's augmenting-path search from left vertex `start`, on an explicit stack.
 
     `adj[u]` lists the right vertices u may take, tried in that order;
     `owner` maps each held right vertex to its left vertex and is updated in
-    place when a path is found. Right vertex `skip` is never used. On
-    failure every right vertex alternating-reachable from `start` is in
-    `seen`, and all of them are held.
+    place when a path is found. A right vertex already in `seen` is never
+    used, so pre-seeding `seen` excludes it. On failure `owner` is
+    untouched and `seen` holds the pre-seeded vertices plus every right
+    vertex alternating-reachable from `start`, all of them held.
     """
     lefts = [start]  # left vertices on the current alternating path
     rights: list[int] = []  # rights[k] links lefts[k] to lefts[k + 1]
@@ -304,8 +303,6 @@ def augment(
     stack = [filterfalse(is_seen, adj[start])]
     while stack:
         for r in stack[-1]:
-            if r == skip:
-                continue
             seen.add(r)
             holder = owner.get(r)
             if holder is None:

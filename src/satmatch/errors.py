@@ -77,7 +77,8 @@ class SearchCapExceeded(CapExceeded):
     def __init__(self, visited, cap, estimate):
         super().__init__(
             f"stable-matching search visited {visited} nodes, above the cap of "
-            f"{cap} (the instance has at most {estimate} stable matchings)"
+            f"{cap} (the instance has at most {estimate} stable "
+            f"matching{'' if estimate == 1 else 's'})"
         )
         self.visited = visited
         self.cap = cap

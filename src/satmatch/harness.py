@@ -505,6 +505,16 @@ def coverage_suite(
 # -- suite 4: engine vs naive oracle ------------------------------------------
 
 
+def _ranks(p: prefs.PreferenceInstance, m: Matching, side: Side) -> list[int]:
+    """Each `side` vertex's rank of its partner in `m`; unmatched ranks last."""
+    partners = m.partner_of_x if side is Side.X else m.partner_of_y
+    ranks = p.x_rank if side is Side.X else p.y_rank
+    return [
+        prefs.UNMATCHED_RANK if q is None else ranks[i][q]
+        for i, q in enumerate(partners)
+    ]
+
+
 def oracle_suite(
     pairs: int = 1000,
     max_side: int = 4,
@@ -565,21 +575,9 @@ def oracle_suite(
                     f"{da.pairs()} not in the enumerated set"
                 )
                 continue
-            rows = da.partner_of_x if side is Side.X else da.partner_of_y
-            ranks = p.x_rank if side is Side.X else p.y_rank
+            da_ranks = _ranks(p, da, side)
             for m in ss.matchings:
-                other = m.partner_of_x if side is Side.X else m.partner_of_y
-                for i, mine_partner in enumerate(rows):
-                    da_rank = (
-                        prefs.UNMATCHED_RANK
-                        if mine_partner is None
-                        else ranks[i][mine_partner]
-                    )
-                    m_rank = (
-                        prefs.UNMATCHED_RANK
-                        if other[i] is None
-                        else ranks[i][other[i]]
-                    )
+                for i, (da_rank, m_rank) in enumerate(zip(da_ranks, _ranks(p, m, side))):
                     if da_rank > m_rank:
                         violations["optimality"].append(
                             f"pair {k} {g!r}: {side.value}[{i}] does better in "

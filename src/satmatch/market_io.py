@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import yaml
@@ -534,12 +534,6 @@ def preference_table(
 def market_with_preferences(
     base: MarketFile, names: NameMap, instance: PreferenceInstance
 ) -> MarketFile:
-    """A copy of `base` whose preferences block is `instance`, rendered in names."""
-    return MarketFile(
-        schema_version=base.schema_version,
-        x_names=list(base.x_names),
-        y_names=list(base.y_names),
-        edges=list(base.edges),
-        preferences=preference_table(names, instance),
-        compatibility=base.compatibility,
-    )
+    """`base` with its preferences block replaced by `instance`, rendered in
+    names; the other fields are shared with `base`, not copied."""
+    return replace(base, preferences=preference_table(names, instance))

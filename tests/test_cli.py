@@ -256,6 +256,18 @@ def test_enumerate_tiny_cap(capsys):
     assert "cap" in err
 
 
+def test_enumerate_cap_out_with_one_stable_matching_is_singular(capsys):
+    code, out, err = _run(
+        capsys, "enumerate", _market("single_pair.yaml"), "--cap", "0"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: stable-matching search visited 2 nodes, above the cap of 0 "
+        "(the instance has at most 1 stable matching)\n"
+    )
+
+
 def test_enumerate_refuses_a_negative_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", _market("square_cycle.yaml"), "--cap", "-1"])
@@ -453,7 +465,7 @@ def test_adversary_confirmation_cap(capsys):
         "--cap",
         "1",
     )
-    assert "confirmation skipped" in out
+    assert "confirmation skipped: search cap reached (at most 1 stable matching)\n" in out
 
 
 def test_adversary_refuses_a_negative_cap_before_writing(capsys, tmp_path):

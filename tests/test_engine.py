@@ -24,6 +24,7 @@ from satmatch.engine import (
     DEFAULT_NODE_CAP,
     BlockingPair,
     StableSet,
+    augment,
     deferred_acceptance,
     enumerate_stable,
     find_blocking_pairs,
@@ -64,6 +65,35 @@ def test_deferred_acceptance_leaves_contested_vertex_out():
     assert m.pairs() == [(0, 1)]
     assert m.partner(X(1)) is None
     assert m.partner(Y(0)) is None
+
+
+def _order_free_proposals(lists, rank, partner) -> int:
+    """Proposals of deferred acceptance in any order: each proposer reaches
+    its final partner, or the end of its list when it ends unmatched."""
+    return sum(
+        len(lst) if q < 0 else rank[i][q] + 1
+        for i, (lst, q) in enumerate(zip(lists, partner))
+    )
+
+
+def test_proposal_count_does_not_depend_on_proposer_order():
+    rng = random.Random(1962)
+    singles = 0
+    for _ in range(400):
+        a, b = rng.randint(0, 7), rng.randint(0, 7)
+        edges = [(i, j) for i in range(a) for j in range(b) if rng.random() < 0.6]
+        g = BipartiteGraph(a, b, edges)
+        inst = prefs.sample_uniform(g, rng.getrandbits(32))
+        px, _, x_proposals = engine._propose(inst.x_lists, inst.y_rank, b)
+        py, _, y_proposals = engine._propose(inst.y_lists, inst.x_rank, a)
+        assert x_proposals == _order_free_proposals(inst.x_lists, inst.x_rank, px)
+        assert y_proposals == _order_free_proposals(inst.y_lists, inst.y_rank, py)
+        ss = enumerate_stable(g, inst)
+        if len(ss.matchings) == 1:
+            # M0 = Mz, so the walk scans no list entry
+            singles += 1
+            assert ss.nodes_visited == x_proposals + y_proposals
+    assert singles > 100
 
 
 def test_shape_mismatch_is_rejected():
@@ -193,6 +223,56 @@ def test_search_cap():
     assert exc.value.cap == 3
     assert exc.value.visited > 3
     assert exc.value.estimate == 1  # both optimal matchings coincide
+
+
+def _held_before_search(rng: random.Random, lefts: int, rights: int):
+    """Random adjacency, with every left vertex but the last placed by
+    augment; the last one, which holds nothing, is where a search starts."""
+    adj = [
+        tuple(rng.sample(range(rights), rng.randint(0, rights))) for _ in range(lefts)
+    ]
+    owner: dict[int, int] = {}
+    for u in range(lefts - 1):
+        augment(adj, owner, u, set())
+    return adj, owner
+
+
+def test_augment_never_uses_a_pre_seeded_right_vertex():
+    rng = random.Random(15)
+    for _ in range(500):
+        rights = rng.randint(1, 6)
+        adj, owner = _held_before_search(rng, rng.randint(1, 6), rights)
+        blocked = set(rng.sample(range(rights), rng.randint(0, rights)))
+        before = dict(owner)
+        if augment(adj, owner, len(adj) - 1, set(blocked)):
+            assert len(owner) == len(before) + 1
+            assert all(owner.get(r) == before.get(r) for r in blocked)
+
+
+def test_a_failed_augment_leaves_owner_and_reports_what_it_reached():
+    rng = random.Random(1955)
+    failures = 0
+    for _ in range(500):
+        rights = rng.randint(1, 6)
+        adj, owner = _held_before_search(rng, rng.randint(1, 6), rights)
+        blocked = set(rng.sample(range(rights), rng.randint(0, rights)))
+        before = dict(owner)
+        seen = set(blocked)
+        if augment(adj, owner, len(adj) - 1, seen):
+            continue
+        failures += 1
+        assert owner == before
+        # right vertices alternating-reachable from the start, avoiding `blocked`
+        reach: set[int] = set()
+        stack = [len(adj) - 1]
+        while stack:
+            for r in adj[stack.pop()]:
+                if r not in blocked and r not in reach:
+                    assert r in owner  # a free one would have ended the search
+                    reach.add(r)
+                    stack.append(owner[r])
+        assert seen == blocked | reach
+    assert failures > 100
 
 
 def test_maximum_matching_sizes():

@@ -1,18 +1,26 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI transcripts
+without elisions are what the program prints."""
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
+
+from satmatch import cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def test_readme_python_block_runs():
+def _readme_blocks(language: str) -> list[str]:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+        return re.findall(rf"^```{language}\n(.*?)^```", fh.read(), re.S | re.M)
+
+
+def test_readme_python_block_runs():
+    blocks = _readme_blocks("python")
     assert len(blocks) == 1
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -26,3 +34,17 @@ def test_readme_python_block_runs():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_transcripts_match_the_program(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    replayed = []
+    for block in _readme_blocks("text"):
+        command, _, shown = block.partition("\n")
+        if not command.startswith("$ satmatch ") or "…" in block or "..." in block:
+            continue
+        argv = shlex.split(command)[2:]
+        cli.main(argv)
+        assert capsys.readouterr().out == shown, command
+        replayed.append(argv[0])
+    assert sorted(replayed) == ["analyze", "enumerate", "match"]
