@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import analysis, compatibility, engine, harness, market_io
@@ -268,10 +269,11 @@ def cmd_match(args) -> tuple[dict, int]:
 
 
 def _render_match(report: dict) -> list[str]:
+    pairs = analysis.counted(report["size"], "pair")
     lines = [
         f"market: {report['source']}",
         f"{report['proposing'].upper()}-proposing deferred acceptance "
-        f"({report['size']} pairs, stable: {'yes' if report['stable'] else 'NO'}):",
+        f"({pairs}, stable: {'yes' if report['stable'] else 'NO'}):",
     ]
     for xn, yn in report["pairs"]:
         lines.append(f"  {xn} — {yn}")
@@ -350,8 +352,8 @@ def cmd_adversary(args) -> tuple[dict, int]:
         return report, 1
 
     instance = analysis.adversarial_instance(g, r)
-    emitted = market_io.market_with_preferences(bundle.market, names, instance)
-    market_text = market_io.dump_market(emitted)
+    table = market_io.preference_table(names, instance)
+    market_text = market_io.dump_market(replace(bundle.market, preferences=table))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -375,7 +377,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
         "target": args.target,
         "options": r.options,
         "claimants": r.claimants,
-        "preferences": market_io.preference_table(names, instance),
+        "preferences": table,
         "market": market_text,
         "out": args.out,
         "confirmation": confirmation,
@@ -558,20 +560,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-side",
         type=int,
-        default=3,
-        help="graph side bound for the verdict suites (default: 3)",
+        default=harness.DEFAULT_MAX_SIDE,
+        help="graph side bound for the verdict suites (default: %(default)s)",
     )
     p.add_argument(
         "--cap",
         type=int,
-        default=10**4,
-        help="instance-count bound for exhaustive preference runs (default: 10000)",
+        default=harness.DEFAULT_GATE_CAP,
+        help="instance-count bound for exhaustive preference runs "
+        "(default: %(default)s)",
     )
     p.add_argument(
         "--seeds",
         type=int,
-        default=200,
-        help="samples per graph above the cap (default: 200)",
+        default=harness.DEFAULT_SEEDS,
+        help="samples per graph above the cap (default: %(default)s)",
     )
     p.add_argument(
         "--seed", type=int, default=harness.DEFAULT_SEED, help="base random seed"

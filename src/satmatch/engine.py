@@ -198,10 +198,10 @@ def enumerate_stable(
     runs plus every list entry scanned; raises SearchCapExceeded once they
     exceed `cap`.
 
-    Unmatched sorts before any partner index, so the first member is the
-    one leaving the lowest-indexed vertices unmatched... which, by the
-    matched-set invariance asserted on every returned member, differs
-    from the others only in who is matched to whom, never in who is matched.
+    Every member matches the same vertices on both sides, which is asserted
+    before returning (EngineInvariantError otherwise). So the -1 entries sit
+    at the same places in every vector, and the sorted order depends only
+    on who is matched to whom.
     """
     _check_shapes(graph, instance)
     x_lists = instance.x_lists

@@ -24,6 +24,9 @@ from .errors import GraphCountExceeded, InputError
 from .graph import BipartiteGraph, Matching, Side, Vertex
 
 DEFAULT_SEED = 20260816
+DEFAULT_MAX_SIDE = 3
+DEFAULT_GATE_CAP = 10**4  # check every instance up to this many, else sample
+DEFAULT_SEEDS = 200
 MAX_GRAPHS = 1 << 20  # admits max side 4 (74,963 graphs); 5 has 2^25 at 5x5 alone
 
 Progress = Optional[Callable[[str], None]]
@@ -139,31 +142,34 @@ def perfect_counterexample(
     return None if pv.holds else prefs.PreferenceInstance(graph.x_adj, graph.y_adj)
 
 
-def _recheck_invariance(
-    ss: engine.StableSet, where: str, violations: dict[str, list[str]]
-) -> int:
-    """Recount matched sets through the public path, both sides."""
-    checks = 0
+def _stable_set(
+    g: BipartiteGraph, p: prefs.PreferenceInstance, where: str, result: SuiteResult
+) -> engine.StableSet:
+    """Enumerate the stable matchings of (g, p), count them into `result` and
+    recheck every member's matched sets, both sides, through the public path."""
+    ss = engine.enumerate_stable(g, p)
+    result.counts["stable_sets"] += 1
+    result.counts["stable_matchings"] += len(ss.matchings)
+    result.counts["invariance_checks"] += len(ss.matchings)
     for m in ss.matchings:
-        checks += 1
         if (
             m.matched_set(Side.X) != ss.matched_x
             or m.matched_set(Side.Y) != ss.matched_y
         ):
-            violations["invariance"].append(
+            result.violations["invariance"].append(
                 f"{where}: member {m.pairs()} disagrees with matched sets "
                 f"{sorted(ss.matched_x)}/{sorted(ss.matched_y)}"
             )
-    return checks
+    return ss
 
 
 # -- suite 1: one-sided saturation (verdict + adversarial + invariance) ------
 
 
 def saturation_suite(
-    max_side: int = 3,
-    instance_cap: int = 10**4,
-    seeds: int = 200,
+    max_side: int = DEFAULT_MAX_SIDE,
+    instance_cap: int = DEFAULT_GATE_CAP,
+    seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
 ) -> SuiteResult:
@@ -216,13 +222,7 @@ def saturation_suite(
         seed_base = seed * 1_000_003 + g_index * 1_009
         for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
             counts["instances"] += 1
-            ss = engine.enumerate_stable(g, p)
-            counts["stable_sets"] += 1
-            counts["stable_matchings"] += len(ss.matchings)
-            counts["invariance_checks"] += _recheck_invariance(
-                ss, f"graph {g_index}", violations
-            )
-            if not ss.x_saturating:
+            if not _stable_set(g, p, f"graph {g_index}", result).x_saturating:
                 ground = False
                 break
         if verdict.holds != ground:
@@ -233,12 +233,7 @@ def saturation_suite(
 
         for report, adv in adversarial:
             counts["adversarial_targets"] += 1
-            ss = engine.enumerate_stable(g, adv)
-            counts["stable_sets"] += 1
-            counts["stable_matchings"] += len(ss.matchings)
-            counts["invariance_checks"] += _recheck_invariance(
-                ss, f"graph {g_index} adversarial", violations
-            )
+            ss = _stable_set(g, adv, f"graph {g_index} adversarial", result)
             if not ss.always_unmatched(report.vertex):
                 violations["adversarial"].append(
                     f"graph {g_index} {g!r}: adversarial instance for "
@@ -258,9 +253,9 @@ def saturation_suite(
 
 
 def perfection_suite(
-    max_n: int = 3,
-    instance_cap: int = 10**4,
-    seeds: int = 200,
+    max_n: int = DEFAULT_MAX_SIDE,
+    instance_cap: int = DEFAULT_GATE_CAP,
+    seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
 ) -> SuiteResult:
@@ -280,6 +275,7 @@ def perfection_suite(
             "connected_graphs": 0,
             "instances": 0,
             "stable_sets": 0,
+            "stable_matchings": 0,
             "invariance_checks": 0,
         },
         violations={"connected": [], "components": [], "invariance": []},
@@ -298,12 +294,7 @@ def perfection_suite(
             extra = perfect_counterexample(g)
             for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
                 counts["instances"] += 1
-                ss = engine.enumerate_stable(g, p)
-                counts["stable_sets"] += 1
-                counts["invariance_checks"] += _recheck_invariance(
-                    ss, f"balanced graph {g_index}", violations
-                )
-                if not ss.perfect:
+                if not _stable_set(g, p, f"balanced graph {g_index}", result).perfect:
                     ground = False
                     break
 
@@ -529,6 +520,7 @@ def oracle_suite(
         name="oracle",
         counts={
             "pairs": 0,
+            "stable_sets": 0,
             "stable_matchings": 0,
             "invariance_checks": 0,
         },
@@ -554,11 +546,7 @@ def oracle_suite(
         p = prefs.sample_uniform(g, rng.getrandbits(32))
         counts["pairs"] += 1
 
-        ss = engine.enumerate_stable(g, p)
-        counts["stable_matchings"] += len(ss.matchings)
-        counts["invariance_checks"] += _recheck_invariance(
-            ss, f"pair {k}", violations
-        )
+        ss = _stable_set(g, p, f"pair {k}", result)
         mine = {m.partner_of_x for m in ss.matchings}
         oracle = {m.partner_of_x for m in naive_stable_matchings(g, p)}
         if mine != oracle:
@@ -604,9 +592,9 @@ def oracle_suite(
 
 
 def run_all(
-    max_side: int = 3,
-    instance_cap: int = 10**4,
-    seeds: int = 200,
+    max_side: int = DEFAULT_MAX_SIDE,
+    instance_cap: int = DEFAULT_GATE_CAP,
+    seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
 ) -> list[SuiteResult]:

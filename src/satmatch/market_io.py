@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import dataclass, replace
+import reprlib
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import yaml
@@ -80,6 +81,17 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
+# Shows a value read from the file in a message. The builtin repr recurses
+# once per nesting level and fails on deep input; here a list or mapping
+# nested deeper than maxlevel prints as [...] or {...}. A shallow value of at
+# most 12 entries, each with a repr of at most 80 characters, prints as repr
+# prints it, but with mapping keys sorted.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 6
+_SHORT.maxstring = _SHORT.maxother = 80
+_SHORT.maxlist = _SHORT.maxdict = 12
+
+
 def _fail(message: str, source: str, path: tuple = ()):
     raise MarketFormatError(message, source=source, path=path)
 
@@ -90,7 +102,7 @@ def _expect_str_list(value: Any, what: str, source: str, path: tuple) -> list[st
     for k, item in enumerate(value):
         if not isinstance(item, str) or not item:
             _fail(
-                f"{what} entries must be nonempty strings, got {item!r}",
+                f"{what} entries must be nonempty strings, got {_SHORT.repr(item)}",
                 source,
                 path + (k,),
             )
@@ -220,7 +232,7 @@ def _market_file(data: Any, source: str) -> MarketFile:
         version = str(version)
     if version != SCHEMA_VERSION:
         _fail(
-            f"unsupported schema_version {data['schema_version']!r} "
+            f"unsupported schema_version {_SHORT.repr(data['schema_version'])} "
             f"(this build reads {SCHEMA_VERSION!r})",
             source,
             ("schema_version",),
@@ -250,10 +262,14 @@ def _market_file(data: Any, source: str) -> MarketFile:
     for k, raw in enumerate(data["edges"]):
         at = ("edges", k)
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            _fail(f"edge {raw!r} must be an [x, y] pair", source, at)
+            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", source, at)
         xn, yn = raw
         if not all(isinstance(n, str) and n for n in raw):
-            _fail(f"edge {raw!r} endpoints must be nonempty strings", source, at)
+            _fail(
+                f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings",
+                source,
+                at,
+            )
         if xn not in x_set:
             _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source, at + (0,))
         if yn not in y_set:
@@ -368,7 +384,7 @@ def _parse_compatibility(
             )
         if not isinstance(c, str) or c not in class_set:
             _fail(
-                f"compatibility.y_class[{name!r}] names unknown class {c!r}",
+                f"compatibility.y_class[{name!r}] names unknown class {_SHORT.repr(c)}",
                 source,
                 at + (name,),
             )
@@ -529,11 +545,3 @@ def preference_table(
     for j, lst in enumerate(instance.y_lists):
         table[names.y_names[j]] = [names.x_names[i] for i in lst]
     return table
-
-
-def market_with_preferences(
-    base: MarketFile, names: NameMap, instance: PreferenceInstance
-) -> MarketFile:
-    """`base` with its preferences block replaced by `instance`, rendered in
-    names; the other fields are shared with `base`, not copied."""
-    return replace(base, preferences=preference_table(names, instance))

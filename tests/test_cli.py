@@ -646,6 +646,41 @@ def test_non_string_edge_endpoint_exits_2(capsys, tmp_path):
     assert "endpoints must be nonempty strings" in err
 
 
+_CLASSED = (
+    'schema_version: "1"\nx_names: [a]\ny_names: [b]\nedges: [[a, b]]\n'
+    "compatibility:\n  classes: [c]\n  x_membership:\n    a: [c]\n"
+    "  y_class:\n    b: c\n"
+)
+_DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize(
+    "old,new,at,message",
+    [
+        ("x_names: [a]", f"x_names: [a, {_DEEP}]", "2:14",
+         "x_names entries must be nonempty strings, got [[[[[[[...]]]]]]]"),
+        ("edges: [[a, b]]", f"edges: [{_DEEP}]", "4:9",
+         "edge [[[[[[[...]]]]]]] must be an [x, y] pair"),
+        ("edges: [[a, b]]", f"edges: [[{_DEEP}, b]]", "4:9",
+         "edge [[[[[[[...]]]]]], 'b'] endpoints must be nonempty strings"),
+        ('schema_version: "1"', f"schema_version: {_DEEP}", "1:1",
+         "unsupported schema_version [[[[[[[...]]]]]]] (this build reads '1')"),
+        ("    b: c", f"    b: {_DEEP}", "10:5",
+         "compatibility.y_class['b'] names unknown class [[[[[[[...]]]]]]]"),
+    ],
+    ids=["x_names", "edge", "endpoint", "schema_version", "y_class"],
+)
+def test_deeply_nested_value_exits_2_at_its_position(
+    capsys, tmp_path, old, new, at, message
+):
+    # the message shows the value cut off at a fixed depth; printing it
+    # whole would recurse once per level and fail
+    bad = tmp_path / "deep.yaml"
+    bad.write_text(_CLASSED.replace(old, new))
+    code, out, err = _run(capsys, "analyze", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}:{at}: {message}\n")
+
+
 def test_missing_market_file_exits_2(capsys):
     code, _, err = _run(capsys, "analyze", "does-not-exist.yaml")
     assert code == 2

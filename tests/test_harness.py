@@ -334,7 +334,17 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
     assert counts["instances"] == 3 * counts["verdicts_true"]
 
 
-def test_suite_catches_disagreeing_matched_sets(monkeypatch):
+# the suites that enumerate stable sets and recheck their matched sets,
+# each at a small scale
+_ENUMERATING = {
+    "saturation": lambda: harness.saturation_suite(max_side=2, seeds=5),
+    "perfection": lambda: harness.perfection_suite(max_n=2, seeds=5),
+    "oracle": lambda: harness.oracle_suite(pairs=50, max_side=3),
+}
+
+
+@pytest.mark.parametrize("suite", list(_ENUMERATING))
+def test_suite_catches_disagreeing_matched_sets(monkeypatch, suite):
     real = engine.enumerate_stable
 
     def corrupted(graph, instance, cap=engine.DEFAULT_NODE_CAP):
@@ -342,9 +352,35 @@ def test_suite_catches_disagreeing_matched_sets(monkeypatch):
         return replace(ss, matched_x=frozenset({10**6}))
 
     monkeypatch.setattr(harness.engine, "enumerate_stable", corrupted)
-    result = harness.saturation_suite(max_side=1, instance_cap=10**4, seeds=5)
+    result = _ENUMERATING[suite]()
     assert not result.passed
     assert result.violations["invariance"]
+
+
+@pytest.mark.parametrize("suite", list(_ENUMERATING))
+def test_enumerating_suites_count_stable_sets_alike(monkeypatch, suite):
+    """Every enumeration counts one stable set, and every member of it one
+    stable matching and one invariance check."""
+    sizes = []
+    real = engine.enumerate_stable
+
+    def recording(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        ss = real(graph, instance, cap)
+        sizes.append(len(ss.matchings))
+        return ss
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", recording)
+    result = _ENUMERATING[suite]()
+    assert result.passed
+    counts = result.counts
+    enumerated = {
+        "saturation": ("instances", "adversarial_targets"),
+        "perfection": ("instances",),
+        "oracle": ("pairs",),
+    }[suite]
+    enumerations = sum(counts[key] for key in enumerated)
+    assert counts["stable_sets"] == enumerations == len(sizes) > 0
+    assert counts["stable_matchings"] == counts["invariance_checks"] == sum(sizes)
 
 
 def test_perfection_suite_catches_a_broken_component_verdict(monkeypatch):

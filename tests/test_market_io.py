@@ -6,6 +6,7 @@ import gc
 import glob
 import os
 import textwrap
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -21,8 +22,8 @@ from satmatch.market_io import (
     dump_market,
     load_market,
     market_to_dict,
-    market_with_preferences,
     parse_market,
+    preference_table,
     resolve_market,
     save_market,
 )
@@ -429,10 +430,10 @@ def test_positions_follow_yaml_keys(monkeypatch):
             _assert_at(exc.value, "m.yaml", line, column)
 
 
-def test_market_with_preferences_renders_names():
+def test_preference_table_renders_names():
     bundle = resolve_market(parse_market(BARE))
     inst = resolve_market(parse_market(WITH_PREFS)).instance
-    mf = market_with_preferences(bundle.market, bundle.names, inst)
+    mf = replace(bundle.market, preferences=preference_table(bundle.names, inst))
     assert mf.preferences == {
         "ann": ["cut", "sew"],
         "bob": ["cut"],
