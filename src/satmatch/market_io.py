@@ -179,21 +179,156 @@ def _located(error: MarketFormatError, text: str) -> MarketFormatError:
     )
 
 
+# The deepest nesting of mappings and lists a document may have; a market
+# needs 4. libyaml's composer, which yaml.load and _located use, recurses
+# once per level and overflows the C stack some way past 20,000, so the
+# bound stays well below that.
+_MAX_DEPTH = 10_000
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_INT_TAG = "tag:yaml.org,2002:int"
+_OTHER = object()  # a document _build leaves to yaml.load
+
+
+def _plain(loader: Any, value: str) -> Any:
+    """The str or int that `loader` makes of the plain scalar `value`, or
+    _OTHER for any other type (null, bool, float, timestamp, merge key...)."""
+    tag = loader.resolve(yaml.ScalarNode, value, (True, False))
+    if tag == _STR_TAG:
+        return value
+    if tag == _INT_TAG:
+        try:
+            return loader.construct_yaml_int(yaml.ScalarNode(tag, value))
+        except ValueError:  # "0x_": yaml.load reports a later syntax error first
+            return _OTHER
+    return _OTHER
+
+
+def _too_deep(event: Any, source: str) -> MarketFormatError:
+    mark = event.start_mark
+    return MarketFormatError(
+        f"nested deeper than {_MAX_DEPTH} levels (a market needs 4)",
+        source=source,
+        line=mark.line + 1,
+        column=mark.column + 1,
+    )
+
+
+def _build(loader: Any, source: str) -> Any:
+    """The data of the one document `loader` reads, built from its event
+    stream on an explicit stack, so that no nesting depth can overflow the
+    C stack. It equals what yaml.load gives for a document of mappings,
+    lists, strings and ints with no anchor, alias or tag other than "!".
+    Anything else returns _OTHER, but only after the events yaml.load
+    would compose have been read, so that yaml.load runs only on text whose
+    nesting stays within _MAX_DEPTH."""
+    get_event = loader.get_event
+    plain: dict[str, Any] = {}  # each plain value read and what it makes
+    doc: list = []  # holds the root value
+    stack: list = []  # the collections enclosing top, outermost first
+    top: Any = doc  # the innermost open collection
+    key: Any = _OTHER  # in a mapping, the key read whose value comes next, else _OTHER
+    started = False
+    while True:
+        event = get_event()
+        kind = event.__class__
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag not in (None, "!"):
+                return _count_depth(get_event, len(stack), source)
+            value = event.value
+            if event.implicit[0]:
+                made = plain.get(value)
+                if made is None:
+                    made = plain[value] = _plain(loader, value)
+                if made is _OTHER:
+                    return _count_depth(get_event, len(stack), source)
+                value = made
+            if top.__class__ is list:
+                top.append(value)
+            elif key is _OTHER:
+                key = value
+            else:
+                top[key] = value
+                key = _OTHER
+        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            if len(stack) == _MAX_DEPTH:
+                raise _too_deep(event, source)
+            if (
+                event.anchor is not None
+                or event.tag not in (None, "!")
+                or (top.__class__ is dict and key is _OTHER)  # a non-scalar key
+            ):
+                return _count_depth(get_event, len(stack) + 1, source)
+            new: Any = [] if kind is yaml.SequenceStartEvent else {}
+            if top.__class__ is list:
+                top.append(new)
+            else:
+                top[key] = new
+            stack.append(top)
+            top, key = new, _OTHER
+        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+            top, key = stack.pop(), _OTHER
+        elif kind is yaml.DocumentStartEvent:
+            if started:  # a second one, which yaml.load refuses here
+                return _OTHER
+            started = True
+        elif kind is yaml.StreamEndEvent:
+            return doc[0] if doc else None
+        elif kind is yaml.AliasEvent:
+            return _count_depth(get_event, len(stack), source)
+
+
+def _count_depth(get_event: Any, depth: int, source: str) -> Any:
+    """Read the rest of the events after _build gave up at nesting `depth`,
+    refusing any deeper than _MAX_DEPTH, and return _OTHER. A syntax error
+    also returns _OTHER: yaml.load composes no further than it, and raises
+    it or an error of its composer that comes first."""
+    try:
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise _too_deep(event, source)
+            elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                depth -= 1
+            elif kind is yaml.DocumentStartEvent or kind is yaml.StreamEndEvent:
+                return _OTHER  # a second document ends what yaml.load composes
+    except yaml.YAMLError:
+        return _OTHER
+
+
+def _load(text: str, source: str) -> Any:
+    """The data yaml.load gives for `text`, built by _build where it can.
+    Refuses nesting deeper than _MAX_DEPTH before yaml.load could see it."""
+    loader = _Loader(text)
+    try:
+        data = _build(loader, source)
+    finally:
+        loader.dispose()
+    if data is _OTHER:
+        data = yaml.load(text, Loader=_Loader)
+    return data
+
+
 def parse_market(text: str, source: str = "<string>") -> MarketFile:
     """Parse one market document; structural and name-level validation only.
 
     Graph-level validation (preference tables, compatibility cross-checks)
     happens in resolve_market. Every error names the line and column of
-    the entry it rejects.
+    the entry it rejects. Mappings and lists nested deeper than 10,000
+    levels are refused at the first one past that depth.
 
-    The cyclic garbage collector is paused while YAML builds the document,
-    whose many small nodes would otherwise set off pass after pass over
-    everything built so far; its previous state is restored on every path.
+    The cyclic garbage collector is paused while the document is built,
+    from many small objects that would otherwise set off pass after pass
+    over everything built so far; its previous state is restored on every
+    path.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        data = yaml.load(text, Loader=_Loader)
+        data = _load(text, source)
     except yaml.reader.ReaderError as e:
         raise _reader_error(e, text, source) from None
     except yaml.YAMLError as e:

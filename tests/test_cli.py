@@ -7,10 +7,11 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from satmatch import analysis, cli, engine, harness, market_io
+from satmatch import analysis, cli, compatibility, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
 from satmatch.graph import Side, Vertex
 
@@ -26,6 +27,20 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m satmatch` with `argv`, in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "satmatch", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
 
 
 def _structured(capsys, *argv: str) -> tuple[int, dict]:
@@ -607,6 +622,45 @@ def test_internal_failure_exits_4(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_inconsistent_coverage_cross_check_exits_4(capsys, monkeypatch, fmt):
+    real = compatibility.verdict_consistency
+
+    def contradicting(market, saturation_holds):
+        return replace(real(market, saturation_holds), consistent=False)
+
+    monkeypatch.setattr(compatibility, "verdict_consistency", contradicting)
+    code, out, err = _run(
+        capsys, "analyze", _market("two_classes.yaml"), "--format", fmt
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the class-coverage verdict "
+        "disagrees with the X-saturation verdict on the induced graph\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_adversary_target_matched_in_a_stable_matching_exits_4(
+    capsys, monkeypatch, fmt
+):
+    real = engine.enumerate_stable
+
+    def leaky(g, instance, **kwargs):
+        ss = real(g, instance, **kwargs)
+        return replace(ss, matchings=ss.matchings + (engine.maximum_matching(g),))
+
+    monkeypatch.setattr(engine, "enumerate_stable", leaky)
+    code, out, err = _run(
+        capsys, "adversary", _market("path4.yaml"), "--target", "x2", "--format", fmt
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the instance built to strand "
+        "x2 matches it in some stable matching\n"
+    )
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema_version: [\n")
@@ -681,6 +735,36 @@ def test_deeply_nested_value_exits_2_at_its_position(
     assert (code, out, err) == (2, "", f"error: {bad}:{at}: {message}\n")
 
 
+def _nest(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "old,new,at,message",
+    [
+        ("x_names: [a]", f"x_names: [a, {_nest(100_000)}]", "2:10012",
+         "nested deeper than 10000 levels (a market needs 4)"),
+        # an anchor leaves the document to yaml.load, after the same check
+        ("x_names: [a]", f"x_names: &a [a, {_nest(100_000)}]", "2:10015",
+         "nested deeper than 10000 levels (a market needs 4)"),
+        ("x_names: [a]", f"x_names: [a, {_nest(9000)}]", "2:14",
+         "x_names entries must be nonempty strings, got [[[[[[[...]]]]]]]"),
+    ],
+    ids=["100000", "100000-anchored", "9000"],
+)
+def test_nesting_exits_2_at_its_position_in_a_fresh_process(
+    tmp_path, old, new, at, message
+):
+    # a fresh process, so that a crash of libyaml's recursive composer
+    # fails this test instead of ending the test run
+    bad = tmp_path / "deep.yaml"
+    bad.write_text(_CLASSED.replace(old, new))
+    proc = _run_module("analyze", str(bad))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {bad}:{at}: {message}\n"
+    )
+
+
 def test_missing_market_file_exits_2(capsys):
     code, _, err = _run(capsys, "analyze", "does-not-exist.yaml")
     assert code == 2
@@ -694,16 +778,7 @@ def test_no_subcommand_is_a_usage_error(capsys):
 
 
 def test_module_invocation_matches_the_console_script():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH")))
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "satmatch", "analyze", _market("path5.yaml")],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("analyze", _market("path5.yaml"))
     assert proc.returncode == 0
     assert "YES" in proc.stdout
 

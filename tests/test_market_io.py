@@ -212,10 +212,10 @@ def test_non_utf8_file_names_the_first_bad_byte(tmp_path):
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_parse_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeypatch):
-    """The cyclic collector is off while YAML builds each document, and
-    afterwards in the state the caller left it, on success and on every
-    error path: a YAML syntax error, a validation error and a failing
-    load_market."""
+    """The cyclic collector is off while each document is built from its
+    YAML events, and afterwards in the state the caller left it, on success
+    and on every error path: a YAML syntax error, a validation error and a
+    failing load_market."""
     outcomes = (
         lambda: parse_market(BARE),
         lambda: parse_market("x_names: [a\nedges: oops"),
@@ -229,18 +229,22 @@ def test_parse_pauses_the_collector_and_restores_it(collecting, tmp_path, monkey
             seen = []
 
             class Spy(market_io._Loader):
-                def get_single_data(self):
+                def get_event(self):
                     seen.append(gc.isenabled())
-                    return super().get_single_data()
+                    return super().get_event()
 
             monkeypatch.setattr(market_io, "_Loader", Spy)
+            # _located reads the text again to place an error, after the
+            # document is built; it is not what this test watches
+            monkeypatch.setattr(market_io, "_located", lambda error, text: error)
             for outcome in outcomes:
+                seen.clear()
                 try:
                     outcome()
                 except MarketFormatError:
                     pass
                 assert gc.isenabled() == collecting, loader
-            assert seen == [False] * len(outcomes), loader
+                assert seen and not any(seen), loader
     finally:
         gc.enable()
 
@@ -252,6 +256,99 @@ def test_every_shipped_fixture_loads():
         bundle = load_market(path)
         assert bundle.graph.x_count == len(bundle.market.x_names)
         assert bundle.graph.y_count == len(bundle.market.y_names)
+
+
+def _yaml_outcome(load, text: str):
+    """What `load` makes of `text`: its data, or the type and message of
+    the YAML error it raises, whose message includes the mark."""
+    try:
+        return load(text)
+    except (yaml.YAMLError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_builder_builds_every_fixture_as_yaml_load_does(monkeypatch):
+    paths = sorted(glob.glob(os.path.join(MARKETS_DIR, "*.yaml")))
+    for loader in _each_loader(monkeypatch):
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            built = market_io._build(market_io._Loader(text), path)
+            assert built == yaml.load(text, Loader=market_io._Loader), (loader, path)
+
+
+@pytest.mark.parametrize(
+    "text,built",
+    [
+        ("", True),
+        ("# only a comment\n", True),
+        ("a: [x, '1', 1, 0x1F, 1_000, 0o7, 017, 190:20:30, +5]", True),
+        ("a: 1\nb: 2\na: [3]\n", True),  # the last equal key wins
+        ("? 1\n: one\n? 0x1\n: again\n", True),
+        ("a: ! 1\nb: ! [x]\n", True),
+        ("a: yes", False),
+        ("a: no", False),
+        ("a: on", False),
+        ("a: null", False),
+        ("a: ~", False),
+        ("a: 2001-12-14", False),
+        ("a: .inf", False),
+        ("a: 1.5", False),
+        ("a: &x [1, 2]\nb: *x\n", False),
+        ("&top\na: 1\n", False),
+        ("base: &b {x: 1}\nc:\n  <<: *b\n  y: 2\n", False),
+        ("<<: {x: 1}\nx: 2\n", False),
+        ("a: !!str 1", False),
+        ("a: !!seq [1]", False),
+        ("=: 1", False),
+        ("---\n...\n", False),
+        ("a: 0x_", False),
+        ("[1]: 2", False),
+        ("? {k: v}\n: 2\n", False),
+        ("--- 1\n--- 2\n", False),
+        ("--- [1\n--- 2\n", False),
+        ("a: *nowhere\nb: [\n", False),
+        ("a: &x 1\nb: &x 2\nc: {\n", False),
+        ("a: !foo 1", False),
+    ],
+)
+def test_builder_equals_yaml_load(text, built, monkeypatch):
+    """_load gives what yaml.load gives, data or error at the same mark;
+    `built` says whether _build makes the data itself or leaves it to
+    yaml.load (YAML 1.1 scalars other than str and int, anchors, aliases,
+    merge keys, explicit tags, non-scalar keys, a second document)."""
+    for loader in _each_loader(monkeypatch):
+        expected = _yaml_outcome(lambda t: yaml.load(t, Loader=market_io._Loader), text)
+        got = _yaml_outcome(lambda t: market_io._load(t, "s"), text)
+        assert got == expected, loader
+        try:
+            made = market_io._build(market_io._Loader(text), "s")
+        except yaml.YAMLError:
+            made = market_io._OTHER
+        assert (made is not market_io._OTHER) == built, loader
+
+
+def test_builder_and_fallback_refuse_nesting_past_the_bound(monkeypatch):
+    """One level past _MAX_DEPTH is refused at its own position, whether
+    _build makes the data or leaves it to yaml.load; at the bound the
+    document loads."""
+    for loader in _each_loader(monkeypatch):
+        if loader == "SafeLoader":
+            # PyYAML's own scanner takes time quadratic in the depth, about
+            # a minute for 10,000 levels, and its composer recurses in Python
+            monkeypatch.setattr(market_io, "_MAX_DEPTH", 100)
+        bound = market_io._MAX_DEPTH
+        for head in ("", "&a "):
+            text = f"{head}x: " + "[" * bound + "]" * bound
+            with pytest.raises(MarketFormatError) as exc:
+                market_io._load(text, "deep.yaml")
+            _assert_at(exc.value, "deep.yaml", 1, 4 + len(head) + bound - 1)
+            assert f"nested deeper than {bound} levels" in exc.value.message
+        text = "x: " + "[" * (bound - 1) + "]" * (bound - 1)
+        value, depth = market_io._load(text, "s")["x"], 2
+        while value:  # comparing the lists would recurse once per level
+            value, depth = value[0], depth + 1
+        assert depth == bound, loader
 
 
 def test_invalid_yaml_reports_position(monkeypatch):
