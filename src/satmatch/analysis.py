@@ -33,16 +33,24 @@ Either implies a blockade, but not conversely: two options sharing their
 only competitor block absorption even when the claimant count stays under
 the option count and nobody is dedicated.
 
-The free-competitor step (Kuhn's cheap assignment) runs on every vertex;
-on K(n,n) it makes one search per vertex instead of one per option.
-Neither certificate depends on it. Whether N(v) can be absorbed does not
-depend on the order of the search. The blockade is the set of options
-alternating-reachable from the first option u* whose ascending prefix
-cannot be absorbed: every search that keeps the earlier options absorbed
-stops at the same u*, and that set is the prefix's Dulmage–Mendelsohn
-overfull part, which is unique whatever paths were taken. The champions
-are searched for only when an instance is built, so they always come from
-plain ascending augmenting paths.
+The search runs on the int bitmasks of `BipartiteGraph.masks`, one per
+vertex, whose bit c is set when c is a neighbor: the claimants are the OR
+of the option masks and their count its `bit_count()`, the free and seen
+competitors are masks too, and the one augmenting-path search,
+`engine.augment`, tries competitors lowest bit first, the same ascending
+order as a walk down the adjacency lists. The free-competitor step (Kuhn's
+cheap assignment) takes the lowest set bit of an option's mask and the
+free mask; it runs on every vertex, and on K(n,n) it makes one search per
+vertex instead of one per option. Neither certificate depends on it.
+Whether N(v) can be absorbed does not depend on the order of the search.
+The blockade is the set of options alternating-reachable from the first
+option u* whose ascending prefix cannot be absorbed: every search that
+keeps the earlier options absorbed stops at the same u*, and that set is
+the prefix's Dulmage–Mendelsohn overfull part, which is unique whatever
+paths were taken. The champions are searched for only when an instance is
+built, so they always come from plain ascending augmenting paths.
+`certify_blockade` rechecks a blockade from the masks alone before it is
+printed: it must lie inside N(v) and outnumber its competitors.
 
 Each verdict stores only what its search found; whether it holds, and
 each vertex's status, are derived from that.
@@ -126,23 +134,29 @@ class SaturationVerdict:
         return next((r for r in self.reports if r.strandable), None)
 
 
-def _claimants(coadj: tuple[tuple[int, ...], ...], options: Iterable[int]) -> set[int]:
-    """N(options): every vertex adjacent to one of `options`."""
-    return set().union(*(coadj[u] for u in options))
+def _neighborhood(masks: tuple[int, ...], indices: Iterable[int]) -> int:
+    """N(indices) as a bitmask: the OR of their adjacency masks."""
+    reach = 0
+    for u in indices:
+        reach |= masks[u]
+    return reach
 
 
 def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     """Certify v, or decide that it can be stranded.
 
-    Claimants N(N(v)) always include v itself when v has any option. The
-    dedicated neighbor is the lowest-index option whose only neighbor is
-    v. The options are placed in ascending order over the competitors
-    other than v: each takes its lowest free competitor if it has one, and
-    otherwise runs one augmenting-path search; the first option u that
-    search cannot place ends it. That failed search has visited exactly
-    the competitors alternating-reachable from u, all of them taken, so u
-    and the options they absorb form the blockade: a set adjacent to
-    strictly fewer competitors than its own size.
+    Competitor sets are bitmasks over v's own side, built from the masks
+    of v's options: the claimants N(N(v)) are their OR, counted with
+    `bit_count()`, and always include v itself when v has any option. The
+    dedicated neighbor is the lowest-index option whose mask is v's bit
+    alone. The options are placed in ascending order over the competitors
+    other than v: each takes the lowest set bit of its mask and the free
+    mask if there is one, and otherwise runs one augmenting-path search
+    with v's bit pre-seen; the first option u that search cannot place
+    ends it. That failed search returns as seen exactly the competitors
+    alternating-reachable from u, all of them taken, so u and the options
+    they absorb form the blockade: a set adjacent to strictly fewer
+    competitors than its own size.
 
     The free-competitor step runs on every vertex. It changes which
     competitor absorbs which option, but not u or the set reachable from
@@ -153,34 +167,62 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     graph.check_vertex(v)
     opp = v.side.opposite
     row = graph.adjacency(v.side)[v.index]
-    coadj = graph.adjacency(opp)
-    free = _claimants(coadj, row)  # competitors not yet absorbing an option
-    claimants = len(free)
-    free.discard(v.index)
-    dedicated = next((Vertex(opp, u) for u in row if len(coadj[u]) == 1), None)
+    comasks = graph.masks(opp)
+    mine = 1 << v.index
+    reach = _neighborhood(comasks, row)
+    free = reach & ~mine  # competitors not yet absorbing an option
+    dedicated = next((Vertex(opp, u) for u in row if comasks[u] == mine), None)
 
     taken: dict[int, int] = {}  # competitor -> option it absorbs
     blockade = None
     for u in row:
-        c = next(filter(free.__contains__, coadj[u]), None)
-        if c is not None:
-            free.remove(c)
-            taken[c] = u
+        avail = comasks[u] & free
+        if avail:
+            low = avail & -avail
+            free ^= low
+            taken[low.bit_length() - 1] = u
             continue
-        seen = {v.index}
-        if not augment(coadj, taken, u, seen):
-            seen.remove(v.index)  # v holds no option
-            stuck = sorted({u} | {taken[c] for c in seen})
+        found, seen = augment(comasks, taken, u, mine)
+        if not found:
+            stuck = sorted([u] + [w for c, w in taken.items() if seen >> c & 1])
             blockade = tuple(Vertex(opp, w) for w in stuck)
             break
-        free -= seen  # the one free competitor a path visits is the one it takes
+        free &= ~seen  # the one free competitor a path visits is the one it takes
     return VertexReport(
         vertex=v,
         options=len(row),
-        claimants=claimants,
+        claimants=reach.bit_count(),
         dedicated=dedicated,
         blockade=blockade,
     )
+
+
+def certify_blockade(graph: BipartiteGraph, report: VertexReport) -> None:
+    """Recheck `report`'s blockade B against the graph alone.
+
+    B must lie inside N(v) and be deficient: the competitors N(B) other
+    than v must number fewer than B's options. A report without a
+    blockade passes. A blockade that fails either test would print a false
+    guarantee, so this raises EngineInvariantError.
+    """
+    if report.blockade is None:
+        return
+    v = report.vertex
+    opp = v.side.opposite
+    options = graph.masks(v.side)[v.index]
+    for u in report.blockade:
+        if u.side is not opp or not options >> u.index & 1:
+            raise EngineInvariantError(
+                f"the blockade of {v!r} holds {u!r}, which is not an option of it"
+            )
+    chosen = {u.index for u in report.blockade}
+    across = _neighborhood(graph.masks(opp), chosen) & ~(1 << v.index)
+    if across.bit_count() >= len(chosen):
+        raise EngineInvariantError(
+            f"the blockade of {v!r} is not deficient: "
+            f"{counted(across.bit_count(), 'competitor')} besides it for "
+            f"{counted(len(chosen), 'option')}"
+        )
 
 
 def counted(n: int, noun: str) -> str:
@@ -215,11 +257,12 @@ def guarantee(
         )
     if report.dedicated is not None:
         return why + f"neighbor {name(report.dedicated)} has degree 1, dedicated to it"
-    coadj = graph.adjacency(v.side.opposite)
-    across = _claimants(coadj, (u.index for u in report.blockade)) - {v.index}
+    comasks = graph.masks(v.side.opposite)
+    across = _neighborhood(comasks, (u.index for u in report.blockade))
+    across &= ~(1 << v.index)
     shown = ", ".join(name(u) for u in report.blockade)
     return why + (
-        f"options {shown} have only {counted(len(across), 'competitor')} "
+        f"options {shown} have only {counted(across.bit_count(), 'competitor')} "
         f"besides it, so one of them always falls to it"
     )
 
@@ -241,10 +284,11 @@ def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
     raises EngineInvariantError.
     """
     row = graph.adjacency(v.side)[v.index]
-    coadj = graph.adjacency(v.side.opposite)
+    comasks = graph.masks(v.side.opposite)
     taken: dict[int, int] = {}  # competitor -> option it absorbs
     for u in row:
-        if not augment(coadj, taken, u, {v.index}):
+        found, _ = augment(comasks, taken, u, 1 << v.index)
+        if not found:
             raise EngineInvariantError(
                 f"{v!r} was reported strandable, but option "
                 f"{Vertex(v.side.opposite, u)!r} cannot be absorbed"
@@ -284,20 +328,21 @@ def adversarial_instance(
         raise InputError(guarantee(graph, report, repr))
 
     v = report.vertex
+    opp = v.side.opposite
     adj = graph.adjacency(v.side)
-    coadj = graph.adjacency(v.side.opposite)
-    options = set(adj[v.index])
+    coadj = graph.adjacency(opp)
+    options = graph.masks(v.side)[v.index]
     champions = dict(zip(adj[v.index], _champions(graph, v)))  # option -> competitor
     absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
-    claimants = _claimants(coadj, options) - {v.index}
+    claimants = _neighborhood(graph.masks(opp), adj[v.index]) & ~(1 << v.index)
 
     # v's side: claimants crowd into N(v), champions lead with their option;
     # v itself and bystanders rank by ascending index.
     same_side_lists = []
     for i, row in enumerate(adj):
-        if i in claimants:
-            inside = [u for u in row if u in options]
-            outside = [u for u in row if u not in options]
+        if claimants >> i & 1:
+            inside = [u for u in row if options >> u & 1]
+            outside = [u for u in row if not options >> u & 1]
             if i in absorbs:
                 first = absorbs[i]
                 inside = [first] + [u for u in inside if u != first]
@@ -309,7 +354,7 @@ def adversarial_instance(
     # everyone else ascending.
     other_side_lists = []
     for u, row in enumerate(coadj):
-        if u in options:
+        if options >> u & 1:
             first = champions[u]
             rest = [w for w in row if w != v.index and w != first]
             other_side_lists.append(tuple([first] + rest + [v.index]))

@@ -48,6 +48,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     verdict = perfect.x if side is Side.X else perfect.y
     vertices = []
     for r in verdict.reports:
+        analysis.certify_blockade(g, r)
         vertices.append(
             {
                 "vertex": names.name(r.vertex),
@@ -354,6 +355,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
         )
     r = analysis.vertex_report(g, target)
     if not r.strandable:
+        analysis.certify_blockade(g, r)
         report = {
             "command": "adversary",
             "source": args.market,
@@ -365,13 +367,9 @@ def cmd_adversary(args) -> tuple[dict, int]:
     instance = analysis.adversarial_instance(g, r)
     table = market_io.preference_table(names, instance)
     market_text = market_io.dump_market(replace(bundle.market, preferences=table))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(market_text)
-        except OSError as e:
-            raise InputError(f"cannot write --out: {e}") from None
 
+    # the market is written only once its instance is confirmed, or once the
+    # search cap leaves it unconfirmed; a failed confirmation writes nothing
     try:
         ss = engine.enumerate_stable(g, instance, cap=args.cap)
         if not ss.always_unmatched(target):
@@ -386,6 +384,13 @@ def cmd_adversary(args) -> tuple[dict, int]:
         }
     except SearchCapExceeded as e:
         confirmation = {"within_cap": False, "estimate": e.estimate}
+
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(market_text)
+        except OSError as e:
+            raise InputError(f"cannot write --out: {e}") from None
 
     report = {
         "command": "adversary",

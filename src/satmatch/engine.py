@@ -12,7 +12,6 @@ StableSet.always_unmatched, the one test of "unmatched in every member".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EngineInvariantError, InputError, SearchCapExceeded
@@ -283,43 +282,48 @@ def enumerate_stable(
 
 
 def augment(
-    adj: Sequence[Sequence[int]],
+    masks: Sequence[int],
     owner: dict[int, int],
     start: int,
-    seen: set[int],
-) -> bool:
+    seen: int,
+) -> tuple[bool, int]:
     """Kuhn's augmenting-path search from left vertex `start`, on an explicit stack.
 
-    `adj[u]` lists the right vertices u may take, tried in that order;
-    `owner` maps each held right vertex to its left vertex and is updated in
-    place when a path is found. A right vertex already in `seen` is never
-    used, so pre-seeding `seen` excludes it. On failure `owner` is
-    untouched and `seen` holds the pre-seeded vertices plus every right
-    vertex alternating-reachable from `start`, all of them held.
+    Bit r of `masks[u]` is set when left vertex u may take right vertex r;
+    they are tried lowest bit first. `owner` maps each held right vertex to
+    its left vertex and is updated in place when a path is found. A right
+    vertex whose bit is set in `seen` is never used, so pre-seeding `seen`
+    excludes it. Returns whether a path was found and the final `seen`:
+    on success that adds the right vertices the search visited, the one
+    free vertex it took among them; on failure `owner` is untouched and
+    `seen` adds every right vertex alternating-reachable from `start`, all
+    of them held.
     """
+    unseen = ~seen
     lefts = [start]  # left vertices on the current alternating path
     rights: list[int] = []  # rights[k] links lefts[k] to lefts[k + 1]
-    is_seen = seen.__contains__  # filterfalse re-reads `seen` at each step
-    stack = [filterfalse(is_seen, adj[start])]
+    stack = [masks[start]]
     while stack:
-        for r in stack[-1]:
-            seen.add(r)
+        avail = stack[-1] & unseen
+        if avail:
+            low = avail & -avail
+            unseen ^= low
+            r = low.bit_length() - 1
             holder = owner.get(r)
             if holder is None:
                 owner[r] = lefts[-1]
                 for left, right in zip(lefts, rights):
                     owner[right] = left
-                return True
+                return True, ~unseen
             lefts.append(holder)
             rights.append(r)
-            stack.append(filterfalse(is_seen, adj[holder]))
-            break
+            stack.append(masks[holder])
         else:
             stack.pop()
             lefts.pop()
             if rights:
                 rights.pop()
-    return False
+    return False, ~unseen
 
 
 def maximum_matching(graph: BipartiteGraph) -> Matching:
@@ -328,9 +332,10 @@ def maximum_matching(graph: BipartiteGraph) -> Matching:
     The matching itself is not unique; its size is, and that size is what
     the saturation cross-checks consume.
     """
+    masks = graph.masks(Side.X)
     owner: dict[int, int] = {}
     for x in range(graph.x_count):
-        augment(graph.x_adj, owner, x, set())
+        augment(masks, owner, x, 0)
     px: list[Optional[int]] = [None] * graph.x_count
     for y, x in owner.items():
         px[x] = y

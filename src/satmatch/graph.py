@@ -41,11 +41,15 @@ class BipartiteGraph:
     """A bipartite graph on X = {0..x_count-1}, Y = {0..y_count-1}.
 
     Adjacency is stored once per side as tuples of strictly increasing index
-    tuples; the Y side is the exact transpose of the X side. Instances are
-    immutable and hashable.
+    tuples; the Y side is the exact transpose of the X side. `masks(side)`
+    gives the same rows as int bitmasks, built on first use and kept in the
+    instance, so they are freed with it. Instances are immutable and
+    hashable.
     """
 
-    __slots__ = ("x_count", "y_count", "x_adj", "y_adj", "edge_count")
+    __slots__ = (
+        "x_count", "y_count", "x_adj", "y_adj", "edge_count", "_x_masks", "_y_masks"
+    )
 
     def __init__(self, x_count: int, y_count: int, edges: Iterable[tuple[int, int]]):
         if not (isinstance(x_count, int) and isinstance(y_count, int)):
@@ -76,6 +80,8 @@ class BipartiteGraph:
         self.x_adj = tuple(tuple(sorted(row)) for row in x_rows)
         self.y_adj = tuple(tuple(sorted(row)) for row in y_rows)
         self.edge_count = len(seen)
+        self._x_masks: Optional[tuple[int, ...]] = None
+        self._y_masks: Optional[tuple[int, ...]] = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -85,6 +91,17 @@ class BipartiteGraph:
     def adjacency(self, side: Side) -> tuple[tuple[int, ...], ...]:
         """Adjacency rows for one side; row v lists opposite-side indices."""
         return self.x_adj if side is Side.X else self.y_adj
+
+    def masks(self, side: Side) -> tuple[int, ...]:
+        """Adjacency rows for one side as bitmasks: bit u of row v is set
+        iff u is in adjacency(side)[v]."""
+        if side is Side.X:
+            if self._x_masks is None:
+                self._x_masks = _row_masks(self.x_adj)
+            return self._x_masks
+        if self._y_masks is None:
+            self._y_masks = _row_masks(self.y_adj)
+        return self._y_masks
 
     def vertices(self, side: Side) -> Iterator[Vertex]:
         for i in range(self.side_count(side)):
@@ -172,6 +189,16 @@ class BipartiteGraph:
             f"BipartiteGraph({self.x_count}, {self.y_count}, "
             f"{list(self.edges())!r})"
         )
+
+
+def _row_masks(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    masks = []
+    for row in rows:
+        mask = 0
+        for u in row:
+            mask |= 1 << u
+        masks.append(mask)
+    return tuple(masks)
 
 
 @dataclass(frozen=True)

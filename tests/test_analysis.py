@@ -332,9 +332,9 @@ def _recording_searches(monkeypatch) -> list[tuple[int, bool]]:
     real = analysis.augment
 
     def recording(*args, **kwargs):
-        found = real(*args, **kwargs)
-        searches.append((args[2], found))
-        return found
+        result = real(*args, **kwargs)
+        searches.append((args[2], result[0]))
+        return result
 
     monkeypatch.setattr(analysis, "augment", recording)
     return searches
@@ -484,6 +484,44 @@ def test_champions_are_those_of_plain_ascending_kuhn():
     assert strandable >= 200
 
 
+def test_certificates_hold_on_graphs_wider_than_one_machine_word():
+    """Masks of 65 to 200 bits: every report's certificate rechecked with
+    plain set arithmetic. Claimants are |N(N(v))|; a blockade lies inside
+    N(v) and outnumbers its competitors; a strandable vertex's champions
+    are distinct competitors other than v, each adjacent to its option."""
+    rng = random.Random(2020)
+    kinds = {"other satisfied": 0, "strandable": 0}
+    for _ in range(12):
+        # each x_i takes 1-4 options near its own position on the Y side, so
+        # neighbors share competitors and some blockades need the search
+        a, b = rng.randint(65, 200), rng.randint(65, 200)
+        edges = set()
+        for i in range(a):
+            for _ in range(rng.randint(1, 4)):
+                edges.add((i, min(b - 1, max(0, i * b // a + rng.randint(-2, 2)))))
+        g = BipartiteGraph(a, b, sorted(edges))
+        for side in (Side.X, Side.Y):
+            adj, coadj = g.adjacency(side), g.adjacency(side.opposite)
+            for r in saturation_verdict(g, side).reports:
+                v = r.vertex.index
+                row = set(adj[v])
+                assert r.claimants == len({c for u in row for c in coadj[u]})
+                if r.blockade is not None:
+                    s = {u.index for u in r.blockade}
+                    assert all(u.side is side.opposite for u in r.blockade)
+                    assert s <= row
+                    assert len({c for u in s for c in coadj[u]} - {v}) < len(s)
+                    if not r.bounded and r.dedicated is None:
+                        kinds["other satisfied"] += 1
+                elif r.strandable:
+                    champions = analysis._champions(g, r.vertex)
+                    assert len(set(champions)) == len(row)
+                    assert v not in champions
+                    assert all(c in coadj[u] for u, c in zip(adj[v], champions))
+                    kinds["strandable"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
     """Every vertex of K(n,n) is bounded, so its options take free
     competitors and only the last one, with none left, searches."""
@@ -491,9 +529,9 @@ def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
     real = analysis.augment
 
     def counting(*args, **kwargs):
-        found = real(*args, **kwargs)
-        calls.append(found)
-        return found
+        result = real(*args, **kwargs)
+        calls.append(result[0])
+        return result
 
     monkeypatch.setattr(analysis, "augment", counting)
     n = 30

@@ -458,7 +458,8 @@ def test_adversary_unknown_target(capsys):
     assert "no vertex named 'nobody'" in err
 
 
-def test_adversary_confirmation_cap(capsys):
+def test_adversary_confirmation_cap(capsys, tmp_path):
+    emitted = tmp_path / "emitted.yaml"
     code, report = _structured(
         capsys,
         "adversary",
@@ -467,8 +468,11 @@ def test_adversary_confirmation_cap(capsys):
         "ada",
         "--cap",
         "1",
+        "--out",
+        str(emitted),
     )
     assert code == 0  # the market still gets emitted; only confirmation skips
+    assert emitted.read_text(encoding="utf-8") == report["market"]
     # the stranding instance has exactly one stable matching
     assert report["confirmation"] == {"within_cap": False, "estimate": 1}
     code, out, _ = _run(
@@ -642,7 +646,7 @@ def test_inconsistent_coverage_cross_check_exits_4(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_adversary_target_matched_in_a_stable_matching_exits_4(
-    capsys, monkeypatch, fmt
+    capsys, monkeypatch, tmp_path, fmt
 ):
     real = engine.enumerate_stable
 
@@ -651,13 +655,84 @@ def test_adversary_target_matched_in_a_stable_matching_exits_4(
         return replace(ss, matchings=ss.matchings + (engine.maximum_matching(g),))
 
     monkeypatch.setattr(engine, "enumerate_stable", leaky)
+    emitted = tmp_path / "emitted.yaml"
     code, out, err = _run(
-        capsys, "adversary", _market("path4.yaml"), "--target", "x2", "--format", fmt
+        capsys,
+        "adversary",
+        _market("path4.yaml"),
+        "--target",
+        "x2",
+        "--format",
+        fmt,
+        "--out",
+        str(emitted),
     )
     assert (code, out) == (4, "")
     assert err == (
         "error: internal: EngineInvariantError: the instance built to strand "
         "x2 matches it in some stable matching\n"
+    )
+    assert not emitted.exists()  # a failed confirmation writes no market
+
+
+def _dropping_last_blockade_option(monkeypatch) -> None:
+    """Patch analysis.vertex_report so every blockade loses its last option."""
+    real = analysis.vertex_report
+
+    def dropping(graph, v):
+        r = real(graph, v)
+        if r.blockade is None:
+            return r
+        return replace(r, blockade=r.blockade[:-1])
+
+    monkeypatch.setattr(analysis, "vertex_report", dropping)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_refuses_to_print_a_blockade_that_is_not_deficient(
+    capsys, monkeypatch, fmt
+):
+    # in K(2,2) both options are a blockade, one option alone is not
+    _dropping_last_blockade_option(monkeypatch)
+    code, out, err = _run(
+        capsys, "analyze", _market("twin_blocks.yaml"), "--format", fmt
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the blockade of x[0] is not "
+        "deficient: 1 competitor besides it for 1 option\n"
+    )
+
+
+def test_adversary_refuses_to_print_a_blockade_that_is_not_deficient(
+    capsys, monkeypatch
+):
+    _dropping_last_blockade_option(monkeypatch)
+    code, out, err = _run(
+        capsys, "adversary", _market("twin_blocks.yaml"), "--target", "x3"
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the blockade of x[2] is not "
+        "deficient: 1 competitor besides it for 1 option\n"
+    )
+
+
+def test_a_blockade_outside_the_options_exits_4(capsys, monkeypatch):
+    real = analysis.vertex_report
+
+    def swapped(graph, v):
+        r = real(graph, v)
+        return replace(r, blockade=(r.blockade[0], Vertex(Side.Y, 2)))
+
+    monkeypatch.setattr(analysis, "vertex_report", swapped)
+    code, out, err = _run(
+        capsys, "adversary", _market("twin_blocks.yaml"), "--target", "x1"
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the blockade of x[0] holds "
+        "y[2], which is not an option of it\n"
     )
 
 

@@ -225,28 +225,37 @@ def test_search_cap():
     assert exc.value.estimate == 1  # both optimal matchings coincide
 
 
+def _mask(indices) -> int:
+    return sum(1 << r for r in set(indices))
+
+
 def _held_before_search(rng: random.Random, lefts: int, rights: int):
-    """Random adjacency, with every left vertex but the last placed by
-    augment; the last one, which holds nothing, is where a search starts."""
+    """Random adjacency, as lists and as masks, with every left vertex but
+    the last placed by augment; the last one, which holds nothing, is where
+    a search starts."""
     adj = [
         tuple(rng.sample(range(rights), rng.randint(0, rights))) for _ in range(lefts)
     ]
+    masks = [_mask(row) for row in adj]
     owner: dict[int, int] = {}
     for u in range(lefts - 1):
-        augment(adj, owner, u, set())
-    return adj, owner
+        augment(masks, owner, u, 0)
+    return adj, masks, owner
 
 
 def test_augment_never_uses_a_pre_seeded_right_vertex():
     rng = random.Random(15)
     for _ in range(500):
         rights = rng.randint(1, 6)
-        adj, owner = _held_before_search(rng, rng.randint(1, 6), rights)
+        adj, masks, owner = _held_before_search(rng, rng.randint(1, 6), rights)
         blocked = set(rng.sample(range(rights), rng.randint(0, rights)))
         before = dict(owner)
-        if augment(adj, owner, len(adj) - 1, set(blocked)):
+        found, seen = augment(masks, owner, len(adj) - 1, _mask(blocked))
+        if found:
             assert len(owner) == len(before) + 1
             assert all(owner.get(r) == before.get(r) for r in blocked)
+            (taken,) = owner.keys() - before.keys()
+            assert seen >> taken & 1  # the free vertex it took was seen
 
 
 def test_a_failed_augment_leaves_owner_and_reports_what_it_reached():
@@ -254,11 +263,11 @@ def test_a_failed_augment_leaves_owner_and_reports_what_it_reached():
     failures = 0
     for _ in range(500):
         rights = rng.randint(1, 6)
-        adj, owner = _held_before_search(rng, rng.randint(1, 6), rights)
+        adj, masks, owner = _held_before_search(rng, rng.randint(1, 6), rights)
         blocked = set(rng.sample(range(rights), rng.randint(0, rights)))
         before = dict(owner)
-        seen = set(blocked)
-        if augment(adj, owner, len(adj) - 1, seen):
+        found, seen = augment(masks, owner, len(adj) - 1, _mask(blocked))
+        if found:
             continue
         failures += 1
         assert owner == before
@@ -271,7 +280,7 @@ def test_a_failed_augment_leaves_owner_and_reports_what_it_reached():
                     assert r in owner  # a free one would have ended the search
                     reach.add(r)
                     stack.append(owner[r])
-        assert seen == blocked | reach
+        assert seen == _mask(blocked | reach)
     assert failures > 100
 
 
