@@ -121,6 +121,16 @@ def cmd_analyze(args) -> tuple[dict, int]:
     except InputError as e:
         components = {"applicable": False, "reason": str(e)}
 
+    # on a balanced market the components, and on a connected one also
+    # completeness, decide perfection; the theorems say they agree with
+    # both sides' verdicts
+    for name, section in (("completeness", completeness), ("component", components)):
+        if section["applicable"] and section["holds"] != perfect.holds:
+            raise EngineInvariantError(
+                f"the {name} perfection verdict disagrees with the saturation "
+                f"verdicts of both sides"
+            )
+
     coverage = None
     if bundle.compat is not None:
         # resolve_market has checked that the induced graph is g

@@ -403,9 +403,14 @@ def coverage_suite(
     Many markets induce the same graph, and the structural verdict and the
     freeze-out depend only on the graph (and the witness), so each runs
     once per distinct graph or (graph, witness) pair and its outcome is
-    replayed for the other markets. Every other count, every violation and
-    every sampled instance is still per market. `structural_verdicts` and
-    `freeze_outs` count the verdicts and freeze-outs actually computed.
+    replayed for the other markets. Each market still draws its own
+    `samples` instances from its own seeds, but a sample whose lists some
+    market has already drawn on the same graph replays that stable set's
+    verdict instead of enumerating it again. Every other count and every
+    violation is still per market or per market sample: `instances` and
+    `stable_sets` count the sets confirmed, replays included.
+    `structural_verdicts`, `freeze_outs` and `sampled_sets` count the
+    verdicts, freeze-outs and sampled stable sets actually computed.
     """
     result = SuiteResult(
         name="coverage",
@@ -417,16 +422,19 @@ def coverage_suite(
             "adversarial_confirmations": 0,
             "structural_verdicts": 0,
             "freeze_outs": 0,
+            "sampled_sets": 0,
         },
         violations={"saturating": [], "adversarial": [], "consistency": []},
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
     # int keys and bool or small-int values: keeping tuples, verdicts or
-    # graphs would cost memory. A side size or witness fits in `width` bits.
+    # graphs would cost memory. A side size, a witness or a list entry fits
+    # in `width` bits.
     width = max_side.bit_length()
     holds_by_graph: dict[int, bool] = {}
     outcome_by_witness: dict[int, int] = {}
+    saturating_by_sample: dict[int, bool] = {}
 
     for m_index, market in enumerate(
         all_compatibility_markets(max_classes, max_side)
@@ -450,13 +458,27 @@ def coverage_suite(
             counts["verdicts_true"] += 1
             if g is None:
                 g = compatibility.induced_graph(market)
+            # a sample's key: its entries at `width` bits each, above the
+            # graph's key, whose low a*b + 2*width bits give the graph and so
+            # how many entries there are
+            shift = g.x_count * g.y_count + 2 * width
             seed_base = seed * 3_000_017 + m_index * 1_019
             for k in range(samples):
-                p = prefs.sample_uniform(g, seed_base + k)
+                x_lists, y_lists = prefs.sample_lists(g, seed_base + k)
+                sample_key = 0
+                for row in x_lists + y_lists:
+                    for v in row:
+                        sample_key = sample_key << width | v
+                sample_key = sample_key << shift | key
+                saturating = saturating_by_sample.get(sample_key)
+                if saturating is None:
+                    p = prefs.PreferenceInstance(x_lists, y_lists)
+                    saturating = engine.enumerate_stable(g, p).x_saturating
+                    saturating_by_sample[sample_key] = saturating
+                    counts["sampled_sets"] += 1
                 counts["instances"] += 1
-                ss = engine.enumerate_stable(g, p)
                 counts["stable_sets"] += 1
-                if not ss.x_saturating:
+                if not saturating:
                     violations["saturating"].append(
                         f"market {m_index} {market!r}: coverage holds but "
                         f"sample {k} has a non-saturating stable matching"

@@ -21,6 +21,11 @@ DEFAULT_INSTANCE_CAP = 10**6
 UNMATCHED_RANK = 1 << 30
 
 
+def _rank_table(lst: tuple[int, ...]) -> dict[int, int]:
+    """Each entry of one list mapped to its position in it."""
+    return dict(zip(lst, range(len(lst))))
+
+
 class PreferenceInstance:
     """One strict ranking per vertex, most preferred first.
 
@@ -36,14 +41,10 @@ class PreferenceInstance:
         x_lists: Iterable[Sequence[int]],
         y_lists: Iterable[Sequence[int]],
     ):
-        self.x_lists = tuple(tuple(lst) for lst in x_lists)
-        self.y_lists = tuple(tuple(lst) for lst in y_lists)
-        self.x_rank = tuple(
-            dict(zip(lst, range(len(lst)))) for lst in self.x_lists
-        )
-        self.y_rank = tuple(
-            dict(zip(lst, range(len(lst)))) for lst in self.y_lists
-        )
+        self.x_lists = tuple(map(tuple, x_lists))
+        self.y_lists = tuple(map(tuple, y_lists))
+        self.x_rank = tuple(map(_rank_table, self.x_lists))
+        self.y_rank = tuple(map(_rank_table, self.y_lists))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceInstance):
@@ -159,23 +160,39 @@ def enumerate_all(
         yield PreferenceInstance(combo[:a], combo[a:])
 
 
-def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:
-    """One instance with each list an independent uniform permutation.
+def sample_lists(
+    graph: BipartiteGraph, seed: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The lists of `sample_uniform(graph, seed)`, without building its instance.
 
-    Identical (graph, seed) pairs reproduce identical instances, and the
-    bits themselves are pinned: one `random.Random(seed)` shuffles the X
-    lists, then the Y lists, each side in index order. The release gate's
-    counts in tests/test_acceptance.py (c1's and c8's `stable_matchings`)
-    depend on those bits, so a faster sampler must reproduce them exactly.
+    One `random.Random(seed)` shuffles the X rows, then the Y rows, each
+    side in index order. A row of length 0 or 1 is kept as it is: shuffling
+    it would draw no bits, so skipping it leaves every later row's bits
+    unchanged.
     """
-    rng = random.Random(seed)
+    shuffle = random.Random(seed).shuffle
 
     def shuffled(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
         out = []
         for row in rows:
-            lst = list(row)
-            rng.shuffle(lst)
-            out.append(tuple(lst))
+            if len(row) > 1:
+                lst = list(row)
+                shuffle(lst)
+                row = tuple(lst)
+            out.append(row)
         return out
 
-    return PreferenceInstance(shuffled(graph.x_adj), shuffled(graph.y_adj))
+    return shuffled(graph.x_adj), shuffled(graph.y_adj)
+
+
+def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:
+    """One instance with each list an independent uniform permutation.
+
+    Identical (graph, seed) pairs reproduce identical instances, and the
+    bits themselves are pinned: the lists are `sample_lists(graph, seed)`.
+    The release gate's counts in tests/test_acceptance.py (c1's and c8's
+    `stable_matchings`) depend on those bits, so a faster sampler must
+    reproduce them exactly. Callers that may not need the instance call
+    `sample_lists` and build it themselves.
+    """
+    return PreferenceInstance(*sample_lists(graph, seed))

@@ -644,6 +644,31 @@ def test_inconsistent_coverage_cross_check_exits_4(capsys, monkeypatch, fmt):
     )
 
 
+@pytest.mark.parametrize(
+    "name, verdict, wrong",
+    [
+        ("component", "component_perfect_verdict", analysis.ComponentVerdict(())),
+        (
+            "completeness",
+            "connected_perfect_verdict",
+            analysis.CompletenessVerdict(True, None),
+        ),
+    ],
+)
+def test_disagreeing_perfection_verdicts_exit_4(
+    capsys, monkeypatch, name, verdict, wrong
+):
+    # path4 is connected and balanced, and not every stable matching is
+    # perfect; each patched verdict says every one is
+    monkeypatch.setattr(analysis, verdict, lambda graph: wrong)
+    code, out, err = _run(capsys, "analyze", _market("path4.yaml"))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: internal: EngineInvariantError: the {name} perfection verdict "
+        f"disagrees with the saturation verdicts of both sides\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_adversary_target_matched_in_a_stable_matching_exits_4(
     capsys, monkeypatch, tmp_path, fmt

@@ -308,30 +308,59 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
             deficient += 1
             witness = compatibility.deficient_witness(market, coverage)
             witnesses.add((g, witness))
-    calls = {"verdict": 0, "enumerate": 0}
+    calls = {"verdict": 0}
+    drawn, enumerated = set(), []
     real_verdict, real_enumerate = analysis.saturation_verdict, engine.enumerate_stable
+    real_lists = prefs.sample_lists
 
     def counting_verdict(graph, side):
         calls["verdict"] += 1
         return real_verdict(graph, side)
 
-    def counting_enumerate(graph, instance, cap=engine.DEFAULT_NODE_CAP):
-        calls["enumerate"] += 1
+    def recording_lists(graph, seed):
+        lists = real_lists(graph, seed)
+        drawn.add((graph, PreferenceInstance(*lists)))
+        return lists
+
+    def recording_enumerate(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        enumerated.append((graph, instance))
         return real_enumerate(graph, instance, cap)
 
     monkeypatch.setattr(harness.analysis, "saturation_verdict", counting_verdict)
-    monkeypatch.setattr(harness.engine, "enumerate_stable", counting_enumerate)
+    monkeypatch.setattr(harness.prefs, "sample_lists", recording_lists)
+    monkeypatch.setattr(harness.engine, "enumerate_stable", recording_enumerate)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
     assert result.passed
     counts = result.counts
     assert counts["markets"] > len(graphs)  # some markets share a graph
     assert calls["verdict"] == counts["structural_verdicts"] == len(graphs)
-    # every enumeration that is not of a sampled instance is a freeze-out
-    freeze_outs = calls["enumerate"] - counts["instances"]
-    assert freeze_outs == counts["freeze_outs"] == len(witnesses) < deficient
-    # yet every deficient market is confirmed
+    # every distinct sampled (graph, instance) is enumerated, once; every
+    # other enumeration is a freeze-out
+    assert len(enumerated) == counts["sampled_sets"] + counts["freeze_outs"]
+    assert len(drawn) == counts["sampled_sets"] < counts["instances"]
+    assert drawn <= set(enumerated)
+    assert counts["freeze_outs"] == len(witnesses) < deficient
+    # yet every deficient market is confirmed, and every sample counted
     assert counts["adversarial_confirmations"] == deficient
     assert counts["instances"] == 3 * counts["verdicts_true"]
+    assert counts["stable_sets"] == counts["instances"] + deficient
+
+
+def test_a_replayed_sample_is_reported_for_every_market_sample(monkeypatch):
+    calls = {"enumerate": 0}
+    real = engine.enumerate_stable
+
+    def nothing_matched(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        calls["enumerate"] += 1
+        return replace(real(graph, instance, cap), matched_x=frozenset())
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", nothing_matched)
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
+    counts = result.counts
+    assert counts["sampled_sets"] < counts["instances"]
+    assert calls["enumerate"] == counts["sampled_sets"] + counts["freeze_outs"]
+    # one violation per market sample, replays included
+    assert len(result.violations["saturating"]) == counts["instances"]
 
 
 # the suites that enumerate stable sets and recheck their matched sets,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -167,6 +169,29 @@ def test_sample_uniform_is_deterministic():
     g = biclique(3, 3)
     assert sample_uniform(g, 7) == sample_uniform(g, 7)
     assert len({sample_uniform(g, s) for s in range(20)}) > 1
+
+
+def test_sample_uniform_draws_the_bits_of_one_shuffle_per_row():
+    """The release gate's pinned counts depend on these bits: one
+    random.Random(seed) shuffling every row, X rows first."""
+    rng = random.Random(20)
+    lengths = set()
+    for _ in range(300):
+        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        density = rng.choice((0.2, 0.5, 0.9))
+        g = BipartiteGraph(
+            a, b, [(i, j) for i in range(a) for j in range(b) if rng.random() < density]
+        )
+        seed = rng.getrandbits(32)
+        reference = random.Random(seed)
+        rows = []
+        for row in g.x_adj + g.y_adj:
+            lst = list(row)
+            reference.shuffle(lst)
+            rows.append(tuple(lst))
+            lengths.add(min(len(row), 2))
+        assert sample_uniform(g, seed) == PreferenceInstance(rows[:a], rows[a:])
+    assert lengths == {0, 1, 2}
 
 
 @given(graph_with_instance())
