@@ -272,7 +272,11 @@ def cmd_match(args) -> tuple[dict, int]:
     g, names = bundle.graph, bundle.names
     side = _SIDES[args.propose]
     m = engine.deferred_acceptance(g, bundle.instance, proposing=side)
-    stable = engine.is_stable(g, bundle.instance, m)
+    if not engine.is_stable(g, bundle.instance, m):
+        raise EngineInvariantError(
+            f"{args.propose.upper()}-proposing deferred acceptance returned "
+            f"an unstable matching"
+        )
     report = {
         "command": "match",
         "source": args.market,
@@ -285,7 +289,7 @@ def cmd_match(args) -> tuple[dict, int]:
         "matched_y": [names.y_names[j] for j in sorted(m.matched_set(Side.Y))],
         "unmatched_x": [n for n, p in zip(names.x_names, m.partner_of_x) if p is None],
         "unmatched_y": [n for n, p in zip(names.y_names, m.partner_of_y) if p is None],
-        "stable": stable,
+        "stable": True,
     }
     return report, 0
 
@@ -295,7 +299,7 @@ def _render_match(report: dict) -> list[str]:
     lines = [
         f"market: {report['source']}",
         f"{report['proposing'].upper()}-proposing deferred acceptance "
-        f"({pairs}, stable: {'yes' if report['stable'] else 'NO'}):",
+        f"({pairs}, stable: yes):",
     ]
     for xn, yn in report["pairs"]:
         lines.append(f"  {xn} — {yn}")

@@ -102,10 +102,14 @@ class CoverageVerdict:
 
 
 def coverage_verdict(market: CompatibilityMarket) -> CoverageVerdict:
-    sizes = tuple(
-        ClassSizes(len(market.class_members(c)), len(market.class_slots(c)))
-        for c in range(market.n_classes)
-    )
+    members = [0] * market.n_classes
+    slots = [0] * market.n_classes
+    for classes in market.x_membership:
+        for c in classes:
+            members[c] += 1
+    for c in market.y_class:
+        slots[c] += 1
+    sizes = tuple(map(ClassSizes, members, slots))
     return CoverageVerdict(holds=all(s.covered for s in sizes), classes=sizes)
 
 

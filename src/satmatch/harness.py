@@ -406,9 +406,14 @@ def coverage_suite(
     replayed for the other markets. Each market still draws its own
     `samples` instances from its own seeds, but a sample whose lists some
     market has already drawn on the same graph replays that stable set's
-    verdict instead of enumerating it again. Every other count and every
-    violation is still per market or per market sample: `instances` and
-    `stable_sets` count the sets confirmed, replays included.
+    verdict instead of enumerating it again. Once every instance of a graph
+    has been enumerated and seen to saturate X, its later samples are
+    counted without being drawn: at the default scale about 13,300 of the
+    46,000 samples are drawn. A graph with a non-saturating instance never
+    gets there, so each market sample that drew that instance is still
+    reported. Every other count and every violation is still per market
+    or per market sample: `instances` and `stable_sets` count the sets
+    confirmed, replays and undrawn samples included.
     `structural_verdicts`, `freeze_outs` and `sampled_sets` count the
     verdicts, freeze-outs and sampled stable sets actually computed.
     """
@@ -435,6 +440,9 @@ def coverage_suite(
     holds_by_graph: dict[int, bool] = {}
     outcome_by_witness: dict[int, int] = {}
     saturating_by_sample: dict[int, bool] = {}
+    # per graph, how many of its instances are not yet enumerated and seen
+    # to saturate X; at 0 every sample on it is a known saturating replay
+    unconfirmed_by_graph: dict[int, int] = {}
 
     for m_index, market in enumerate(
         all_compatibility_markets(max_classes, max_side)
@@ -456,33 +464,41 @@ def coverage_suite(
             )
         if cross.coverage.holds:
             counts["verdicts_true"] += 1
-            if g is None:
-                g = compatibility.induced_graph(market)
-            # a sample's key: its entries at `width` bits each, above the
-            # graph's key, whose low a*b + 2*width bits give the graph and so
-            # how many entries there are
-            shift = g.x_count * g.y_count + 2 * width
-            seed_base = seed * 3_000_017 + m_index * 1_019
-            for k in range(samples):
-                x_lists, y_lists = prefs.sample_lists(g, seed_base + k)
-                sample_key = 0
-                for row in x_lists + y_lists:
-                    for v in row:
-                        sample_key = sample_key << width | v
-                sample_key = sample_key << shift | key
-                saturating = saturating_by_sample.get(sample_key)
-                if saturating is None:
-                    p = prefs.PreferenceInstance(x_lists, y_lists)
-                    saturating = engine.enumerate_stable(g, p).x_saturating
-                    saturating_by_sample[sample_key] = saturating
-                    counts["sampled_sets"] += 1
-                counts["instances"] += 1
-                counts["stable_sets"] += 1
-                if not saturating:
-                    violations["saturating"].append(
-                        f"market {m_index} {market!r}: coverage holds but "
-                        f"sample {k} has a non-saturating stable matching"
-                    )
+            counts["instances"] += samples
+            counts["stable_sets"] += samples
+            unconfirmed = unconfirmed_by_graph.get(key)
+            if unconfirmed != 0:
+                if g is None:
+                    g = compatibility.induced_graph(market)
+                if unconfirmed is None:
+                    unconfirmed = prefs.instance_count(g)
+                # a sample's key: its entries at `width` bits each, above the
+                # graph's key, whose low a*b + 2*width bits give the graph and
+                # so how many entries there are
+                shift = g.x_count * g.y_count + 2 * width
+                seed_base = seed * 3_000_017 + m_index * 1_019
+                for k in range(samples):
+                    if unconfirmed == 0:
+                        break  # the rest would replay a known True
+                    x_lists, y_lists = prefs.sample_lists(g, seed_base + k)
+                    sample_key = 0
+                    for row in x_lists + y_lists:
+                        for v in row:
+                            sample_key = sample_key << width | v
+                    sample_key = sample_key << shift | key
+                    saturating = saturating_by_sample.get(sample_key)
+                    if saturating is None:
+                        p = prefs.PreferenceInstance(x_lists, y_lists)
+                        saturating = engine.enumerate_stable(g, p).x_saturating
+                        saturating_by_sample[sample_key] = saturating
+                        counts["sampled_sets"] += 1
+                        unconfirmed -= saturating
+                    if not saturating:
+                        violations["saturating"].append(
+                            f"market {m_index} {market!r}: coverage holds but "
+                            f"sample {k} has a non-saturating stable matching"
+                        )
+                unconfirmed_by_graph[key] = unconfirmed
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
             witness_key = key << width | witness

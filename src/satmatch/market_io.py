@@ -180,10 +180,12 @@ def _located(error: MarketFormatError, text: str) -> MarketFormatError:
 
 
 # The deepest nesting of mappings and lists a document may have; a market
-# needs 4. libyaml's composer, which yaml.load and _located use, recurses
-# once per level and overflows the C stack some way past 20,000, so the
-# bound stays well below that.
-_MAX_DEPTH = 10_000
+# needs 4, and anything deeper fails validation anyway. The composers that
+# yaml.load and _located use recurse once per level: libyaml's overflows
+# the C stack some way past 20,000 levels, PyYAML's pure-Python one hits
+# Python's recursion limit near 1,000, and PyYAML's scanner takes time
+# quadratic in the depth. So the bound stays far below all of them.
+_MAX_DEPTH = 64
 
 _STR_TAG = "tag:yaml.org,2002:str"
 _INT_TAG = "tag:yaml.org,2002:int"
@@ -317,7 +319,7 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
 
     Graph-level validation (preference tables, compatibility cross-checks)
     happens in resolve_market. Every error names the line and column of
-    the entry it rejects. Mappings and lists nested deeper than 10,000
+    the entry it rejects. Mappings and lists nested deeper than 64
     levels are refused at the first one past that depth.
 
     The cyclic garbage collector is paused while the document is built,

@@ -13,7 +13,7 @@ import pytest
 
 from satmatch import analysis, cli, compatibility, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
-from satmatch.graph import Side, Vertex
+from satmatch.graph import Matching, Side, Vertex
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 MARKETS = os.path.join(ROOT, "markets")
@@ -230,6 +230,24 @@ def test_match_rigged_path_leaves_x2_out(capsys):
     code, out, _ = _run(capsys, "match", _market("path4_rigged.yaml"))
     assert "x1 — y2" in out
     assert "unmatched X: x2" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("propose", ["x", "y"])
+def test_match_refuses_an_unstable_result(capsys, monkeypatch, fmt, propose):
+    # x1 — y1 alone: x2 and y2, unmatched and adjacent, block it
+    monkeypatch.setattr(
+        engine, "deferred_acceptance", lambda g, p, proposing: Matching((0, None), 2)
+    )
+    code, out, err = _run(
+        capsys, "match", _market("square_cycle.yaml"), "--propose", propose,
+        "--format", fmt,
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: internal: EngineInvariantError: {propose.upper()}-proposing "
+        f"deferred acceptance returned an unstable matching\n"
+    )
 
 
 def test_match_requires_preferences(capsys):
@@ -805,7 +823,7 @@ _CLASSED = (
     "compatibility:\n  classes: [c]\n  x_membership:\n    a: [c]\n"
     "  y_class:\n    b: c\n"
 )
-_DEEP = "[" * 1000 + "]" * 1000
+_DEEP = "[" * 50 + "]" * 50  # deep, but within the nesting bound
 
 
 @pytest.mark.parametrize(
@@ -842,15 +860,18 @@ def _nest(depth: int) -> str:
 @pytest.mark.parametrize(
     "old,new,at,message",
     [
-        ("x_names: [a]", f"x_names: [a, {_nest(100_000)}]", "2:10012",
-         "nested deeper than 10000 levels (a market needs 4)"),
+        ("x_names: [a]", f"x_names: [a, {_nest(100_000)}]", "2:76",
+         "nested deeper than 64 levels (a market needs 4)"),
         # an anchor leaves the document to yaml.load, after the same check
-        ("x_names: [a]", f"x_names: &a [a, {_nest(100_000)}]", "2:10015",
-         "nested deeper than 10000 levels (a market needs 4)"),
-        ("x_names: [a]", f"x_names: [a, {_nest(9000)}]", "2:14",
+        ("x_names: [a]", f"x_names: &a [a, {_nest(100_000)}]", "2:79",
+         "nested deeper than 64 levels (a market needs 4)"),
+        ("x_names: [a]", f"x_names: [a, {_nest(9000)}]", "2:76",
+         "nested deeper than 64 levels (a market needs 4)"),
+        # the root mapping and x_names are 2 levels, so 62 more reach the bound
+        ("x_names: [a]", f"x_names: [a, {_nest(62)}]", "2:14",
          "x_names entries must be nonempty strings, got [[[[[[[...]]]]]]]"),
     ],
-    ids=["100000", "100000-anchored", "9000"],
+    ids=["100000", "100000-anchored", "9000", "62"],
 )
 def test_nesting_exits_2_at_its_position_in_a_fresh_process(
     tmp_path, old, new, at, message

@@ -171,6 +171,15 @@ def test_coverage_matches_classwise_counting(market: CompatibilityMarket):
     assert _consistency(market).consistent
 
 
+def test_coverage_counts_every_class_of_every_gate_market():
+    # the coverage suite's own family: 18,702 markets
+    for market in harness.all_compatibility_markets(3, 4):
+        assert coverage_verdict(market).classes == tuple(
+            ClassSizes(len(market.class_members(c)), len(market.class_slots(c)))
+            for c in range(market.n_classes)
+        )
+
+
 @given(markets(), st.integers(0, 2**32 - 1))
 @PROPERTY_SETTINGS
 def test_positive_coverage_saturates_sampled_instances(market, seed):

@@ -298,6 +298,27 @@ def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypat
     assert not result.violations["saturating"]  # class counting untouched
 
 
+def _counting_draws(monkeypatch) -> list:
+    """Patch the coverage suite's sampler to record each (graph, instance)
+    it draws, in order."""
+    drawn = []
+    real = prefs.sample_lists
+
+    def recording(graph, seed):
+        lists = real(graph, seed)
+        drawn.append((graph, PreferenceInstance(*lists)))
+        return lists
+
+    monkeypatch.setattr(harness.prefs, "sample_lists", recording)
+    return drawn
+
+
+def _never_confirmed(monkeypatch):
+    """No graph ever has all its instances confirmed, so the coverage suite
+    draws every sample."""
+    monkeypatch.setattr(harness.prefs, "instance_count", lambda graph: 1 << 200)
+
+
 def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
     graphs, witnesses, deficient = set(), set(), 0
     for market in harness.all_compatibility_markets(2, 3):
@@ -309,27 +330,22 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
             witness = compatibility.deficient_witness(market, coverage)
             witnesses.add((g, witness))
     calls = {"verdict": 0}
-    drawn, enumerated = set(), []
+    enumerated = []
     real_verdict, real_enumerate = analysis.saturation_verdict, engine.enumerate_stable
-    real_lists = prefs.sample_lists
 
     def counting_verdict(graph, side):
         calls["verdict"] += 1
         return real_verdict(graph, side)
-
-    def recording_lists(graph, seed):
-        lists = real_lists(graph, seed)
-        drawn.add((graph, PreferenceInstance(*lists)))
-        return lists
 
     def recording_enumerate(graph, instance, cap=engine.DEFAULT_NODE_CAP):
         enumerated.append((graph, instance))
         return real_enumerate(graph, instance, cap)
 
     monkeypatch.setattr(harness.analysis, "saturation_verdict", counting_verdict)
-    monkeypatch.setattr(harness.prefs, "sample_lists", recording_lists)
+    drawn = _counting_draws(monkeypatch)
     monkeypatch.setattr(harness.engine, "enumerate_stable", recording_enumerate)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
+    drawn = set(drawn)
     assert result.passed
     counts = result.counts
     assert counts["markets"] > len(graphs)  # some markets share a graph
@@ -361,6 +377,58 @@ def test_a_replayed_sample_is_reported_for_every_market_sample(monkeypatch):
     assert calls["enumerate"] == counts["sampled_sets"] + counts["freeze_outs"]
     # one violation per market sample, replays included
     assert len(result.violations["saturating"]) == counts["instances"]
+
+
+@pytest.mark.parametrize("scale", [(2, 3, 50), (3, 3, 20)])
+def test_confirmed_graphs_change_no_count_or_violation(monkeypatch, scale):
+    drawn = _counting_draws(monkeypatch)
+    confirmed = harness.coverage_suite(*scale)
+    confirmed_draws = len(drawn)
+    _never_confirmed(monkeypatch)
+    drawn.clear()
+    every = harness.coverage_suite(*scale)
+    assert (confirmed.counts, confirmed.violations) == (every.counts, every.violations)
+    assert confirmed_draws < len(drawn) == every.counts["instances"]
+
+
+def test_coverage_suite_draws_fewer_samples_than_it_counts(monkeypatch):
+    drawn = _counting_draws(monkeypatch)
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=50)
+    assert result.passed
+    assert result.counts["sampled_sets"] <= len(drawn) < result.counts["instances"]
+    assert result.counts["instances"] == 50 * result.counts["verdicts_true"]
+
+
+def test_a_graph_with_one_non_saturating_instance_draws_every_sample(monkeypatch):
+    # two covered markets induce this graph, which has two instances; the
+    # second market's samples are skipped once both are seen to saturate
+    target = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
+    poisoned = next(prefs.enumerate_all(target))
+    real = engine.enumerate_stable
+
+    def one_instance_strands(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        ss = real(graph, instance, cap)
+        if (graph, instance) == (target, poisoned):
+            return replace(ss, matched_x=frozenset())
+        return ss
+
+    drawn = _counting_draws(monkeypatch)
+    harness.coverage_suite(max_classes=2, max_side=3, samples=50)
+    unpoisoned_draws = sum(graph == target for graph, _ in drawn)
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", one_instance_strands)
+    drawn.clear()
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=50)
+    on_target = [instance for graph, instance in drawn if graph == target]
+    assert unpoisoned_draws < len(on_target) == 100  # both markets, every sample
+    # one violation per market sample that drew the poisoned instance
+    reported = result.violations["saturating"]
+    assert len(reported) == on_target.count(poisoned) > 1
+    assert len({v.split(":")[0] for v in reported}) == 2  # from both markets
+    assert not result.violations["consistency"] + result.violations["adversarial"]
+
+    _never_confirmed(monkeypatch)
+    assert harness.coverage_suite(2, 3, 50).violations == result.violations
 
 
 # the suites that enumerate stable sets and recheck their matched sets,

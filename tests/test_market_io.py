@@ -332,12 +332,8 @@ def test_builder_and_fallback_refuse_nesting_past_the_bound(monkeypatch):
     """One level past _MAX_DEPTH is refused at its own position, whether
     _build makes the data or leaves it to yaml.load; at the bound the
     document loads."""
+    bound = market_io._MAX_DEPTH
     for loader in _each_loader(monkeypatch):
-        if loader == "SafeLoader":
-            # PyYAML's own scanner takes time quadratic in the depth, about
-            # a minute for 10,000 levels, and its composer recurses in Python
-            monkeypatch.setattr(market_io, "_MAX_DEPTH", 100)
-        bound = market_io._MAX_DEPTH
         for head in ("", "&a "):
             text = f"{head}x: " + "[" * bound + "]" * bound
             with pytest.raises(MarketFormatError) as exc:
@@ -349,6 +345,19 @@ def test_builder_and_fallback_refuse_nesting_past_the_bound(monkeypatch):
         while value:  # comparing the lists would recurse once per level
             value, depth = value[0], depth + 1
         assert depth == bound, loader
+
+
+def test_pure_python_loader_refuses_a_market_nested_1000_levels(monkeypatch):
+    """PyYAML's pure-Python composer recurses once per level and runs out of
+    Python stack near 1,000 levels; the bound refuses such a market first."""
+    monkeypatch.setattr(market_io, "_Loader", yaml.SafeLoader)
+    deep = "[" * 1000 + "]" * 1000
+    text = BARE.replace("x_names: [ann", f"x_names: [{deep}, ann")
+    assert text != BARE
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(text, source="deep.yaml")
+    _assert_at(exc.value, "deep.yaml", 2, 73)
+    assert exc.value.message == "nested deeper than 64 levels (a market needs 4)"
 
 
 def test_invalid_yaml_reports_position(monkeypatch):
