@@ -379,11 +379,24 @@ def cmd_adversary(args) -> tuple[dict, int]:
         return report, 1
 
     instance = analysis.adversarial_instance(g, r)
+    # one stable matching leaving the target unmatched shows it unmatched in
+    # every stable matching (Roth 1986), so this check needs no search cap
+    m = engine.deferred_acceptance(g, instance)
+    if not engine.is_stable(g, instance, m):
+        raise EngineInvariantError(
+            "X-proposing deferred acceptance returned an unstable matching"
+        )
+    if m.partner(target) is not None:
+        raise EngineInvariantError(
+            f"the instance built to strand {args.target} matches it in its "
+            f"X-optimal stable matching"
+        )
     table = market_io.preference_table(names, instance)
     market_text = market_io.dump_market(replace(bundle.market, preferences=table))
 
     # the market is written only once its instance is confirmed, or once the
-    # search cap leaves it unconfirmed; a failed confirmation writes nothing
+    # search cap leaves the enumeration unfinished; a failed confirmation
+    # writes nothing
     try:
         ss = engine.enumerate_stable(g, instance, cap=args.cap)
         if not ss.always_unmatched(target):

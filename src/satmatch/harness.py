@@ -384,6 +384,19 @@ def _freeze_out(g: BipartiteGraph, witness: int) -> int:
     return _STILL_MATCHED
 
 
+def _every_instance_saturates(g: BipartiteGraph, cap: int, counts: dict) -> bool:
+    """Whether g has at most `cap` instances and each one, enumerated in turn
+    until the first that fails, has only X-saturating stable matchings.
+    Each enumerated instance adds 1 to counts["sampled_sets"]."""
+    if prefs.instance_count(g) > cap:
+        return False
+    for p in prefs.enumerate_all(g, cap):
+        counts["sampled_sets"] += 1
+        if not engine.enumerate_stable(g, p).x_saturating:
+            return False
+    return True
+
+
 def coverage_suite(
     max_classes: int = 3,
     max_side: int = 4,
@@ -403,19 +416,16 @@ def coverage_suite(
     Many markets induce the same graph, and the structural verdict and the
     freeze-out depend only on the graph (and the witness), so each runs
     once per distinct graph or (graph, witness) pair and its outcome is
-    replayed for the other markets. Each market still draws its own
-    `samples` instances from its own seeds, but a sample whose lists some
-    market has already drawn on the same graph replays that stable set's
-    verdict instead of enumerating it again. Once every instance of a graph
-    has been enumerated and seen to saturate X, its later samples are
-    counted without being drawn: at the default scale about 13,300 of the
-    46,000 samples are drawn. A graph with a non-saturating instance never
-    gets there, so each market sample that drew that instance is still
-    reported. Every other count and every violation is still per market
-    or per market sample: `instances` and `stable_sets` count the sets
-    confirmed, replays and undrawn samples included.
-    `structural_verdicts`, `freeze_outs` and `sampled_sets` count the
-    verdicts, freeze-outs and sampled stable sets actually computed.
+    replayed for the other markets. Positive verdicts follow the other
+    suites' rule, with `samples` as the budget: the first covered market on
+    a graph with at most `samples` instances enumerates each of them once,
+    and when every one saturates X no market on that graph draws any. Every
+    other covered market enumerates its own `samples` seeded instances,
+    and each one with a non-saturating stable matching is reported.
+    `instances` and `stable_sets` still count `samples` per covered market,
+    plus one stable set per confirmed freeze-out; `structural_verdicts`,
+    `freeze_outs` and `sampled_sets` count the verdicts, freeze-outs and
+    stable sets actually computed.
     """
     result = SuiteResult(
         name="coverage",
@@ -434,15 +444,14 @@ def coverage_suite(
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
     # int keys and bool or small-int values: keeping tuples, verdicts or
-    # graphs would cost memory. A side size, a witness or a list entry fits
-    # in `width` bits.
+    # graphs would cost memory. A side size or a witness fits in `width` bits.
     width = max_side.bit_length()
     holds_by_graph: dict[int, bool] = {}
     outcome_by_witness: dict[int, int] = {}
-    saturating_by_sample: dict[int, bool] = {}
-    # per graph, how many of its instances are not yet enumerated and seen
-    # to saturate X; at 0 every sample on it is a known saturating replay
-    unconfirmed_by_graph: dict[int, int] = {}
+    # per covered graph, True once all its instances were enumerated and seen
+    # to saturate X; False when it has more than `samples` instances or one
+    # that does not saturate X
+    saturating_by_graph: dict[int, bool] = {}
 
     for m_index, market in enumerate(
         all_compatibility_markets(max_classes, max_side)
@@ -466,39 +475,23 @@ def coverage_suite(
             counts["verdicts_true"] += 1
             counts["instances"] += samples
             counts["stable_sets"] += samples
-            unconfirmed = unconfirmed_by_graph.get(key)
-            if unconfirmed != 0:
+            saturating = saturating_by_graph.get(key)
+            if not saturating:
                 if g is None:
                     g = compatibility.induced_graph(market)
-                if unconfirmed is None:
-                    unconfirmed = prefs.instance_count(g)
-                # a sample's key: its entries at `width` bits each, above the
-                # graph's key, whose low a*b + 2*width bits give the graph and
-                # so how many entries there are
-                shift = g.x_count * g.y_count + 2 * width
+                if saturating is None:
+                    saturating = _every_instance_saturates(g, samples, counts)
+                    saturating_by_graph[key] = saturating
+            if not saturating:
                 seed_base = seed * 3_000_017 + m_index * 1_019
                 for k in range(samples):
-                    if unconfirmed == 0:
-                        break  # the rest would replay a known True
-                    x_lists, y_lists = prefs.sample_lists(g, seed_base + k)
-                    sample_key = 0
-                    for row in x_lists + y_lists:
-                        for v in row:
-                            sample_key = sample_key << width | v
-                    sample_key = sample_key << shift | key
-                    saturating = saturating_by_sample.get(sample_key)
-                    if saturating is None:
-                        p = prefs.PreferenceInstance(x_lists, y_lists)
-                        saturating = engine.enumerate_stable(g, p).x_saturating
-                        saturating_by_sample[sample_key] = saturating
-                        counts["sampled_sets"] += 1
-                        unconfirmed -= saturating
-                    if not saturating:
+                    p = prefs.sample_uniform(g, seed_base + k)
+                    counts["sampled_sets"] += 1
+                    if not engine.enumerate_stable(g, p).x_saturating:
                         violations["saturating"].append(
                             f"market {m_index} {market!r}: coverage holds but "
                             f"sample {k} has a non-saturating stable matching"
                         )
-                unconfirmed_by_graph[key] = unconfirmed
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
             witness_key = key << width | witness

@@ -160,15 +160,16 @@ def enumerate_all(
         yield PreferenceInstance(combo[:a], combo[a:])
 
 
-def sample_lists(
-    graph: BipartiteGraph, seed: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The lists of `sample_uniform(graph, seed)`, without building its instance.
+def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:
+    """One instance with each list an independent uniform permutation.
 
-    One `random.Random(seed)` shuffles the X rows, then the Y rows, each
-    side in index order. A row of length 0 or 1 is kept as it is: shuffling
-    it would draw no bits, so skipping it leaves every later row's bits
-    unchanged.
+    Identical (graph, seed) pairs reproduce identical instances, and the
+    bits themselves are pinned: one `random.Random(seed)` shuffles the X
+    rows, then the Y rows, each side in index order. A row of length 0 or 1
+    is kept as it is: shuffling it would draw no bits, so skipping it leaves
+    every later row's bits unchanged. The release gate's counts in
+    tests/test_acceptance.py (c1's and c8's `stable_matchings`) depend on
+    those bits, so a faster sampler must reproduce them exactly.
     """
     shuffle = random.Random(seed).shuffle
 
@@ -182,17 +183,4 @@ def sample_lists(
             out.append(row)
         return out
 
-    return shuffled(graph.x_adj), shuffled(graph.y_adj)
-
-
-def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:
-    """One instance with each list an independent uniform permutation.
-
-    Identical (graph, seed) pairs reproduce identical instances, and the
-    bits themselves are pinned: the lists are `sample_lists(graph, seed)`.
-    The release gate's counts in tests/test_acceptance.py (c1's and c8's
-    `stable_matchings`) depend on those bits, so a faster sampler must
-    reproduce them exactly. Callers that may not need the instance call
-    `sample_lists` and build it themselves.
-    """
-    return PreferenceInstance(*sample_lists(graph, seed))
+    return PreferenceInstance(shuffled(graph.x_adj), shuffled(graph.y_adj))

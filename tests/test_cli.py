@@ -14,6 +14,7 @@ import pytest
 from satmatch import analysis, cli, compatibility, engine, harness, market_io
 from satmatch.errors import EngineInvariantError
 from satmatch.graph import Matching, Side, Vertex
+from satmatch.prefs import PreferenceInstance
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 MARKETS = os.path.join(ROOT, "markets")
@@ -716,6 +717,45 @@ def test_adversary_target_matched_in_a_stable_matching_exits_4(
         "x2 matches it in some stable matching\n"
     )
     assert not emitted.exists()  # a failed confirmation writes no market
+
+
+def test_adversary_certifies_its_instance_past_the_search_cap(
+    capsys, monkeypatch, tmp_path
+):
+    # the ascending instance lets x2 match y2; --cap 1 stops the enumeration
+    # before it could see that, so only the deferred-acceptance check does
+    monkeypatch.setattr(
+        cli.analysis,
+        "adversarial_instance",
+        lambda g, report: PreferenceInstance(g.x_adj, g.y_adj),
+    )
+    emitted = tmp_path / "emitted.yaml"
+    argv = ["adversary", _market("path4.yaml"), "--target", "x2", "--cap", "1"]
+    code, out, err = _run(capsys, *argv, "--out", str(emitted))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the instance built to strand "
+        "x2 matches it in its X-optimal stable matching\n"
+    )
+    assert not emitted.exists()
+
+
+def test_adversary_refuses_an_unstable_deferred_acceptance_result(
+    capsys, monkeypatch, tmp_path
+):
+    def empty_matching(graph, instance, proposing=Side.X):
+        return Matching([None] * graph.x_count, graph.y_count)
+
+    monkeypatch.setattr(engine, "deferred_acceptance", empty_matching)
+    emitted = tmp_path / "emitted.yaml"
+    argv = ["adversary", _market("path4.yaml"), "--target", "x2", "--cap", "1"]
+    code, out, err = _run(capsys, *argv, "--out", str(emitted))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: X-proposing deferred "
+        "acceptance returned an unstable matching\n"
+    )
+    assert not emitted.exists()
 
 
 def _dropping_last_blockade_option(monkeypatch) -> None:

@@ -302,21 +302,49 @@ def _counting_draws(monkeypatch) -> list:
     """Patch the coverage suite's sampler to record each (graph, instance)
     it draws, in order."""
     drawn = []
-    real = prefs.sample_lists
+    real = prefs.sample_uniform
 
     def recording(graph, seed):
-        lists = real(graph, seed)
-        drawn.append((graph, PreferenceInstance(*lists)))
-        return lists
+        instance = real(graph, seed)
+        drawn.append((graph, instance))
+        return instance
 
-    monkeypatch.setattr(harness.prefs, "sample_lists", recording)
+    monkeypatch.setattr(harness.prefs, "sample_uniform", recording)
     return drawn
 
 
-def _never_confirmed(monkeypatch):
-    """No graph ever has all its instances confirmed, so the coverage suite
-    draws every sample."""
+def _every_graph_sampled(monkeypatch):
+    """No graph fits the sample budget, so the coverage suite checks no graph
+    whole and draws every sample."""
     monkeypatch.setattr(harness.prefs, "instance_count", lambda graph: 1 << 200)
+
+
+def _covered_graphs(max_classes: int, max_side: int, samples: int):
+    """The induced graphs of the covered markets with at most `samples`
+    instances, and how many covered markets induce a larger graph."""
+    small, larger_markets = set(), 0
+    for market in harness.all_compatibility_markets(max_classes, max_side):
+        if compatibility.coverage_verdict(market).holds:
+            g = compatibility.induced_graph(market)
+            if prefs.instance_count(g) <= samples:
+                small.add(g)
+            else:
+                larger_markets += 1
+    return small, larger_markets
+
+
+def _poisoning(monkeypatch, target, poisoned):
+    """Patch the engine so that one instance of `target` has only stable
+    matchings that leave X unsaturated."""
+    real = engine.enumerate_stable
+
+    def one_instance_strands(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        ss = real(graph, instance, cap)
+        if (graph, instance) == (target, poisoned):
+            return replace(ss, matched_x=frozenset())
+        return ss
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", one_instance_strands)
 
 
 def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
@@ -329,6 +357,7 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
             deficient += 1
             witness = compatibility.deficient_witness(market, coverage)
             witnesses.add((g, witness))
+    small, larger_markets = _covered_graphs(2, 3, 3)
     calls = {"verdict": 0}
     enumerated = []
     real_verdict, real_enumerate = analysis.saturation_verdict, engine.enumerate_stable
@@ -345,16 +374,24 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
     drawn = _counting_draws(monkeypatch)
     monkeypatch.setattr(harness.engine, "enumerate_stable", recording_enumerate)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
-    drawn = set(drawn)
     assert result.passed
     counts = result.counts
     assert counts["markets"] > len(graphs)  # some markets share a graph
     assert calls["verdict"] == counts["structural_verdicts"] == len(graphs)
-    # every distinct sampled (graph, instance) is enumerated, once; every
-    # other enumeration is a freeze-out
+    # every instance of a small covered graph is enumerated once, and no
+    # sample is drawn there; each larger graph's market draws `samples`
+    assert small and larger_markets
+    for g in small:
+        for p in prefs.enumerate_all(g):
+            assert enumerated.count((g, p)) == 1
+    assert not any(g in small for g, _ in drawn)
+    whole = sum(prefs.instance_count(g) for g in small)
+    assert counts["sampled_sets"] == whole + 3 * larger_markets
+    assert len(drawn) == 3 * larger_markets
+    # every sampled or whole-graph instance is enumerated; every other
+    # enumeration is a freeze-out
     assert len(enumerated) == counts["sampled_sets"] + counts["freeze_outs"]
-    assert len(drawn) == counts["sampled_sets"] < counts["instances"]
-    assert drawn <= set(enumerated)
+    assert set(drawn) <= set(enumerated)
     assert counts["freeze_outs"] == len(witnesses) < deficient
     # yet every deficient market is confirmed, and every sample counted
     assert counts["adversarial_confirmations"] == deficient
@@ -362,7 +399,7 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
     assert counts["stable_sets"] == counts["instances"] + deficient
 
 
-def test_a_replayed_sample_is_reported_for_every_market_sample(monkeypatch):
+def test_a_non_saturating_sample_is_reported_for_every_market_sample(monkeypatch):
     calls = {"enumerate": 0}
     real = engine.enumerate_stable
 
@@ -370,53 +407,65 @@ def test_a_replayed_sample_is_reported_for_every_market_sample(monkeypatch):
         calls["enumerate"] += 1
         return replace(real(graph, instance, cap), matched_x=frozenset())
 
+    small, _ = _covered_graphs(2, 3, 3)
     monkeypatch.setattr(harness.engine, "enumerate_stable", nothing_matched)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
     counts = result.counts
-    assert counts["sampled_sets"] < counts["instances"]
+    # each small graph's whole check stops at its first instance, and then
+    # every market sample is drawn
+    assert counts["sampled_sets"] == counts["instances"] + len(small)
     assert calls["enumerate"] == counts["sampled_sets"] + counts["freeze_outs"]
-    # one violation per market sample, replays included
+    # one violation per market sample
     assert len(result.violations["saturating"]) == counts["instances"]
 
 
 @pytest.mark.parametrize("scale", [(2, 3, 50), (3, 3, 20)])
 def test_confirmed_graphs_change_no_count_or_violation(monkeypatch, scale):
-    drawn = _counting_draws(monkeypatch)
-    confirmed = harness.coverage_suite(*scale)
-    confirmed_draws = len(drawn)
-    _never_confirmed(monkeypatch)
-    drawn.clear()
-    every = harness.coverage_suite(*scale)
-    assert (confirmed.counts, confirmed.violations) == (every.counts, every.violations)
-    assert confirmed_draws < len(drawn) == every.counts["instances"]
+    # unpoisoned, then with one of the two instances of a small covered
+    # graph stranding X
+    target = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
+    assert prefs.instance_count(target) <= scale[2]
+    poisoned = next(prefs.enumerate_all(target))
+    for poison in (False, True):
+        monkeypatch.undo()
+        if poison:
+            _poisoning(monkeypatch, target, poisoned)
+        drawn = _counting_draws(monkeypatch)
+        confirmed = harness.coverage_suite(*scale)
+        confirmed_draws = len(drawn)
+        _every_graph_sampled(monkeypatch)
+        drawn.clear()
+        every = harness.coverage_suite(*scale)
+        assert confirmed.violations == every.violations
+        assert bool(every.violations["saturating"]) == poison
+        sampled = confirmed.counts.pop("sampled_sets")
+        assert confirmed.counts == {
+            k: v for k, v in every.counts.items() if k != "sampled_sets"
+        }
+        assert confirmed_draws < len(drawn) == every.counts["sampled_sets"]
+        assert len(drawn) == every.counts["instances"]
+        assert sampled < every.counts["sampled_sets"]
 
 
 def test_coverage_suite_draws_fewer_samples_than_it_counts(monkeypatch):
+    _, larger_markets = _covered_graphs(2, 3, 50)
     drawn = _counting_draws(monkeypatch)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=50)
     assert result.passed
-    assert result.counts["sampled_sets"] <= len(drawn) < result.counts["instances"]
+    assert len(drawn) == 50 * larger_markets < result.counts["instances"]
     assert result.counts["instances"] == 50 * result.counts["verdicts_true"]
 
 
 def test_a_graph_with_one_non_saturating_instance_draws_every_sample(monkeypatch):
-    # two covered markets induce this graph, which has two instances; the
-    # second market's samples are skipped once both are seen to saturate
+    # two covered markets induce this graph, which has two instances;
+    # unpoisoned, the graph is checked whole and no sample is drawn on it
     target = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
     poisoned = next(prefs.enumerate_all(target))
-    real = engine.enumerate_stable
-
-    def one_instance_strands(graph, instance, cap=engine.DEFAULT_NODE_CAP):
-        ss = real(graph, instance, cap)
-        if (graph, instance) == (target, poisoned):
-            return replace(ss, matched_x=frozenset())
-        return ss
-
     drawn = _counting_draws(monkeypatch)
     harness.coverage_suite(max_classes=2, max_side=3, samples=50)
     unpoisoned_draws = sum(graph == target for graph, _ in drawn)
 
-    monkeypatch.setattr(harness.engine, "enumerate_stable", one_instance_strands)
+    _poisoning(monkeypatch, target, poisoned)
     drawn.clear()
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=50)
     on_target = [instance for graph, instance in drawn if graph == target]
@@ -427,8 +476,30 @@ def test_a_graph_with_one_non_saturating_instance_draws_every_sample(monkeypatch
     assert len({v.split(":")[0] for v in reported}) == 2  # from both markets
     assert not result.violations["consistency"] + result.violations["adversarial"]
 
-    _never_confirmed(monkeypatch)
+    _every_graph_sampled(monkeypatch)
     assert harness.coverage_suite(2, 3, 50).violations == result.violations
+
+
+def test_a_poisoned_instance_of_a_larger_graph_is_reported_per_draw(monkeypatch):
+    # two covered markets induce this graph; with 10 samples per market its
+    # 16 instances are too many to check whole, so each market draws its own
+    target = BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    assert prefs.instance_count(target) > 10
+    drawn = _counting_draws(monkeypatch)
+    harness.coverage_suite(max_classes=2, max_side=3, samples=10)
+    on_target = [instance for graph, instance in drawn if graph == target]
+    assert len(on_target) == 20
+    poisoned = max(on_target, key=on_target.count)
+
+    _poisoning(monkeypatch, target, poisoned)
+    drawn.clear()
+    result = harness.coverage_suite(max_classes=2, max_side=3, samples=10)
+    assert [p for g, p in drawn if g == target] == on_target
+    # one violation per market sample that drew the poisoned instance
+    reported = result.violations["saturating"]
+    assert len(reported) == on_target.count(poisoned) > 1
+    assert len({v.split(":")[0] for v in reported}) == 2  # from both markets
+    assert not result.violations["consistency"] + result.violations["adversarial"]
 
 
 # the suites that enumerate stable sets and recheck their matched sets,
