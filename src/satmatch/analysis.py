@@ -66,6 +66,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
+# certify_stranding calls through the module, so that patching
+# engine.deferred_acceptance or engine.is_stable reaches it
+from . import engine
 from .engine import augment
 from .errors import EngineInvariantError, InputError
 from .graph import BipartiteGraph, Component, Side, Vertex
@@ -222,6 +225,40 @@ def certify_blockade(graph: BipartiteGraph, report: VertexReport) -> None:
             f"the blockade of {v!r} is not deficient: "
             f"{counted(across.bit_count(), 'competitor')} besides it for "
             f"{counted(len(chosen), 'option')}"
+        )
+
+
+def certify_stranding(
+    graph: BipartiteGraph,
+    instance: PreferenceInstance,
+    v: Vertex,
+    name: Callable[[Vertex], str],
+) -> None:
+    """Recheck that `instance` leaves v unmatched in every stable matching.
+
+    Every list must rank exactly its vertex's neighbors, and one
+    X-proposing deferred-acceptance run must give a stable matching in
+    which v is unmatched. Every stable matching of such an instance matches
+    the same vertices (Roth 1986), so that covers all of them, with no
+    enumeration and no search cap. `name` renders v, as in `guarantee`.
+    A failed check would print a false counterexample, so this raises
+    EngineInvariantError.
+    """
+    sides = ((instance.x_lists, graph.x_adj), (instance.y_lists, graph.y_adj))
+    if any(tuple(map(tuple, map(sorted, lists))) != rows for lists, rows in sides):
+        raise EngineInvariantError(
+            f"the instance built to strand {name(v)} does not rank exactly "
+            f"each vertex's neighbors"
+        )
+    m = engine.deferred_acceptance(graph, instance)
+    if not engine.is_stable(graph, instance, m):
+        raise EngineInvariantError(
+            "X-proposing deferred acceptance returned an unstable matching"
+        )
+    if m.partner(v) is not None:
+        raise EngineInvariantError(
+            f"the instance built to strand {name(v)} matches it in its "
+            f"X-optimal stable matching"
         )
 
 

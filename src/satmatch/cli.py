@@ -69,6 +69,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     failing = verdict.first_strandable
     if failing is not None:
         instance = analysis.adversarial_instance(g, failing)
+        analysis.certify_stranding(g, instance, failing.vertex, names.name)
         counterexample = {
             "vertex": names.name(failing.vertex),
             "preferences": market_io.preference_table(names, instance),
@@ -379,18 +380,7 @@ def cmd_adversary(args) -> tuple[dict, int]:
         return report, 1
 
     instance = analysis.adversarial_instance(g, r)
-    # one stable matching leaving the target unmatched shows it unmatched in
-    # every stable matching (Roth 1986), so this check needs no search cap
-    m = engine.deferred_acceptance(g, instance)
-    if not engine.is_stable(g, instance, m):
-        raise EngineInvariantError(
-            "X-proposing deferred acceptance returned an unstable matching"
-        )
-    if m.partner(target) is not None:
-        raise EngineInvariantError(
-            f"the instance built to strand {args.target} matches it in its "
-            f"X-optimal stable matching"
-        )
+    analysis.certify_stranding(g, instance, target, names.name)
     table = market_io.preference_table(names, instance)
     market_text = market_io.dump_market(replace(bundle.market, preferences=table))
 

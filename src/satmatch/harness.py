@@ -384,19 +384,6 @@ def _freeze_out(g: BipartiteGraph, witness: int) -> int:
     return _STILL_MATCHED
 
 
-def _every_instance_saturates(g: BipartiteGraph, cap: int, counts: dict) -> bool:
-    """Whether g has at most `cap` instances and each one, enumerated in turn
-    until the first that fails, has only X-saturating stable matchings.
-    Each enumerated instance adds 1 to counts["sampled_sets"]."""
-    if prefs.instance_count(g) > cap:
-        return False
-    for p in prefs.enumerate_all(g, cap):
-        counts["sampled_sets"] += 1
-        if not engine.enumerate_stable(g, p).x_saturating:
-            return False
-    return True
-
-
 def coverage_suite(
     max_classes: int = 3,
     max_side: int = 4,
@@ -416,12 +403,15 @@ def coverage_suite(
     Many markets induce the same graph, and the structural verdict and the
     freeze-out depend only on the graph (and the witness), so each runs
     once per distinct graph or (graph, witness) pair and its outcome is
-    replayed for the other markets. Positive verdicts follow the other
-    suites' rule, with `samples` as the budget: the first covered market on
-    a graph with at most `samples` instances enumerates each of them once,
-    and when every one saturates X no market on that graph draws any. Every
-    other covered market enumerates its own `samples` seeded instances,
-    and each one with a non-saturating stable matching is reported.
+    replayed for the other markets. Positive verdicts take their instances
+    from `instances_for`, as the other suites do, with `samples` as both cap
+    and sample count: the first covered market on a graph with at most
+    `samples` instances enumerates each of them once, and a covered market
+    on a larger graph draws its own `samples` seeded instances. Each
+    enumerated instance with a non-saturating stable matching is reported.
+    A graph checked whole keeps its outcome: later covered markets on it
+    draw nothing when every instance saturates X, and each gets one
+    violation when one does not.
     `instances` and `stable_sets` still count `samples` per covered market,
     plus one stable set per confirmed freeze-out; `structural_verdicts`,
     `freeze_outs` and `sampled_sets` count the verdicts, freeze-outs and
@@ -448,9 +438,8 @@ def coverage_suite(
     width = max_side.bit_length()
     holds_by_graph: dict[int, bool] = {}
     outcome_by_witness: dict[int, int] = {}
-    # per covered graph, True once all its instances were enumerated and seen
-    # to saturate X; False when it has more than `samples` instances or one
-    # that does not saturate X
+    # per covered graph with at most `samples` instances, whether each of
+    # them, enumerated once, saturates X
     saturating_by_graph: dict[int, bool] = {}
 
     for m_index, market in enumerate(
@@ -476,22 +465,28 @@ def coverage_suite(
             counts["instances"] += samples
             counts["stable_sets"] += samples
             saturating = saturating_by_graph.get(key)
-            if not saturating:
+            if saturating is None:
                 if g is None:
                     g = compatibility.induced_graph(market)
-                if saturating is None:
-                    saturating = _every_instance_saturates(g, samples, counts)
-                    saturating_by_graph[key] = saturating
-            if not saturating:
+                whole = prefs.instance_count(g) <= samples
+                noun = "instance" if whole else "sample"
+                saturating = True
                 seed_base = seed * 3_000_017 + m_index * 1_019
-                for k in range(samples):
-                    p = prefs.sample_uniform(g, seed_base + k)
+                for k, p in enumerate(instances_for(g, samples, samples, seed_base)):
                     counts["sampled_sets"] += 1
                     if not engine.enumerate_stable(g, p).x_saturating:
+                        saturating = False
                         violations["saturating"].append(
                             f"market {m_index} {market!r}: coverage holds but "
-                            f"sample {k} has a non-saturating stable matching"
+                            f"{noun} {k} has a non-saturating stable matching"
                         )
+                if whole:
+                    saturating_by_graph[key] = saturating
+            elif not saturating:
+                violations["saturating"].append(
+                    f"market {m_index} {market!r}: coverage holds but an "
+                    f"instance of its graph has a non-saturating stable matching"
+                )
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
             witness_key = key << width | witness

@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from satmatch import analysis, cli, compatibility, engine, harness, market_io
-from satmatch.errors import EngineInvariantError
+from satmatch import analysis, cli, compatibility, engine, harness, market_io, prefs
+from satmatch.errors import EngineInvariantError, PreferenceError
 from satmatch.graph import Matching, Side, Vertex
 from satmatch.prefs import PreferenceInstance
 
@@ -756,6 +756,76 @@ def test_adversary_refuses_an_unstable_deferred_acceptance_result(
         "acceptance returned an unstable matching\n"
     )
     assert not emitted.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_refuses_a_counterexample_that_matches_its_vertex(
+    capsys, monkeypatch, fmt
+):
+    # y2, x2's only option, ranks x2 first, so every stable matching pairs them
+    real = analysis.adversarial_instance
+    built = []
+
+    def target_first(graph, report):
+        instance = real(graph, report)
+        v = report.vertex
+        u = graph.adjacency(v.side)[v.index][0]
+        lists = [list(row) for row in instance.y_lists]
+        lists[u] = [v.index] + [w for w in lists[u] if w != v.index]
+        built.append((graph, v, PreferenceInstance(instance.x_lists, lists)))
+        return built[-1][2]
+
+    monkeypatch.setattr(analysis, "adversarial_instance", target_first)
+    code, out, err = _run(capsys, "analyze", _market("path4.yaml"), "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the instance built to strand "
+        "x2 matches it in its X-optimal stable matching\n"
+    )
+    [(graph, v, instance)] = built
+    assert v == Vertex(Side.X, 1)
+    assert v.index in engine.enumerate_stable(graph, instance).matched_x
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_refuses_a_counterexample_with_swapped_champions(
+    capsys, monkeypatch, fmt
+):
+    # weld's options ada and bea each get the other's champion; ada is not
+    # adjacent to bea's
+    real = analysis._champions
+
+    def swapped(graph, v):
+        first, second, *rest = real(graph, v)
+        return (second, first, *rest)
+
+    monkeypatch.setattr(analysis, "_champions", swapped)
+    path = _market("covered_classes.yaml")
+    code, out, err = _run(capsys, "analyze", path, "--side", "y", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the instance built to strand "
+        "weld does not rank exactly each vertex's neighbors\n"
+    )
+    # the swapped instance is no instance of the market, and with each list
+    # cut down to the vertex's neighbors it lets weld match
+    g = market_io.load_market(path).graph
+    weld = Vertex(Side.Y, 0)
+    instance = analysis.adversarial_instance(g, analysis.vertex_report(g, weld))
+    table = {
+        Vertex(side, i): [Vertex(side.opposite, u) for u in ranked]
+        for side, lists in ((Side.X, instance.x_lists), (Side.Y, instance.y_lists))
+        for i, ranked in enumerate(lists)
+    }
+    with pytest.raises(PreferenceError, match="not adjacent"):
+        prefs.validate(g, table)
+    cut = PreferenceInstance(
+        *(
+            [[u for u in ranked if u in row] for ranked, row in zip(lists, adj)]
+            for lists, adj in ((instance.x_lists, g.x_adj), (instance.y_lists, g.y_adj))
+        )
+    )
+    assert not engine.enumerate_stable(g, cut).always_unmatched(weld)
 
 
 def _dropping_last_blockade_option(monkeypatch) -> None:

@@ -333,6 +333,23 @@ def _covered_graphs(max_classes: int, max_side: int, samples: int):
     return small, larger_markets
 
 
+def _covered_markets_of(graph, max_classes: int, max_side: int):
+    """The index and market of each covered market that induces `graph`."""
+    return [
+        (m_index, market)
+        for m_index, market in enumerate(
+            harness.all_compatibility_markets(max_classes, max_side)
+        )
+        if compatibility.coverage_verdict(market).holds
+        and compatibility.induced_graph(market) == graph
+    ]
+
+
+def _reported_markets(result) -> list[int]:
+    """The market index of each `saturating` violation, in order."""
+    return [int(v.split()[1]) for v in result.violations["saturating"]]
+
+
 def _poisoning(monkeypatch, target, poisoned):
     """Patch the engine so that one instance of `target` has only stable
     matchings that leave X unsaturated."""
@@ -399,7 +416,7 @@ def test_coverage_suite_runs_each_verdict_and_freeze_out_once(monkeypatch):
     assert counts["stable_sets"] == counts["instances"] + deficient
 
 
-def test_a_non_saturating_sample_is_reported_for_every_market_sample(monkeypatch):
+def test_non_saturating_instances_are_reported_on_every_covered_market(monkeypatch):
     calls = {"enumerate": 0}
     real = engine.enumerate_stable
 
@@ -407,16 +424,25 @@ def test_a_non_saturating_sample_is_reported_for_every_market_sample(monkeypatch
         calls["enumerate"] += 1
         return replace(real(graph, instance, cap), matched_x=frozenset())
 
-    small, _ = _covered_graphs(2, 3, 3)
+    small, larger_markets = _covered_graphs(2, 3, 3)
     monkeypatch.setattr(harness.engine, "enumerate_stable", nothing_matched)
+    drawn = _counting_draws(monkeypatch)
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=3)
     counts = result.counts
-    # each small graph's whole check stops at its first instance, and then
-    # every market sample is drawn
-    assert counts["sampled_sets"] == counts["instances"] + len(small)
+    # each small graph is still checked whole, every instance of it once,
+    # and no sample is drawn there; each larger graph's market draws its own
+    whole = sum(prefs.instance_count(g) for g in small)
+    assert counts["sampled_sets"] == whole + 3 * larger_markets
     assert calls["enumerate"] == counts["sampled_sets"] + counts["freeze_outs"]
-    # one violation per market sample
-    assert len(result.violations["saturating"]) == counts["instances"]
+    assert not any(g in small for g, _ in drawn)
+    assert len(drawn) == 3 * larger_markets
+    # one violation per instance of a small graph, one per later covered
+    # market on it, and one per sample of a larger graph's market
+    small_markets = counts["verdicts_true"] - larger_markets
+    assert len(result.violations["saturating"]) == (
+        whole + small_markets - len(small) + 3 * larger_markets
+    )
+    assert len(set(_reported_markets(result))) == counts["verdicts_true"]
 
 
 @pytest.mark.parametrize("scale", [(2, 3, 50), (3, 3, 20)])
@@ -433,11 +459,22 @@ def test_confirmed_graphs_change_no_count_or_violation(monkeypatch, scale):
         drawn = _counting_draws(monkeypatch)
         confirmed = harness.coverage_suite(*scale)
         confirmed_draws = len(drawn)
+        assert not any(g == target for g, _ in drawn)
         _every_graph_sampled(monkeypatch)
         drawn.clear()
         every = harness.coverage_suite(*scale)
-        assert confirmed.violations == every.violations
         assert bool(every.violations["saturating"]) == poison
+        if poison:
+            # the whole check reports the target once on every covered market
+            # that induces it, and draws nothing there; sampling reports only
+            # the samples that drew the poisoned instance
+            on_target = [m for m, _ in _covered_markets_of(target, *scale[:2])]
+            assert _reported_markets(confirmed) == on_target
+            assert set(_reported_markets(every)) <= set(on_target)
+            for kind in ("adversarial", "consistency"):
+                assert confirmed.violations[kind] == every.violations[kind] == []
+        else:
+            assert confirmed.violations == every.violations
         sampled = confirmed.counts.pop("sampled_sets")
         assert confirmed.counts == {
             k: v for k, v in every.counts.items() if k != "sampled_sets"
@@ -456,28 +493,58 @@ def test_coverage_suite_draws_fewer_samples_than_it_counts(monkeypatch):
     assert result.counts["instances"] == 50 * result.counts["verdicts_true"]
 
 
-def test_a_graph_with_one_non_saturating_instance_draws_every_sample(monkeypatch):
-    # two covered markets induce this graph, which has two instances;
-    # unpoisoned, the graph is checked whole and no sample is drawn on it
+def test_a_graph_with_one_non_saturating_instance_is_reported_on_every_market(
+    monkeypatch,
+):
+    # two covered markets induce this graph, which has two instances, so it
+    # is checked whole and no sample is ever drawn on it
     target = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 2)])
     poisoned = next(prefs.enumerate_all(target))
+    markets = _covered_markets_of(target, 2, 3)
+    assert len(markets) == 2
     drawn = _counting_draws(monkeypatch)
     harness.coverage_suite(max_classes=2, max_side=3, samples=50)
-    unpoisoned_draws = sum(graph == target for graph, _ in drawn)
+    assert not any(graph == target for graph, _ in drawn)
 
     _poisoning(monkeypatch, target, poisoned)
     drawn.clear()
     result = harness.coverage_suite(max_classes=2, max_side=3, samples=50)
-    on_target = [instance for graph, instance in drawn if graph == target]
-    assert unpoisoned_draws < len(on_target) == 100  # both markets, every sample
-    # one violation per market sample that drew the poisoned instance
-    reported = result.violations["saturating"]
-    assert len(reported) == on_target.count(poisoned) > 1
-    assert len({v.split(":")[0] for v in reported}) == 2  # from both markets
+    assert not any(graph == target for graph, _ in drawn)
+    # the first market reports the failing instance, the second the stored
+    # outcome of the whole check
+    (first, first_market), (second, second_market) = markets
+    assert result.violations["saturating"] == [
+        f"market {first} {first_market!r}: coverage holds but instance 0 has "
+        f"a non-saturating stable matching",
+        f"market {second} {second_market!r}: coverage holds but an instance "
+        f"of its graph has a non-saturating stable matching",
+    ]
     assert not result.violations["consistency"] + result.violations["adversarial"]
 
+    # sampling instead reports only the samples that drew the poisoned
+    # instance, each on a market the whole check reported
     _every_graph_sampled(monkeypatch)
-    assert harness.coverage_suite(2, 3, 50).violations == result.violations
+    sampled = harness.coverage_suite(2, 3, 50)
+    assert sampled.violations["saturating"]
+    assert set(_reported_markets(sampled)) <= {first, second}
+
+
+def test_a_failure_found_by_the_whole_check_is_reported(monkeypatch):
+    # the graph's one covered market draws no sample: its two instances are
+    # checked whole, and the one that leaves X unmatched must be reported
+    target = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
+    poisoned = PreferenceInstance([(0, 1)], [(0,), (0,)])
+    assert poisoned in set(prefs.enumerate_all(target))
+    [(m_index, market)] = _covered_markets_of(target, 2, 3)
+    _poisoning(monkeypatch, target, poisoned)
+    drawn = _counting_draws(monkeypatch)
+    result = harness.coverage_suite(2, 3, 3)
+    assert not result.passed
+    assert result.violations["saturating"] == [
+        f"market {m_index} {market!r}: coverage holds but instance 0 has a "
+        f"non-saturating stable matching"
+    ]
+    assert not any(graph == target for graph, _ in drawn)
 
 
 def test_a_poisoned_instance_of_a_larger_graph_is_reported_per_draw(monkeypatch):
