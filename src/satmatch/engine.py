@@ -129,22 +129,30 @@ def deferred_acceptance(
     return Matching(_to_partner_tuple(px), graph.y_count)
 
 
-def _blocking_pairs(
+def _check_fit(
     graph: BipartiteGraph,
     instance: PreferenceInstance,
     matching: Matching,
-) -> Iterator[BlockingPair]:
-    """Blocking pairs of `matching`, in ascending (x-index, y-index) order.
-
-    An edge (x, y) blocks when both endpoints strictly prefer each other to
-    their current partners (an unmatched endpoint prefers any neighbor).
-    """
+) -> None:
     _check_shapes(graph, instance)
     if (
         len(matching.partner_of_x) != graph.x_count
         or len(matching.partner_of_y) != graph.y_count
     ):
         raise InputError("matching does not fit the graph")
+
+
+def _blocking_pairs(
+    graph: BipartiteGraph,
+    instance: PreferenceInstance,
+    matching: Matching,
+) -> Iterator[BlockingPair]:
+    """Blocking pairs of a matching that fits the graph, in ascending
+    (x-index, y-index) order.
+
+    An edge (x, y) blocks when both endpoints strictly prefer each other to
+    their current partners (an unmatched endpoint prefers any neighbor).
+    """
     px = matching.partner_of_x
     py = matching.partner_of_y
     for xi in range(graph.x_count):
@@ -163,7 +171,12 @@ def find_blocking_pairs(
     instance: PreferenceInstance,
     matching: Matching,
 ) -> list[BlockingPair]:
-    """All blocking pairs of `matching`, in ascending (x-index, y-index) order."""
+    """All blocking pairs of `matching`, in ascending (x-index, y-index) order.
+
+    It lists blocking edges only: a pair of the matching that is not an
+    edge of the graph is not reported here, and `is_stable` rejects it.
+    """
+    _check_fit(graph, instance, matching)
     return list(_blocking_pairs(graph, instance, matching))
 
 
@@ -172,7 +185,14 @@ def is_stable(
     instance: PreferenceInstance,
     matching: Matching,
 ) -> bool:
-    """True iff no edge blocks the matching (early exit on the first)."""
+    """True iff every pair of the matching is an edge of the graph and no
+    edge blocks the matching (early exit on the first)."""
+    _check_fit(graph, instance, matching)
+    if any(
+        y is not None and y not in row
+        for y, row in zip(matching.partner_of_x, graph.x_adj)
+    ):
+        return False
     return next(_blocking_pairs(graph, instance, matching), None) is None
 
 

@@ -6,6 +6,12 @@ stable-matching sets), and compares the structural verdicts against it.
 The suites return structured results; the CLI `verify` subcommand and the
 acceptance tests are both thin wrappers over them.
 
+A graph whose instances are checked whole has one ground truth: whether
+every stable matching of every instance saturates X. `run_all` computes it
+once per balanced graph and hands the record from the saturation suite to
+the perfection suite, since on a balanced graph a stable matching saturates
+X exactly when it is perfect. A suite run alone computes its own.
+
 Calls into the analysis/engine layers go through the module namespaces on
 purpose: the test suite injects faults by patching those attributes and
 expects the suites to notice.
@@ -17,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import analysis, compatibility, engine, prefs
 from .errors import GraphCountExceeded, InputError
@@ -142,25 +148,76 @@ def perfect_counterexample(
     return None if pv.holds else prefs.PreferenceInstance(graph.x_adj, graph.y_adj)
 
 
+def _disagreements(ss: engine.StableSet) -> list[str]:
+    """Recheck every member's matched sets, both sides, through the public
+    path; one message per member that disagrees."""
+    return [
+        f"member {m.pairs()} disagrees with matched sets "
+        f"{sorted(ss.matched_x)}/{sorted(ss.matched_y)}"
+        for m in ss.matchings
+        if m.matched_set(Side.X) != ss.matched_x
+        or m.matched_set(Side.Y) != ss.matched_y
+    ]
+
+
 def _stable_set(
     g: BipartiteGraph, p: prefs.PreferenceInstance, where: str, result: SuiteResult
 ) -> engine.StableSet:
     """Enumerate the stable matchings of (g, p), count them into `result` and
-    recheck every member's matched sets, both sides, through the public path."""
+    recheck every member's matched sets."""
     ss = engine.enumerate_stable(g, p)
     result.counts["stable_sets"] += 1
     result.counts["stable_matchings"] += len(ss.matchings)
     result.counts["invariance_checks"] += len(ss.matchings)
-    for m in ss.matchings:
-        if (
-            m.matched_set(Side.X) != ss.matched_x
-            or m.matched_set(Side.Y) != ss.matched_y
-        ):
-            result.violations["invariance"].append(
-                f"{where}: member {m.pairs()} disagrees with matched sets "
-                f"{sorted(ss.matched_x)}/{sorted(ss.matched_y)}"
-            )
+    result.violations["invariance"] += (f"{where}: {d}" for d in _disagreements(ss))
     return ss
+
+
+class WholeCheck(NamedTuple):
+    """One graph's instances checked whole, in `prefs.enumerate_all` order up
+    to the first whose stable matchings do not all saturate X. Each instance
+    checked is one stable set."""
+
+    saturates: bool  # every stable matching of every instance saturates X
+    instances: int
+    stable_matchings: int
+    invariance: tuple[str, ...]  # `_disagreements` messages, no graph prefix
+
+    def add_to(self, result: SuiteResult, where: str) -> None:
+        """Count this check into `result` as if the suite had run it there."""
+        counts = result.counts
+        counts["instances"] += self.instances
+        counts["stable_sets"] += self.instances
+        counts["stable_matchings"] += self.stable_matchings
+        counts["invariance_checks"] += self.stable_matchings
+        result.violations["invariance"] += (f"{where}: {d}" for d in self.invariance)
+
+
+def _check_whole(g: BipartiteGraph, cap: int) -> WholeCheck:
+    """Enumerate every instance of g (at most `cap` of them) and its stable
+    set, stopping at the first instance with a non-saturating member."""
+    saturates = True
+    instances = matchings = 0
+    invariance: list[str] = []
+    for p in prefs.enumerate_all(g, cap):
+        instances += 1
+        ss = engine.enumerate_stable(g, p)
+        matchings += len(ss.matchings)
+        invariance += _disagreements(ss)
+        if not ss.x_saturating:
+            saturates = False
+            break
+    return WholeCheck(saturates, instances, matchings, tuple(invariance))
+
+
+def _graph_key(g: BipartiteGraph, width: int) -> int:
+    """g as one int, packed as `_induced_key` packs a market's induced graph;
+    |X| and |Y| must fit in `width` bits."""
+    b = g.y_count
+    mask = 0
+    for i, row in enumerate(g.masks(Side.X)):
+        mask |= row << (i * b)
+    return (mask << width | g.x_count) << width | b
 
 
 # -- suite 1: one-sided saturation (verdict + adversarial + invariance) ------
@@ -172,16 +229,21 @@ def saturation_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
+    truths: Optional[dict[int, WholeCheck]] = None,
 ) -> SuiteResult:
     """Exhaustively cross-check the X-side saturation verdict.
 
     For every graph up to max_side x max_side and every preference instance
-    (all of them when the count fits instance_cap, else `seeds` samples):
-    the verdict must hold exactly when every stable matching of every
-    checked instance saturates X. For every vertex failing both guarantees,
-    the constructed adversarial instance must leave it unmatched in every
-    stable matching. Every stable-matching set produced on the way must
-    agree on who is matched, on both sides.
+    (all of them, through `_check_whole`, when the count fits instance_cap,
+    else `seeds` samples): the verdict must hold exactly when every stable
+    matching of every checked instance saturates X. For every vertex
+    failing both guarantees, the constructed adversarial instance must
+    leave it unmatched in every stable matching. Every stable-matching set
+    produced on the way must agree on who is matched, on both sides.
+
+    `truths` receives the whole check of each balanced graph, keyed by
+    `_graph_key` at max_side's bit width, for a perfection suite run next
+    with the same max_side and instance_cap; by default it is a fresh dict.
     """
     result = SuiteResult(
         name="saturation",
@@ -198,6 +260,9 @@ def saturation_suite(
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
+    width = max_side.bit_length()
+    if truths is None:
+        truths = {}
 
     for g_index, g in enumerate(all_graphs(max_side, max_side)):
         counts["graphs"] += 1
@@ -218,13 +283,20 @@ def saturation_suite(
         extra = adversarial[0][1] if adversarial else None
         if extra is None and not verdict.holds:
             extra = prefs.PreferenceInstance(g.x_adj, g.y_adj)
-        ground = True
-        seed_base = seed * 1_000_003 + g_index * 1_009
-        for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
-            counts["instances"] += 1
-            if not _stable_set(g, p, f"graph {g_index}", result).x_saturating:
-                ground = False
-                break
+        if prefs.instance_count(g) <= instance_cap:
+            whole = _check_whole(g, instance_cap)
+            whole.add_to(result, f"graph {g_index}")
+            ground = whole.saturates
+            if g.x_count == g.y_count:
+                truths[_graph_key(g, width)] = whole
+        else:
+            ground = True
+            seed_base = seed * 1_000_003 + g_index * 1_009
+            for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
+                counts["instances"] += 1
+                if not _stable_set(g, p, f"graph {g_index}", result).x_saturating:
+                    ground = False
+                    break
         if verdict.holds != ground:
             violations["verdict"].append(
                 f"graph {g_index} {g!r}: verdict {verdict.holds} but brute "
@@ -258,15 +330,21 @@ def perfection_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
+    truths: Optional[dict[int, WholeCheck]] = None,
 ) -> SuiteResult:
     """Cross-check the perfect-for-all-preferences characterizations.
 
     Ground truth per balanced graph: every stable matching of every checked
     instance is perfect. The component verdict must match it on every
     balanced graph; the connected-graph verdict must match it on the
-    connected ones. As in the saturation suite, sampled fallbacks get the
-    constructed stranding instance injected, so a negative verdict stays
-    checkable when the instance space dwarfs the sample budget.
+    connected ones. On a balanced graph a matching matches as many X- as
+    Y-vertices, so a stable matching is perfect exactly when it saturates
+    X: a graph whose instances fit instance_cap takes its ground truth from
+    `_check_whole`, or from the saturation suite's record of it in `truths`
+    (which it removes), and adds that check's counts and violations as its
+    own. As in the saturation suite, a sampled graph gets the constructed
+    stranding instance injected, so a negative verdict stays checkable when
+    the instance space dwarfs the sample budget.
     """
     result = SuiteResult(
         name="perfection",
@@ -282,6 +360,9 @@ def perfection_suite(
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
+    width = max_n.bit_length()
+    if truths is None:
+        truths = {}
 
     g_index = 0
     for n in range(max_n + 1):
@@ -289,14 +370,22 @@ def perfection_suite(
             g_index += 1
             counts["graphs"] += 1
 
-            ground = True
-            seed_base = seed * 2_000_003 + g_index * 1_013
-            extra = perfect_counterexample(g)
-            for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
-                counts["instances"] += 1
-                if not _stable_set(g, p, f"balanced graph {g_index}", result).perfect:
-                    ground = False
-                    break
+            where = f"balanced graph {g_index}"
+            if prefs.instance_count(g) <= instance_cap:
+                whole = truths.pop(_graph_key(g, width), None)
+                if whole is None:
+                    whole = _check_whole(g, instance_cap)
+                whole.add_to(result, where)
+                ground = whole.saturates
+            else:
+                ground = True
+                seed_base = seed * 2_000_003 + g_index * 1_013
+                extra = perfect_counterexample(g)
+                for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
+                    counts["instances"] += 1
+                    if not _stable_set(g, p, where, result).perfect:
+                        ground = False
+                        break
 
             component_verdict = analysis.component_perfect_verdict(g)
             if component_verdict.holds != ground:
@@ -642,9 +731,12 @@ def run_all(
     count = graph_count(max_side, max_side)
     if count > MAX_GRAPHS:
         raise GraphCountExceeded(max_side, count, MAX_GRAPHS)
+    # each balanced graph checked whole, from the saturation suite to the
+    # perfection suite
+    truths: dict[int, WholeCheck] = {}
     return [
-        saturation_suite(max_side, instance_cap, seeds, seed, progress),
-        perfection_suite(max_side, instance_cap, seeds, seed, progress),
+        saturation_suite(max_side, instance_cap, seeds, seed, progress, truths),
+        perfection_suite(max_side, instance_cap, seeds, seed, progress, truths),
         coverage_suite(
             max_classes=min(3, max_side + 1),
             max_side=max_side + 1,

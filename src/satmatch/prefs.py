@@ -46,6 +46,21 @@ class PreferenceInstance:
         self.x_rank = tuple(map(_rank_table, self.x_lists))
         self.y_rank = tuple(map(_rank_table, self.y_lists))
 
+    @classmethod
+    def _ranked(
+        cls,
+        x_lists: tuple[tuple[int, ...], ...],
+        y_lists: tuple[tuple[int, ...], ...],
+        x_rank: tuple[dict[int, int], ...],
+        y_rank: tuple[dict[int, int], ...],
+    ) -> "PreferenceInstance":
+        """An instance from list tuples and their rank tables, as given:
+        the tables are shared with the caller, not copied."""
+        self = object.__new__(cls)
+        self.x_lists, self.y_lists = x_lists, y_lists
+        self.x_rank, self.y_rank = x_rank, y_rank
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceInstance):
             return NotImplemented
@@ -148,16 +163,22 @@ def enumerate_all(
 
     Order is lexicographic in per-vertex permutation indices, X side first.
     Refuses up front (with the computed count) when the instance count
-    exceeds `cap`, so callers can fall back to sampling.
+    exceeds `cap`, so callers can fall back to sampling. Each vertex's
+    permutations and their rank tables are built once per graph and shared
+    by every instance that uses them, so each yielded instance equals, and
+    ranks as, `PreferenceInstance(x_lists, y_lists)` built from its lists.
     """
     total = instance_count(graph)
     if total > cap:
         raise InstanceCapExceeded(total, cap)
     a = graph.x_count
-    pools = [tuple(permutations(row)) for row in graph.x_adj]
-    pools += [tuple(permutations(row)) for row in graph.y_adj]
+    pools = [
+        tuple((perm, _rank_table(perm)) for perm in permutations(row))
+        for row in graph.x_adj + graph.y_adj
+    ]
     for combo in product(*pools):
-        yield PreferenceInstance(combo[:a], combo[a:])
+        lists, ranks = zip(*combo) if combo else ((), ())
+        yield PreferenceInstance._ranked(lists[:a], lists[a:], ranks[:a], ranks[a:])
 
 
 def sample_uniform(graph: BipartiteGraph, seed: int) -> PreferenceInstance:

@@ -251,6 +251,19 @@ def test_match_refuses_an_unstable_result(capsys, monkeypatch, fmt, propose):
     )
 
 
+def test_match_refuses_a_pair_that_is_not_an_edge(capsys, monkeypatch):
+    # x1 — y2 and x2 — y1: x2 and y1 are not adjacent in path4
+    monkeypatch.setattr(
+        engine, "deferred_acceptance", lambda g, p, proposing: Matching((1, 0), 2)
+    )
+    code, out, err = _run(capsys, "match", _market("path4_rigged.yaml"))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: X-proposing deferred "
+        "acceptance returned an unstable matching\n"
+    )
+
+
 def test_match_requires_preferences(capsys):
     code, out, err = _run(capsys, "match", _market("path4.yaml"))
     assert code == 2

@@ -127,6 +127,16 @@ def test_blocking_pair_needs_both_sides_willing():
     assert is_stable(g, inst, Matching((0, 1), 2))
 
 
+def test_a_pair_that_is_not_an_edge_is_unstable():
+    # x0 ranks y1, but the graph has only the edge x0 — y0; no edge blocks
+    g = BipartiteGraph(1, 2, [(0, 0)])
+    inst = PreferenceInstance([(1, 0)], [(0,), (0,)])
+    off_graph = Matching([1], 2)
+    assert find_blocking_pairs(g, inst, off_graph) == []
+    assert not is_stable(g, inst, off_graph)
+    assert is_stable(g, inst, Matching([0], 2))
+
+
 def test_enumerate_stable_finds_both_square_matchings():
     g, inst = _square_cycle()
     ss = enumerate_stable(g, inst)

@@ -32,10 +32,13 @@ def test_graph_count_matches_all_graphs():
     assert harness.graph_count(4, 4) <= harness.MAX_GRAPHS < harness.graph_count(5, 5)
 
 
-def _stub_suites(monkeypatch) -> list[str]:
-    """Replace every suite with a stub that records its name and does no work."""
+def _stub_suites(
+    monkeypatch, names=("saturation", "perfection", "coverage", "oracle")
+) -> list[str]:
+    """Replace the named suites with stubs that record their names and do
+    no work."""
     ran: list[str] = []
-    for name in ("saturation", "perfection", "coverage", "oracle"):
+    for name in names:
 
         def stub(*args, _name=name, **kwargs):
             ran.append(_name)
@@ -136,6 +139,31 @@ def test_perfection_suite_confirms_negatives_with_starved_sampling():
     assert result.passed
 
 
+@pytest.mark.parametrize(
+    "max_n, cap, sampled",
+    [
+        (3, harness.DEFAULT_GATE_CAP, 1),  # K(3,3) alone
+        (2, 1, 9),  # the balanced graphs with more than one instance
+        (2, 0, 19),  # every balanced graph
+    ],
+)
+def test_perfect_counterexample_is_built_only_for_sampled_graphs(
+    monkeypatch, max_n, cap, sampled
+):
+    built = []
+    real = harness.perfect_counterexample
+
+    def counting(graph):
+        built.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(harness, "perfect_counterexample", counting)
+    result = harness.perfection_suite(max_n=max_n, instance_cap=cap, seeds=1)
+    assert result.passed
+    assert len(built) == sampled
+    assert all(prefs.instance_count(g) > cap for g in built)
+
+
 def test_perfect_counterexample_pins_negative_verdicts():
     # A connected balanced 4x4 graph whose instance space (~4.3e8) dwarfs any
     # sampling budget: the verdict is negative, and the constructed instance
@@ -194,6 +222,40 @@ def test_run_all_returns_the_four_suites():
         "oracle",
     ]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("max_side", [2, 3])
+def test_run_all_shares_whole_checks_without_changing_a_count(
+    monkeypatch, max_side
+):
+    """The perfection suite takes the saturation suite's whole checks in
+    run_all, and reports what it reports when run alone."""
+    calls = []
+    real = engine.enumerate_stable
+
+    def counting(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        calls.append(graph)
+        return real(graph, instance, cap)
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", counting)
+    alone = [
+        harness.saturation_suite(max_side=max_side, seeds=20),
+        harness.perfection_suite(max_n=max_side, seeds=20),
+    ]
+    calls_alone = len(calls)
+    calls.clear()
+    _stub_suites(monkeypatch, ("coverage", "oracle"))
+    shared = harness.run_all(max_side=max_side, seeds=20)[:2]
+    for a, b in zip(alone, shared):
+        assert a.name == b.name
+        assert a.counts == b.counts
+        assert {k: len(v) for k, v in a.violations.items()} == {
+            k: len(v) for k, v in b.violations.items()
+        }
+        assert a.passed
+    if max_side == 2:  # every balanced graph is checked whole
+        assert calls_alone - len(calls) == alone[1].counts["stable_sets"]
+    assert len(calls) < calls_alone
 
 
 def test_progress_callback_fires():
@@ -590,6 +652,24 @@ def test_suite_catches_disagreeing_matched_sets(monkeypatch, suite):
     result = _ENUMERATING[suite]()
     assert not result.passed
     assert result.violations["invariance"]
+
+
+def test_run_all_reports_disagreeing_matched_sets_in_both_graph_suites(
+    monkeypatch,
+):
+    real = engine.enumerate_stable
+
+    def corrupted(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        ss = real(graph, instance, cap)
+        return replace(ss, matched_x=frozenset({10**6}))
+
+    monkeypatch.setattr(harness.engine, "enumerate_stable", corrupted)
+    perfection_alone = harness.perfection_suite(max_n=2, seeds=5)
+    _stub_suites(monkeypatch, ("coverage", "oracle"))
+    saturation, perfection = harness.run_all(max_side=2, seeds=5)[:2]
+    assert saturation.violations["invariance"]
+    assert perfection.violations["invariance"]
+    assert perfection.violations == perfection_alone.violations
 
 
 @pytest.mark.parametrize("suite", list(_ENUMERATING))

@@ -11,6 +11,7 @@ from conftest import X, Y, biclique, graph_with_instance, graphs, path4
 from satmatch import prefs
 from satmatch.errors import InstanceCapExceeded, PreferenceError
 from satmatch.graph import BipartiteGraph, Side, Vertex
+from satmatch.harness import all_graphs
 from satmatch.prefs import (
     PreferenceInstance,
     enumerate_all,
@@ -156,6 +157,16 @@ def test_enumerate_all_is_exhaustive_and_distinct():
     assert len(set(seen)) == 4
     # lexicographic in permutation pools: the all-ascending instance first
     assert seen[0] == _canonical(g)
+
+
+def test_enumerated_instances_equal_freshly_built_ones():
+    """The shared rank tables rank exactly as an instance built from scratch,
+    on every graph up to 2x3 and on K(3,2)."""
+    for g in [*all_graphs(2, 3), biclique(3, 2)]:
+        for inst in enumerate_all(g):
+            fresh = PreferenceInstance(inst.x_lists, inst.y_lists)
+            assert inst == fresh
+            assert (inst.x_rank, inst.y_rank) == (fresh.x_rank, fresh.y_rank)
 
 
 def test_enumerate_all_respects_cap():
