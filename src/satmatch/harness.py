@@ -6,11 +6,13 @@ stable-matching sets), and compares the structural verdicts against it.
 The suites return structured results; the CLI `verify` subcommand and the
 acceptance tests are both thin wrappers over them.
 
-A graph whose instances are checked whole has one ground truth: whether
-every stable matching of every instance saturates X. `run_all` computes it
-once per balanced graph and hands the record from the saturation suite to
-the perfection suite, since on a balanced graph a stable matching saturates
-X exactly when it is perfect. A suite run alone computes its own.
+Both graph suites take one ground truth per graph from one routine,
+`_brute_check`: whether every stable matching of every instance checked,
+all of the graph's instances or a seeded sample of them, saturates X. On a
+balanced graph a stable matching saturates X exactly when it is perfect,
+so `run_all` hands the record of each balanced graph checked whole from
+the saturation suite to the perfection suite. Sampled graphs draw their
+own instances in each suite, and a suite run alone computes every record.
 
 Calls into the analysis/engine layers go through the module namespaces on
 purpose: the test suite injects faults by patching those attributes and
@@ -23,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import analysis, compatibility, engine, prefs
 from .errors import GraphCountExceeded, InputError
@@ -173,9 +175,9 @@ def _stable_set(
     return ss
 
 
-class WholeCheck(NamedTuple):
-    """One graph's instances checked whole, in `prefs.enumerate_all` order up
-    to the first whose stable matchings do not all saturate X. Each instance
+class BruteCheck(NamedTuple):
+    """One graph's instances checked by brute force, in stream order up to
+    the first whose stable matchings do not all saturate X. Each instance
     checked is one stable set."""
 
     saturates: bool  # every stable matching of every instance saturates X
@@ -193,21 +195,23 @@ class WholeCheck(NamedTuple):
         result.violations["invariance"] += (f"{where}: {d}" for d in self.invariance)
 
 
-def _check_whole(g: BipartiteGraph, cap: int) -> WholeCheck:
-    """Enumerate every instance of g (at most `cap` of them) and its stable
-    set, stopping at the first instance with a non-saturating member."""
+def _brute_check(
+    g: BipartiteGraph, instances: Iterable[prefs.PreferenceInstance]
+) -> BruteCheck:
+    """Enumerate the stable set of each instance of g in turn, stopping at
+    the first with a member that does not saturate X."""
     saturates = True
-    instances = matchings = 0
+    count = matchings = 0
     invariance: list[str] = []
-    for p in prefs.enumerate_all(g, cap):
-        instances += 1
+    for p in instances:
+        count += 1
         ss = engine.enumerate_stable(g, p)
         matchings += len(ss.matchings)
         invariance += _disagreements(ss)
         if not ss.x_saturating:
             saturates = False
             break
-    return WholeCheck(saturates, instances, matchings, tuple(invariance))
+    return BruteCheck(saturates, count, matchings, tuple(invariance))
 
 
 def _graph_key(g: BipartiteGraph, width: int) -> int:
@@ -229,21 +233,22 @@ def saturation_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
-    truths: Optional[dict[int, WholeCheck]] = None,
+    truths: Optional[dict[int, BruteCheck]] = None,
 ) -> SuiteResult:
     """Exhaustively cross-check the X-side saturation verdict.
 
-    For every graph up to max_side x max_side and every preference instance
-    (all of them, through `_check_whole`, when the count fits instance_cap,
-    else `seeds` samples): the verdict must hold exactly when every stable
-    matching of every checked instance saturates X. For every vertex
-    failing both guarantees, the constructed adversarial instance must
-    leave it unmatched in every stable matching. Every stable-matching set
-    produced on the way must agree on who is matched, on both sides.
+    For every graph up to max_side x max_side, `_brute_check` runs over its
+    instances from `instances_for`: all of them when the count fits
+    instance_cap, else `seeds` samples. The verdict must hold exactly when
+    every stable matching of every checked instance saturates X. For every
+    vertex failing both guarantees, the constructed adversarial instance
+    must leave it unmatched in every stable matching. Every stable-matching
+    set produced on the way must agree on who is matched, on both sides.
 
-    `truths` receives the whole check of each balanced graph, keyed by
-    `_graph_key` at max_side's bit width, for a perfection suite run next
+    `truths` receives the check of each balanced graph checked whole, keyed
+    by `_graph_key` at max_side's bit width, for a perfection suite run next
     with the same max_side and instance_cap; by default it is a fresh dict.
+    Sampled checks are not shared.
     """
     result = SuiteResult(
         name="saturation",
@@ -271,32 +276,28 @@ def saturation_suite(
             counts["verdicts_true"] += 1
 
         # the verdict claims: every SM of every instance saturates X. Each
-        # strandable vertex gets one stranding instance, checked below; the
-        # first also joins sampled fallbacks, so a negative verdict stays
-        # checkable under sampling. A verdict failing only at isolated
+        # strandable vertex gets one stranding instance, checked below; on a
+        # sampled graph the first also joins the samples, so a negative
+        # verdict stays checkable. A verdict failing only at isolated
         # vertices, unmatched under any instance, joins the ascending one.
         adversarial = [
             (report, analysis.adversarial_instance(g, report))
             for report in verdict.reports
             if report.strandable
         ]
-        extra = adversarial[0][1] if adversarial else None
-        if extra is None and not verdict.holds:
-            extra = prefs.PreferenceInstance(g.x_adj, g.y_adj)
-        if prefs.instance_count(g) <= instance_cap:
-            whole = _check_whole(g, instance_cap)
-            whole.add_to(result, f"graph {g_index}")
-            ground = whole.saturates
-            if g.x_count == g.y_count:
-                truths[_graph_key(g, width)] = whole
-        else:
-            ground = True
-            seed_base = seed * 1_000_003 + g_index * 1_009
-            for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
-                counts["instances"] += 1
-                if not _stable_set(g, p, f"graph {g_index}", result).x_saturating:
-                    ground = False
-                    break
+        whole = prefs.instance_count(g) <= instance_cap
+        extra = None
+        if not whole:
+            if adversarial:
+                extra = adversarial[0][1]
+            elif not verdict.holds:
+                extra = prefs.PreferenceInstance(g.x_adj, g.y_adj)
+        seed_base = seed * 1_000_003 + g_index * 1_009
+        check = _brute_check(g, instances_for(g, instance_cap, seeds, seed_base, extra))
+        check.add_to(result, f"graph {g_index}")
+        if whole and g.x_count == g.y_count:
+            truths[_graph_key(g, width)] = check
+        ground = check.saturates
         if verdict.holds != ground:
             violations["verdict"].append(
                 f"graph {g_index} {g!r}: verdict {verdict.holds} but brute "
@@ -330,7 +331,7 @@ def perfection_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
-    truths: Optional[dict[int, WholeCheck]] = None,
+    truths: Optional[dict[int, BruteCheck]] = None,
 ) -> SuiteResult:
     """Cross-check the perfect-for-all-preferences characterizations.
 
@@ -339,12 +340,14 @@ def perfection_suite(
     balanced graph; the connected-graph verdict must match it on the
     connected ones. On a balanced graph a matching matches as many X- as
     Y-vertices, so a stable matching is perfect exactly when it saturates
-    X: a graph whose instances fit instance_cap takes its ground truth from
-    `_check_whole`, or from the saturation suite's record of it in `truths`
-    (which it removes), and adds that check's counts and violations as its
-    own. As in the saturation suite, a sampled graph gets the constructed
-    stranding instance injected, so a negative verdict stays checkable when
-    the instance space dwarfs the sample budget.
+    X: the ground truth is `_brute_check` over the graph's instances from
+    `instances_for`, or, for a graph checked whole, the saturation suite's
+    record of that check in `truths` (which it removes). The suite adds the
+    check's counts and violations as its own. A sampled graph gets the
+    constructed stranding instance injected, so a negative verdict stays
+    checkable when the instance space dwarfs the sample budget. A fault in
+    the Y-side matched set shows as an `invariance` violation, since every
+    member is rechecked on both sides.
     """
     result = SuiteResult(
         name="perfection",
@@ -370,22 +373,16 @@ def perfection_suite(
             g_index += 1
             counts["graphs"] += 1
 
-            where = f"balanced graph {g_index}"
-            if prefs.instance_count(g) <= instance_cap:
-                whole = truths.pop(_graph_key(g, width), None)
-                if whole is None:
-                    whole = _check_whole(g, instance_cap)
-                whole.add_to(result, where)
-                ground = whole.saturates
-            else:
-                ground = True
+            whole = prefs.instance_count(g) <= instance_cap
+            check = truths.pop(_graph_key(g, width), None) if whole else None
+            if check is None:
+                extra = None if whole else perfect_counterexample(g)
                 seed_base = seed * 2_000_003 + g_index * 1_013
-                extra = perfect_counterexample(g)
-                for p in instances_for(g, instance_cap, seeds, seed_base, extra=extra):
-                    counts["instances"] += 1
-                    if not _stable_set(g, p, where, result).perfect:
-                        ground = False
-                        break
+                check = _brute_check(
+                    g, instances_for(g, instance_cap, seeds, seed_base, extra)
+                )
+            check.add_to(result, f"balanced graph {g_index}")
+            ground = check.saturates
 
             component_verdict = analysis.component_perfect_verdict(g)
             if component_verdict.holds != ground:
@@ -733,7 +730,7 @@ def run_all(
         raise GraphCountExceeded(max_side, count, MAX_GRAPHS)
     # each balanced graph checked whole, from the saturation suite to the
     # perfection suite
-    truths: dict[int, WholeCheck] = {}
+    truths: dict[int, BruteCheck] = {}
     return [
         saturation_suite(max_side, instance_cap, seeds, seed, progress, truths),
         perfection_suite(max_side, instance_cap, seeds, seed, progress, truths),

@@ -224,12 +224,20 @@ def test_run_all_returns_the_four_suites():
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("max_side", [2, 3])
+@pytest.mark.parametrize(
+    "max_side, cap, sampled_graphs",
+    [
+        pytest.param(2, harness.DEFAULT_GATE_CAP, (0, 0), id="2"),
+        pytest.param(3, harness.DEFAULT_GATE_CAP, (1, 1), id="3"),  # K(3,3)
+        pytest.param(3, 100, (90, 88), id="3-cap100"),
+    ],
+)
 def test_run_all_shares_whole_checks_without_changing_a_count(
-    monkeypatch, max_side
+    monkeypatch, max_side, cap, sampled_graphs
 ):
     """The perfection suite takes the saturation suite's whole checks in
-    run_all, and reports what it reports when run alone."""
+    run_all, draws its own samples, and reports what it reports when run
+    alone."""
     calls = []
     real = engine.enumerate_stable
 
@@ -237,25 +245,31 @@ def test_run_all_shares_whole_checks_without_changing_a_count(
         calls.append(graph)
         return real(graph, instance, cap)
 
+    def sampled(graphs):
+        return [g for g in graphs if prefs.instance_count(g) > cap]
+
     monkeypatch.setattr(harness.engine, "enumerate_stable", counting)
-    alone = [
-        harness.saturation_suite(max_side=max_side, seeds=20),
-        harness.perfection_suite(max_n=max_side, seeds=20),
-    ]
-    calls_alone = len(calls)
+    saturation = harness.saturation_suite(max_side, cap, seeds=20)
+    saturation_calls = calls[:]
+    calls.clear()
+    perfection = harness.perfection_suite(max_side, cap, seeds=20)
+    perfection_sampled = sampled(calls)
     calls.clear()
     _stub_suites(monkeypatch, ("coverage", "oracle"))
-    shared = harness.run_all(max_side=max_side, seeds=20)[:2]
-    for a, b in zip(alone, shared):
+    shared = harness.run_all(max_side, cap, seeds=20)[:2]
+    for a, b in zip((saturation, perfection), shared):
         assert a.name == b.name
         assert a.counts == b.counts
-        assert {k: len(v) for k, v in a.violations.items()} == {
-            k: len(v) for k, v in b.violations.items()
-        }
+        assert a.violations == b.violations
         assert a.passed
-    if max_side == 2:  # every balanced graph is checked whole
-        assert calls_alone - len(calls) == alone[1].counts["stable_sets"]
-    assert len(calls) < calls_alone
+    assert (
+        len(set(sampled(saturation_calls))),
+        len(set(perfection_sampled)),
+    ) == sampled_graphs
+    # run alone or in run_all, the saturation suite enumerates the same; in
+    # run_all the perfection suite enumerates only on the graphs it samples
+    assert calls == saturation_calls + perfection_sampled
+    assert len(perfection_sampled) < perfection.counts["stable_sets"]
 
 
 def test_progress_callback_fires():
@@ -636,22 +650,39 @@ def test_a_poisoned_instance_of_a_larger_graph_is_reported_per_draw(monkeypatch)
 _ENUMERATING = {
     "saturation": lambda: harness.saturation_suite(max_side=2, seeds=5),
     "perfection": lambda: harness.perfection_suite(max_n=2, seeds=5),
+    # every balanced graph sampled
+    "perfection-sampled": lambda: harness.perfection_suite(
+        max_n=2, instance_cap=0, seeds=3
+    ),
     "oracle": lambda: harness.oracle_suite(pairs=50, max_side=3),
 }
 
 
-@pytest.mark.parametrize("suite", list(_ENUMERATING))
-def test_suite_catches_disagreeing_matched_sets(monkeypatch, suite):
+@pytest.mark.parametrize(
+    "suite, field",
+    [
+        pytest.param(
+            suite, field, id=suite if field == "matched_x" else f"{suite}-{field}"
+        )
+        for field in ("matched_x", "matched_y")
+        for suite in _ENUMERATING
+    ],
+)
+def test_suite_catches_disagreeing_matched_sets(monkeypatch, suite, field):
     real = engine.enumerate_stable
 
     def corrupted(graph, instance, cap=engine.DEFAULT_NODE_CAP):
         ss = real(graph, instance, cap)
-        return replace(ss, matched_x=frozenset({10**6}))
+        return replace(ss, **{field: frozenset({10**6})})
 
     monkeypatch.setattr(harness.engine, "enumerate_stable", corrupted)
     result = _ENUMERATING[suite]()
     assert not result.passed
     assert result.violations["invariance"]
+    if field == "matched_y":
+        # no suite's ground truth reads the Y side, so only the recheck of
+        # every member's matched sets sees the fault
+        assert not [k for k, v in result.violations.items() if v and k != "invariance"]
 
 
 def test_run_all_reports_disagreeing_matched_sets_in_both_graph_suites(
@@ -692,7 +723,7 @@ def test_enumerating_suites_count_stable_sets_alike(monkeypatch, suite):
         "saturation": ("instances", "adversarial_targets"),
         "perfection": ("instances",),
         "oracle": ("pairs",),
-    }[suite]
+    }[result.name]
     enumerations = sum(counts[key] for key in enumerated)
     assert counts["stable_sets"] == enumerations == len(sizes) > 0
     assert counts["stable_matchings"] == counts["invariance_checks"] == sum(sizes)
