@@ -8,9 +8,10 @@ answers it: each option takes a free competitor if it has one and runs an
 augmenting-path search only when none is free. The answer is one of two
 certificates:
 
-* If yes, v can be stranded. The caller that prints or checks a
+* If yes, v can be stranded, and the absorbing matching the search found
+  is kept as the certificate. The caller that prints or checks a
   stranding instance builds it with `adversarial_instance`, which finds
-  the absorbing matching again with plain ascending augmenting paths,
+  an absorbing matching again with plain ascending augmenting paths,
   pairing each option with a champion competitor; preferences in which
   every option and its champion rank each other first strand v in every
   stable matching of that instance.
@@ -51,6 +52,18 @@ paths were taken. The champions are searched for only when an instance is
 built, so they always come from plain ascending augmenting paths.
 `certify_blockade` rechecks a blockade from the masks alone before it is
 printed: it must lie inside N(v) and outnumber its competitors.
+`certify_absorption` rechecks a kept absorbing matching the same way: its
+competitors must be distinct, none of them v, each adjacent to its option.
+
+`saturation_verdict` runs one search per neighbourhood, not per vertex.
+Two vertices of one side with the same adjacency mask, twins, get the same
+report apart from `vertex`: swapping them is an automorphism of the graph
+that fixes every option, so the options of one can be absorbed without it
+exactly when those of the other can, the claimant counts agree, neither
+has a dedicated option (each option is adjacent to both), and the
+blockade is the same unique overfull part. A twin's absorbing matching is
+its representative's with the two vertices swapped, since the
+representative's matching may use the twin as a competitor.
 
 Each verdict stores only what its search found; whether it holds, and
 each vertex's status, are derived from that.
@@ -63,7 +76,7 @@ every component is a balanced biclique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
 # certify_stranding calls through the module, so that patching
@@ -83,9 +96,12 @@ class VertexReport:
     `satisfied`: matched in every stable matching of every preference
     instance. `dedicated` is the cheap one-vertex certificate and
     `bounded` (claimants <= options) the other. A `strandable` vertex is
-    neither satisfied nor isolated: its options can all be absorbed,
-    which the free-competitor step decided without keeping the absorbing
-    matching; the caller that wants its stranding instance builds it with
+    neither satisfied nor isolated: its options can all be absorbed, and
+    `absorbers` is the absorbing matching the search found, the competitor
+    (an index on v's side) of each option of v in ascending order. It is
+    left out of comparisons: twins and other search orders find other
+    matchings for the same verdict, and `certify_absorption` checks it.
+    The caller that wants a stranding instance builds it with
     `adversarial_instance`. An isolated vertex is vacuously bounded
     (0 <= 0) yet can never be matched: blockade None, not satisfied, not
     strandable.
@@ -96,6 +112,7 @@ class VertexReport:
     claimants: int
     dedicated: Optional[Vertex]
     blockade: Optional[tuple[Vertex, ...]]
+    absorbers: Optional[tuple[int, ...]] = field(compare=False, repr=False)
 
     @property
     def satisfied(self) -> bool:
@@ -164,8 +181,9 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     The free-competitor step runs on every vertex. It changes which
     competitor absorbs which option, but not u or the set reachable from
     it, so the blockade is the same as plain ascending search would give.
-    A vertex whose options are all placed can be stranded; its champions
-    are left to `adversarial_instance`.
+    A vertex whose options are all placed can be stranded; the report
+    keeps the matching that placed them, and its champions are left to
+    `adversarial_instance`.
     """
     graph.check_vertex(v)
     opp = v.side.opposite
@@ -191,12 +209,17 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
             blockade = tuple(Vertex(opp, w) for w in stuck)
             break
         free &= ~seen  # the one free competitor a path visits is the one it takes
+    absorbers = None
+    if blockade is None and row:
+        absorbed_by = dict(zip(taken.values(), taken))  # option -> competitor
+        absorbers = tuple(map(absorbed_by.__getitem__, row))
     return VertexReport(
         vertex=v,
         options=len(row),
         claimants=reach.bit_count(),
         dedicated=dedicated,
         blockade=blockade,
+        absorbers=absorbers,
     )
 
 
@@ -226,6 +249,47 @@ def certify_blockade(graph: BipartiteGraph, report: VertexReport) -> None:
             f"{counted(across.bit_count(), 'competitor')} besides it for "
             f"{counted(len(chosen), 'option')}"
         )
+
+
+def certify_absorption(graph: BipartiteGraph, report: VertexReport) -> None:
+    """Recheck a strandable `report`'s absorbing matching against the graph.
+
+    Each option of v must have an absorber, and the absorbers must be
+    distinct competitors other than v, each adjacent to its option: a
+    matching of N(v) that avoids v (McConnell, Mehlhorn, Näher & Schweitzer,
+    Computer Science Review 5(2), 2011, on certifying algorithms). That
+    costs O(deg v). A report that is not strandable passes. A matching that
+    fails would print a false "can be stranded", so this raises
+    EngineInvariantError.
+    """
+    if not report.strandable:
+        return
+    v = report.vertex
+    opp = v.side.opposite
+    row = graph.adjacency(v.side)[v.index]
+    if report.absorbers is None or len(report.absorbers) != len(row):
+        raise EngineInvariantError(
+            f"{v!r} was reported strandable without an absorber for each option"
+        )
+    comasks = graph.masks(opp)
+    used = 0
+    for u, c in zip(row, report.absorbers):
+        if c == v.index:
+            raise EngineInvariantError(
+                f"the absorbing matching of {v!r} gives option {Vertex(opp, u)!r} "
+                f"to {v!r} itself"
+            )
+        if c < 0 or not comasks[u] >> c & 1:
+            raise EngineInvariantError(
+                f"the absorbing matching of {v!r} gives option {Vertex(opp, u)!r} "
+                f"to {Vertex(v.side, c)!r}, which is not adjacent to it"
+            )
+        if used >> c & 1:
+            raise EngineInvariantError(
+                f"the absorbing matching of {v!r} gives {Vertex(v.side, c)!r} "
+                f"two options"
+            )
+        used |= 1 << c
 
 
 def certify_stranding(
@@ -306,9 +370,31 @@ def guarantee(
 
 def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> SaturationVerdict:
     """The full verdict for one side, with per-vertex certificates; the
-    caller builds any stranding instance from `first_strandable`."""
-    reports = tuple(vertex_report(graph, v) for v in graph.vertices(side))
-    return SaturationVerdict(side=side, reports=reports)
+    caller builds any stranding instance from `first_strandable`.
+
+    Twins share one search: the first vertex with a given adjacency mask
+    runs `vertex_report`, and every later twin gets a copy of its report.
+    That is exact, because swapping two twins is an automorphism of the
+    graph that fixes all their options (see the module docstring); the
+    copy's absorbing matching swaps the two, as the representative's may
+    use the twin as a competitor.
+    """
+    first: dict[int, VertexReport] = {}  # adjacency mask -> its first report
+    reports = []
+    for v, mask in zip(graph.vertices(side), graph.masks(side)):
+        rep = first.get(mask)
+        if rep is None:
+            rep = first[mask] = vertex_report(graph, v)
+        else:
+            absorbers = rep.absorbers
+            if absorbers is not None:
+                mine = rep.vertex.index
+                absorbers = tuple(mine if c == v.index else c for c in absorbers)
+            rep = VertexReport(
+                v, rep.options, rep.claimants, rep.dedicated, rep.blockade, absorbers
+            )
+        reports.append(rep)
+    return SaturationVerdict(side=side, reports=tuple(reports))
 
 
 def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:

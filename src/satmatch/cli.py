@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from . import analysis, compatibility, engine, harness, market_io
+from . import analysis, compatibility, defaults, engine, market_io
 from .errors import (
     CapExceeded,
     EngineInvariantError,
@@ -49,6 +49,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     vertices = []
     for r in verdict.reports:
         analysis.certify_blockade(g, r)
+        analysis.certify_absorption(g, r)
         vertices.append(
             {
                 "vertex": names.name(r.vertex),
@@ -452,6 +453,8 @@ def _render_adversary(report: dict) -> list[str]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from . import harness  # the largest module; only `verify` needs it
+
     progress = None
     if not args.quiet:
 
@@ -593,24 +596,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-side",
         type=int,
-        default=harness.DEFAULT_MAX_SIDE,
+        default=defaults.DEFAULT_MAX_SIDE,
         help="graph side bound for the verdict suites (default: %(default)s)",
     )
     p.add_argument(
         "--cap",
         type=int,
-        default=harness.DEFAULT_GATE_CAP,
+        default=defaults.DEFAULT_GATE_CAP,
         help="instance-count bound for exhaustive preference runs "
         "(default: %(default)s)",
     )
     p.add_argument(
         "--seeds",
         type=int,
-        default=harness.DEFAULT_SEEDS,
+        default=defaults.DEFAULT_SEEDS,
         help="samples per graph above the cap (default: %(default)s)",
     )
     p.add_argument(
-        "--seed", type=int, default=harness.DEFAULT_SEED, help="base random seed"
+        "--seed", type=int, default=defaults.DEFAULT_SEED, help="base random seed"
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"

@@ -28,13 +28,10 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import analysis, compatibility, engine, prefs
+from .defaults import DEFAULT_GATE_CAP, DEFAULT_MAX_SIDE, DEFAULT_SEED, DEFAULT_SEEDS
 from .errors import GraphCountExceeded, InputError
 from .graph import BipartiteGraph, Matching, Side, Vertex
 
-DEFAULT_SEED = 20260816
-DEFAULT_MAX_SIDE = 3
-DEFAULT_GATE_CAP = 10**4  # check every instance up to this many, else sample
-DEFAULT_SEEDS = 200
 MAX_GRAPHS = 1 << 20  # admits max side 4 (74,963 graphs); 5 has 2^25 at 5x5 alone
 
 Progress = Optional[Callable[[str], None]]

@@ -8,6 +8,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     X,
@@ -522,9 +523,10 @@ def test_certificates_hold_on_graphs_wider_than_one_machine_word():
     assert min(kinds.values()) >= 10, kinds
 
 
-def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
+def test_a_biclique_side_costs_one_failing_search(monkeypatch):
     """Every vertex of K(n,n) is bounded, so its options take free
-    competitors and only the last one, with none left, searches."""
+    competitors and only the last one, with none left, searches. All n
+    vertices of a side are twins, so that search runs once per side."""
     calls = []
     real = analysis.augment
 
@@ -537,7 +539,8 @@ def test_a_biclique_side_costs_one_failing_search_per_vertex(monkeypatch):
     n = 30
     verdict = saturation_verdict(biclique(n, n), Side.X)
     assert verdict.holds
-    assert calls == [False] * n
+    assert calls == [False]
+    assert [r.vertex.index for r in verdict.reports] == list(range(n))
 
 
 # -- hypothesis cross-checks ---------------------------------------------------
@@ -628,6 +631,84 @@ def test_counterexample_instance_strands_its_vertex(g: BipartiteGraph):
     if failing is None:
         return
     assert _strands(g, failing.vertex, adversarial_instance(g, failing))
+
+
+@st.composite
+def twin_graphs(draw, max_x: int = 9, max_y: int = 9) -> BipartiteGraph:
+    """A blow-up of a small base graph, with a few edges flipped: vertices
+    that copy one base vertex are twins unless a flip tells them apart."""
+    base = draw(graphs(max_x=3, max_y=3))
+    if base.x_count == 0 or base.y_count == 0:
+        return base
+    a = draw(st.integers(base.x_count, max_x))
+    b = draw(st.integers(base.y_count, max_y))
+    copy_x = draw(st.lists(st.integers(0, base.x_count - 1), min_size=a, max_size=a))
+    copy_y = draw(st.lists(st.integers(0, base.y_count - 1), min_size=b, max_size=b))
+    cells = {(i, j) for i in range(a) for j in range(b)}
+    flips = set(draw(st.lists(st.sampled_from(sorted(cells)), max_size=3)))
+    masks = base.masks(Side.X)
+    edges = {(i, j) for i, j in cells if masks[copy_x[i]] >> copy_y[j] & 1}
+    return BipartiteGraph(a, b, sorted(edges ^ flips))
+
+
+def _assert_shared_equals_unshared(g: BipartiteGraph) -> None:
+    """The shared verdict's reports against one `vertex_report` per vertex:
+    every field `analyze` prints is compared, the kept matching of a
+    strandable vertex (left out of equality) is certified."""
+    for side in (Side.X, Side.Y):
+        shared = saturation_verdict(g, side).reports
+        assert [r.vertex for r in shared] == list(g.vertices(side))
+        for r in shared:
+            alone = vertex_report(g, r.vertex)
+            assert r == alone  # so are bounded, satisfied, isolated, strandable
+            assert (r.absorbers is None) == (not r.strandable)
+            analysis.certify_absorption(g, r)
+
+
+@given(twin_graphs())
+@PROPERTY_SETTINGS
+def test_twins_share_a_report_equal_to_their_own_search(g: BipartiteGraph):
+    _assert_shared_equals_unshared(g)
+
+
+@given(graphs())
+@PROPERTY_SETTINGS
+def test_shared_verdict_equals_the_unshared_search_up_to_4x4(g: BipartiteGraph):
+    _assert_shared_equals_unshared(g)
+
+
+def test_a_twin_copies_its_representatives_matching_with_the_two_swapped():
+    # x0 and x1 are twins on {y0, y1}; x2 competes for y0 only. x0's search
+    # lets x1 absorb an option, which x1's copy must give to x0 instead.
+    g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
+    first, twin, _ = saturation_verdict(g, Side.X).reports
+    assert first.strandable and 1 in first.absorbers
+    assert twin.absorbers == tuple(0 if c == 1 else c for c in first.absorbers)
+    for r in (first, twin):
+        analysis.certify_absorption(g, r)
+    plain_copy = dataclasses.replace(twin, absorbers=first.absorbers)
+    with pytest.raises(EngineInvariantError, match=r"to x\[1\] itself"):
+        analysis.certify_absorption(g, plain_copy)
+
+
+@pytest.mark.parametrize(
+    "absorbers, message",
+    [
+        (None, r"x\[0\] was reported strandable without an absorber for each option"),
+        ((1,), "without an absorber for each option"),
+        ((0, 1), r"gives option y\[0\] to x\[0\] itself"),
+        ((2, 2), r"gives option y\[1\] to x\[2\], which is not adjacent to it"),
+        ((-1, 1), r"gives option y\[0\] to x\[-1\], which is not adjacent to it"),
+        ((1, 1), r"gives x\[1\] two options"),
+    ],
+)
+def test_certify_absorption_rejects_a_bad_matching(absorbers, message):
+    # x0's options y0 and y1: x1 is adjacent to both, x2 to y0 only
+    g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
+    report = vertex_report(g, X(0))
+    analysis.certify_absorption(g, report)
+    with pytest.raises(EngineInvariantError, match=message):
+        analysis.certify_absorption(g, dataclasses.replace(report, absorbers=absorbers))
 
 
 # -- perfect-matching verdicts -------------------------------------------------

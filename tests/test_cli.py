@@ -30,18 +30,24 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _run_module(*argv: str) -> subprocess.CompletedProcess:
-    """`python -m satmatch` with `argv`, in a fresh process."""
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    """The interpreter with `argv`, in a fresh process that imports this
+    checkout's satmatch."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH")))
     )
     return subprocess.run(
-        [sys.executable, "-m", "satmatch", *argv],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m satmatch` with `argv`, in a fresh process."""
+    return _run_python("-m", "satmatch", *argv)
 
 
 def _structured(capsys, *argv: str) -> tuple[int, dict]:
@@ -624,6 +630,27 @@ def test_verify_refuses_a_negative_bound(capsys, monkeypatch, flag, value, bound
     assert err == f"error: verify bound {bound} must be at least 0, got {value}\n"
 
 
+def test_verify_help_shows_the_gate_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag, value in (
+        ("--max-side MAX_SIDE", harness.DEFAULT_MAX_SIDE),
+        ("--cap CAP", harness.DEFAULT_GATE_CAP),
+        ("--seeds SEEDS", harness.DEFAULT_SEEDS),
+    ):
+        assert f"{flag} " in help_text
+        assert f"(default: {value})" in help_text
+    assert cli.build_parser().parse_args(["verify"]).seed == harness.DEFAULT_SEED
+
+
+def test_importing_the_cli_leaves_the_release_gate_unloaded():
+    # only `verify` needs harness, the largest module
+    code = "import sys, satmatch.cli; print('satmatch.harness' in sys.modules)"
+    proc = _run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 # -- plumbing ------------------------------------------------------------------
 
 
@@ -839,6 +866,31 @@ def test_analyze_refuses_a_counterexample_with_swapped_champions(
         )
     )
     assert not engine.enumerate_stable(g, cut).always_unmatched(weld)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_refuses_a_strandable_row_whose_matching_is_corrupt(
+    capsys, monkeypatch, fmt
+):
+    # weld's kept matching gives ada to sand and bea to paint; swapped, ada
+    # goes to paint, which is not adjacent to it
+    real = analysis.vertex_report
+
+    def swapped(graph, v):
+        r = real(graph, v)
+        if r.absorbers is None:
+            return r
+        first, second, *rest = r.absorbers
+        return replace(r, absorbers=(second, first, *rest))
+
+    monkeypatch.setattr(analysis, "vertex_report", swapped)
+    path = _market("covered_classes.yaml")
+    code, out, err = _run(capsys, "analyze", path, "--side", "y", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: the absorbing matching of "
+        "y[0] gives option x[0] to y[1], which is not adjacent to it\n"
+    )
 
 
 def _dropping_last_blockade_option(monkeypatch) -> None:
