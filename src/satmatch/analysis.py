@@ -64,6 +64,9 @@ has a dedicated option (each option is adjacent to both), and the
 blockade is the same unique overfull part. A twin's absorbing matching is
 its representative's with the two vertices swapped, since the
 representative's matching may use the twin as a competitor.
+`saturation_holds`, which answers only whether the verdict holds, makes
+its reports the same way, one at a time, and stops at the first vertex
+that is not satisfied.
 
 Each verdict stores only what its search found; whether it holds, and
 each vertex's status, are derived from that.
@@ -77,7 +80,7 @@ every component is a balanced biclique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # certify_stranding calls through the module, so that patching
 # engine.deferred_acceptance or engine.is_stable reaches it
@@ -368,9 +371,9 @@ def guarantee(
     )
 
 
-def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> SaturationVerdict:
-    """The full verdict for one side, with per-vertex certificates; the
-    caller builds any stranding instance from `first_strandable`.
+def _reports(graph: BipartiteGraph, side: Side) -> Iterator[VertexReport]:
+    """Each vertex's report on `side`, in index order, each made as it is
+    taken.
 
     Twins share one search: the first vertex with a given adjacency mask
     runs `vertex_report`, and every later twin gets a copy of its report.
@@ -380,7 +383,6 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
     use the twin as a competitor.
     """
     first: dict[int, VertexReport] = {}  # adjacency mask -> its first report
-    reports = []
     for v, mask in zip(graph.vertices(side), graph.masks(side)):
         rep = first.get(mask)
         if rep is None:
@@ -393,8 +395,20 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
             rep = VertexReport(
                 v, rep.options, rep.claimants, rep.dedicated, rep.blockade, absorbers
             )
-        reports.append(rep)
-    return SaturationVerdict(side=side, reports=tuple(reports))
+        yield rep
+
+
+def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> SaturationVerdict:
+    """The full verdict for one side, with per-vertex certificates; the
+    caller builds any stranding instance from `first_strandable`. Twins
+    share one search (see `_reports`)."""
+    return SaturationVerdict(side=side, reports=tuple(_reports(graph, side)))
+
+
+def saturation_holds(graph: BipartiteGraph, side: Side = Side.X) -> bool:
+    """`saturation_verdict(graph, side).holds`, decided only up to the
+    first vertex that is not satisfied: no report after it is made."""
+    return all(r.satisfied for r in _reports(graph, side))
 
 
 def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:

@@ -44,8 +44,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     g, names = bundle.graph, bundle.names
     side = _SIDES[args.side]
 
-    perfect = analysis.perfect_verdict(g)
-    verdict = perfect.x if side is Side.X else perfect.y
+    verdict = analysis.saturation_verdict(g, side)
     vertices = []
     for r in verdict.reports:
         analysis.certify_blockade(g, r)
@@ -84,11 +83,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "counterexample": counterexample,
     }
 
-    perfect_section = {
-        "holds": perfect.holds,
-        "x_holds": perfect.x.holds,
-        "y_holds": perfect.y.holds,
-    }
+    # the other side is not printed, so it is decided only up to its
+    # first vertex that is not satisfied
+    other_holds = analysis.saturation_holds(g, side.opposite)
+    holds = {side: verdict.holds, side.opposite: other_holds}
+    x_holds, y_holds = holds[Side.X], holds[Side.Y]
+    perfect_holds = x_holds and y_holds
+    perfect_section = {"holds": perfect_holds, "x_holds": x_holds, "y_holds": y_holds}
 
     try:
         completeness_verdict = analysis.connected_perfect_verdict(g)
@@ -127,7 +128,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     # completeness, decide perfection; the theorems say they agree with
     # both sides' verdicts
     for name, section in (("completeness", completeness), ("component", components)):
-        if section["applicable"] and section["holds"] != perfect.holds:
+        if section["applicable"] and section["holds"] != perfect_holds:
             raise EngineInvariantError(
                 f"the {name} perfection verdict disagrees with the saturation "
                 f"verdicts of both sides"
@@ -136,7 +137,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     coverage = None
     if bundle.compat is not None:
         # resolve_market has checked that the induced graph is g
-        cross = compatibility.verdict_consistency(bundle.compat, perfect.x.holds)
+        cross = compatibility.verdict_consistency(bundle.compat, x_holds)
         if not cross.consistent:
             raise EngineInvariantError(
                 "the class-coverage verdict disagrees with the X-saturation "

@@ -4,6 +4,9 @@ One self-describing YAML document (schema_version "1") carries the graph
 (named vertices + edges), optionally a full preference table, and optionally
 a compatibility block (classes, X memberships, Y assignment). Names live
 only here; the core works on dense indices, and this layer owns the mapping.
+`resolve_market` turns names into indices through one name→index dict per
+side and checks each preference list in one pass; only a table with a
+fault is checked again entry by entry, for the message that names it.
 """
 
 from __future__ import annotations
@@ -45,19 +48,25 @@ class MarketFile:
 
 
 class NameMap:
-    """Bidirectional vertex-name mapping for one market."""
+    """Bidirectional vertex-name mapping for one market.
+
+    `x_names` / `y_names` list each side's names in index order, and
+    `x_index` / `y_index` map each name back to its index, one dict per
+    side built once per load. `vertex` is derived from the two dicts.
+    """
 
     def __init__(self, x_names: list[str], y_names: list[str]):
         self.x_names = tuple(x_names)
         self.y_names = tuple(y_names)
-        self._vertices: dict[str, Vertex] = {}
-        for i, n in enumerate(self.x_names):
-            self._vertices[n] = Vertex(Side.X, i)
-        for j, n in enumerate(self.y_names):
-            self._vertices[n] = Vertex(Side.Y, j)
+        self.x_index = dict(zip(self.x_names, range(len(self.x_names))))
+        self.y_index = dict(zip(self.y_names, range(len(self.y_names))))
 
     def vertex(self, name: str) -> Optional[Vertex]:
-        return self._vertices.get(name)
+        i = self.x_index.get(name)
+        if i is not None:
+            return Vertex(Side.X, i)
+        j = self.y_index.get(name)
+        return None if j is None else Vertex(Side.Y, j)
 
     def name(self, v: Vertex) -> str:
         names = self.x_names if v.side is Side.X else self.y_names
@@ -543,38 +552,97 @@ def _parse_compatibility(
     )
 
 
+def _ranked_rows(
+    table: dict[str, list[str]],
+    names: tuple[str, ...],
+    index: dict[str, int],
+    adj: tuple[tuple[int, ...], ...],
+) -> Optional[list[tuple[int, ...]]]:
+    """The lists of one side's `names`, in index order, each as indices of
+    the other side (`index`); or None when some list is missing, names a
+    vertex not in `index`, or does not order exactly its row of `adj`."""
+    rows = []
+    get = index.__getitem__
+    for name, neighbors in zip(names, adj):
+        ranked = table.get(name)
+        if ranked is None:
+            return None
+        try:
+            row = tuple(map(get, ranked))
+        except KeyError:
+            return None
+        if tuple(sorted(row)) != neighbors:
+            return None
+        rows.append(row)
+    return rows
+
+
+def _validated_instance(
+    graph: BipartiteGraph, names: NameMap, table: dict[str, list[str]], source: str
+) -> PreferenceInstance:
+    """The preferences block checked entry by entry: first every entry must
+    name a vertex, in file order, then `prefs.validate` checks the table.
+    The first defect raises MarketFormatError with the path of its list, and
+    of its entry when it has one."""
+    vertex_table = {}
+    for name, ranked in table.items():
+        entries = []
+        for k, cand in enumerate(ranked):
+            cv = names.vertex(cand)
+            if cv is None:
+                _fail(
+                    f"preference list for {name!r} names unknown vertex {cand!r}",
+                    source,
+                    ("preferences", name, k),
+                )
+            entries.append(cv)
+        vertex_table[names.vertex(name)] = entries
+    try:
+        return prefs.validate(graph, vertex_table, describe=names.name)
+    except PreferenceError as e:
+        at: tuple = ("preferences",)
+        if e.vertex is not None:
+            at += (names.name(e.vertex),)
+            if e.entry is not None:
+                at += (e.entry,)
+        _fail(f"preferences: {e}", source, at)
+
+
 def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
-    """Build and cross-validate the domain objects for a parsed market."""
+    """Build and cross-validate the domain objects for a parsed market.
+
+    Works on indices: each edge endpoint and each preference entry is
+    looked up once, in the name→index dict of its side (`NameMap`). A
+    preference list is accepted when its indices, sorted, equal its
+    vertex's adjacency row; that one test rules out a repeated entry, a
+    non-neighbor and an omitted neighbor. If any list fails it, names a
+    vertex not on the other side or is missing, the table is checked again
+    entry by entry, by name lookup and `prefs.validate`, which raises the
+    error for the first defect. So every message, and which defect is
+    reported first, is that of the full check.
+    """
     names = NameMap(mf.x_names, mf.y_names)
-    edge_indices = [
-        (names.vertex(xn).index, names.vertex(yn).index) for xn, yn in mf.edges
-    ]
-    graph = BipartiteGraph(len(mf.x_names), len(mf.y_names), edge_indices)
+    x_index, y_index = names.x_index, names.y_index
+    graph = BipartiteGraph(
+        len(names.x_names),
+        len(names.y_names),
+        [(x_index[xn], y_index[yn]) for xn, yn in mf.edges],
+    )
 
     instance = None
     if mf.preferences is not None:
-        table = {}
-        for name, ranked in mf.preferences.items():
-            entries = []
-            for k, cand in enumerate(ranked):
-                cv = names.vertex(cand)
-                if cv is None:
-                    _fail(
-                        f"preference list for {name!r} names unknown vertex {cand!r}",
-                        source,
-                        ("preferences", name, k),
-                    )
-                entries.append(cv)
-            table[names.vertex(name)] = entries
-        try:
-            instance = prefs.validate(graph, table, describe=names.name)
-        except PreferenceError as e:
-            at: tuple = ("preferences",)
-            if e.vertex is not None:
-                at += (names.name(e.vertex),)
-                if e.entry is not None:
-                    at += (e.entry,)
-            _fail(f"preferences: {e}", source, at)
+        table = mf.preferences
+        x_lists = _ranked_rows(table, names.x_names, y_index, graph.x_adj)
+        y_lists = _ranked_rows(table, names.y_names, x_index, graph.y_adj)
+        # a table built without parse_market may also hold unknown keys
+        if (
+            x_lists is None
+            or y_lists is None
+            or len(table) != len(x_lists) + len(y_lists)
+        ):
+            instance = _validated_instance(graph, names, table, source)
+        else:
+            instance = PreferenceInstance(x_lists, y_lists)
 
     compat = None
     if mf.compatibility is not None:

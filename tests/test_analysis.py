@@ -677,6 +677,12 @@ def test_shared_verdict_equals_the_unshared_search_up_to_4x4(g: BipartiteGraph):
     _assert_shared_equals_unshared(g)
 
 
+def test_saturation_holds_agrees_with_the_verdict_on_every_graph_up_to_3x3():
+    for g in harness.all_graphs(3, 3):
+        for side in (Side.X, Side.Y):
+            assert analysis.saturation_holds(g, side) == saturation_verdict(g, side).holds
+
+
 def test_a_twin_copies_its_representatives_matching_with_the_two_swapped():
     # x0 and x1 are twins on {y0, y1}; x2 competes for y0 only. x0's search
     # lets x1 absorb an option, which x1's copy must give to x0 instead.

@@ -121,6 +121,28 @@ def test_analyze_builds_an_instance_for_the_printed_side_only(capsys, monkeypatc
     assert built == [Vertex(Side.X, 1)]
 
 
+def test_analyze_decides_the_unprinted_side_only_up_to_its_first_failure(
+    capsys, monkeypatch
+):
+    """hub_4x4's Y side has four distinct neighbourhoods, and y0, the first,
+    can be stranded. analyze --side x searches X's three distinct
+    neighbourhoods and then y0 alone; deciding Y whole would search all
+    four of its neighbourhoods, seven searches in all."""
+    searched = []
+    real = analysis.vertex_report
+
+    def counting(graph, v):
+        searched.append(v)
+        return real(graph, v)
+
+    monkeypatch.setattr(analysis, "vertex_report", counting)
+    code, report = _structured(capsys, "analyze", _market("hub_4x4.yaml"), "--side", "x")
+    assert code == 1
+    assert report["perfect"] == {"holds": False, "x_holds": False, "y_holds": False}
+    x = [Vertex(Side.X, i) for i in range(3)]
+    assert searched == x + [Vertex(Side.Y, 0)]
+
+
 def test_analyze_path5_holds(capsys):
     code, report = _structured(capsys, "analyze", _market("path5.yaml"))
     assert code == 0

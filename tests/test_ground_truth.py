@@ -24,6 +24,17 @@ from satmatch import analysis, engine, harness, prefs
 from satmatch.graph import BipartiteGraph, Side, Vertex
 
 
+def _deficient(g: BipartiteGraph, i: int) -> bool:
+    """Some set of x_i's options has fewer competitors other than x_i than
+    members, found by trying every set: x_i is guaranteed a partner."""
+    row = g.x_adj[i]
+    return any(
+        len({c for u in options for c in g.y_adj[u]} - {i}) < k
+        for k in range(1, len(row) + 1)
+        for options in combinations(row, k)
+    )
+
+
 def _blockade_only(g: BipartiteGraph, i: int) -> bool:
     """x_i is guaranteed by a blockade alone, found without the search: its
     claimants outnumber its options, no option has degree 1, and yet some
@@ -33,11 +44,7 @@ def _blockade_only(g: BipartiteGraph, i: int) -> bool:
         return False
     if any(len(g.y_adj[u]) == 1 for u in row):
         return False
-    return any(
-        len({c for u in options for c in g.y_adj[u]} - {i}) < k
-        for k in range(1, len(row) + 1)
-        for options in combinations(row, k)
-    )
+    return _deficient(g, i)
 
 
 @lru_cache(maxsize=1)
@@ -80,6 +87,27 @@ def test_blockade_only_4x3_graphs_match_the_brute_force_guarantee():
         assert wrong == [], g
         instances += count
     assert instances == 72_576
+
+
+def test_failing_3x3_graphs_match_the_brute_force_guarantee():
+    """Every graph up to 3x3 on which some X-vertex can go unmatched, picked
+    by trying every option set. No blockade-only vertex occurs this small,
+    but 527 of these graphs also hold guaranteed X-vertices, 710 in all,
+    which the whole-side verdicts of c1 never check one by one."""
+    graphs, guaranteed = [], []
+    for g in harness.all_graphs(3, 3):
+        deficient = [i for i in range(g.x_count) if _deficient(g, i)]
+        if len(deficient) < g.x_count:
+            graphs.append(g)
+            guaranteed.append(len(deficient))
+    assert len(graphs) == 627
+    assert (sum(k > 0 for k in guaranteed), sum(guaranteed)) == (527, 710)
+    instances = 0
+    for g in graphs:
+        count, wrong = _mismatches(g)
+        assert wrong == [], g
+        instances += count
+    assert instances == 89_240
 
 
 def test_guarded_4x5_matches_the_brute_force_guarantee():

@@ -10,10 +10,12 @@ from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import X, Y
-from satmatch import market_io
-from satmatch.errors import MarketFormatError
+from conftest import X, Y, graphs
+from satmatch import market_io, prefs
+from satmatch.errors import MarketFormatError, PreferenceError
 from satmatch.graph import BipartiteGraph
 from satmatch.market_io import (
     SCHEMA_VERSION,
@@ -475,6 +477,79 @@ def test_preference_errors_use_display_names(mutate, message, tmp_path, monkeypa
         _assert_at(exc.value, str(tmp_path / "m.yaml"), line, column)
 
 
+# Every error of the edges and the preferences in full, with its line and
+# column: which defect is reported first, and how, is part of the format.
+PREFERENCE_BLOCK = WITH_PREFS[WITH_PREFS.index("preferences:"):]
+EDGE_LIST = "edges: [[ann, sew], [ann, cut], [bob, cut]]"
+DOCS = {"bare": BARE, "prefs": WITH_PREFS, "compat": WITH_COMPAT}
+
+
+@pytest.mark.parametrize(
+    "doc, edits, line, column, message",
+    [
+        ("prefs", [(PREFERENCE_BLOCK, "preferences: [ann]\n")], 5, 1,
+         "preferences must map vertex names to ranked name lists"),
+        ("prefs", [("ann: [cut, sew]", "ann: cut")], 6, 3,
+         "preference list for 'ann' must be a list, got str"),
+        ("prefs", [("ann: [cut, sew]", "ann: [cut, 3]")], 6, 14,
+         "preference list for 'ann' entries must be nonempty strings, got 3"),
+        ("prefs", [("ann: [cut, sew]", "zoe: [cut, sew]")], 6, 3,
+         "preferences given for unknown vertex 'zoe'"),
+        ("prefs", [("bob: [cut]", "bob: [tie]")], 7, 9,
+         "preference list for 'bob' names unknown vertex 'tie'"),
+        ("prefs", [("  cut: [ann, bob]\n", "")], 5, 1,
+         "preferences: no preference list for cut"),
+        ("prefs", [("sew: [ann]", "sew: [ann, bob]")], 8, 14,
+         "preferences: list for sew contains bob, which is not adjacent to it"),
+        ("prefs", [("ann: [cut, sew]", "ann: [cut]")], 6, 3,
+         "preferences: list for ann omits neighbor sew"),
+        ("prefs", [("ann: [cut, sew]", "ann: [cut, cut, sew]")], 6, 14,
+         "preferences: list for ann contains cut twice"),
+        ("prefs", [("ann: [cut, sew]", "ann: [bob, cut, sew]")], 6, 9,
+         "preferences: list for ann contains same-side vertex bob"),
+        # two faults: the X lists are checked in index order, so ann's
+        # omission comes before bob's same-side entry
+        ("prefs",
+         [("ann: [cut, sew]", "ann: [cut]"), ("bob: [cut]", "bob: [ann, cut]")], 6, 3,
+         "preferences: list for ann omits neighbor sew"),
+        # two faults: every entry must name a vertex before any list is
+        # checked, so cut's unknown entry comes before ann's omission
+        ("prefs",
+         [("ann: [cut, sew]", "ann: [cut]"), ("cut: [ann, bob]", "cut: [ann, bob, zoe]")],
+         9, 19, "preference list for 'cut' names unknown vertex 'zoe'"),
+        ("bare", [("[bob, cut]", "[zoe, cut]")], 4, 34,
+         "edge ['zoe', 'cut'] references unknown X-vertex 'zoe'"),
+        ("bare", [("[bob, cut]", "[bob, tie]")], 4, 39,
+         "edge ['bob', 'tie'] references unknown Y-vertex 'tie'"),
+        ("bare", [("[bob, cut]", "[ann, sew]")], 4, 33, "duplicate edge ['ann', 'sew']"),
+        ("bare", [("edges: [", "edges: [[ann], ")], 4, 9,
+         "edge ['ann'] must be an [x, y] pair"),
+        ("bare", [("[bob, cut]", "[[bob], cut]")], 4, 33,
+         "edge [['bob'], 'cut'] endpoints must be nonempty strings"),
+        ("bare", [(EDGE_LIST, "edges: 3")], 4, 1, "edges must be a list of [x, y] pairs"),
+        ("compat", [("[bob, sew], ", "")], 4, 1,
+         "edges omit ['bob', 'sew'], which the compatibility classes imply; "
+         "edges must equal the induced acceptability exactly"),
+        ("compat", [("[eve, cut]", "[eve, cut], [ann, cut]")], 4, 57,
+         "edge ['ann', 'cut'] joins incompatible classes; edges must equal the "
+         "induced acceptability exactly"),
+    ],
+)
+def test_edge_and_preference_errors_are_pinned_in_full(
+    doc, edits, line, column, message, tmp_path, monkeypatch
+):
+    doc = DOCS[doc]
+    for old, new in edits:
+        assert old in doc
+        doc = doc.replace(old, new)
+    path = str(tmp_path / "m.yaml")
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(MarketFormatError) as exc:
+            _load_text(tmp_path, doc)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{path}:{line}:{column}: {message}"
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -534,6 +609,91 @@ def test_positions_follow_yaml_keys(monkeypatch):
             with pytest.raises(MarketFormatError) as exc:
                 parse_market(text, source="m.yaml")
             _assert_at(exc.value, "m.yaml", line, column)
+
+
+FAULTS = (
+    "none", "drop", "repeat", "non-neighbor", "same-side", "unknown", "missing",
+    "unknown-list",  # a list for no vertex, which only a hand-built file can hold
+)
+
+
+@st.composite
+def markets_with_preferences(draw):
+    """A market up to 8x8 whose preference lists are valid or carry one
+    drawn fault in one drawn list, with the lists in a drawn order. Some
+    draws leave the list valid: a drop from an empty list, a non-neighbor
+    for a vertex adjacent to the whole other side, an entry overwritten by
+    itself."""
+    g = draw(graphs(max_x=8, max_y=8))
+    rng = draw(st.randoms(use_true_random=False))
+    xs = [f"x{i}" for i in range(g.x_count)]
+    ys = [f"y{j}" for j in range(g.y_count)]
+    table = {}
+    for own, other, adj in ((xs, ys, g.x_adj), (ys, xs, g.y_adj)):
+        for name, row in zip(own, adj):
+            table[name] = [other[u] for u in row]
+            rng.shuffle(table[name])
+    fault = draw(st.sampled_from(FAULTS))
+    if fault != "none" and table:
+        name = draw(st.sampled_from(sorted(table)))
+        ranked = table[name]
+        own, other = (xs, ys) if name in xs else (ys, xs)
+        outside = [n for n in other if n not in ranked]
+        at = rng.randrange(len(ranked) + 1)
+        # a repeat or a non-neighbor is inserted at `at`, or overwrites the
+        # entry there and so leaves the list as long as the neighborhood
+        cut = at + (at < len(ranked) and rng.random() < 0.5)
+        if fault == "drop" and ranked:
+            del ranked[rng.randrange(len(ranked))]
+        elif fault == "repeat" and ranked:
+            ranked[at:cut] = [rng.choice(ranked)]
+        elif fault == "non-neighbor" and outside:
+            ranked[at:cut] = [rng.choice(outside)]
+        elif fault == "same-side":
+            ranked.insert(at, rng.choice(own))
+        elif fault == "unknown":
+            ranked.insert(at, "zz")
+        elif fault == "missing":
+            del table[name]
+        elif fault == "unknown-list":
+            table["zz"] = []
+    order = list(table)
+    rng.shuffle(order)
+    edges = [(xs[i], ys[j]) for i, j in g.edges()]
+    return g, MarketFile(SCHEMA_VERSION, xs, ys, edges, {n: table[n] for n in order})
+
+
+def _entry_by_entry(graph: BipartiteGraph, names: NameMap, table: dict):
+    """The full check of a preferences block: the instance `prefs.validate`
+    builds from its table of vertices, or the message and path of the first
+    defect, where an entry that names no vertex comes first in list order."""
+    vertex_table = {}
+    for name, ranked in table.items():
+        for k, cand in enumerate(ranked):
+            if names.vertex(cand) is None:
+                message = f"preference list for {name!r} names unknown vertex {cand!r}"
+                return message, ("preferences", name, k)
+        vertex_table[names.vertex(name)] = [names.vertex(c) for c in ranked]
+    try:
+        return prefs.validate(graph, vertex_table, describe=names.name)
+    except PreferenceError as e:
+        path: tuple = ("preferences",)
+        if e.vertex is not None:
+            path += (names.name(e.vertex),)
+            if e.entry is not None:
+                path += (e.entry,)
+        return f"preferences: {e}", path
+
+
+@given(markets_with_preferences())
+@settings(max_examples=200, deadline=None)
+def test_resolve_agrees_with_the_entry_by_entry_check(market):
+    g, mf = market
+    try:
+        got = resolve_market(mf, source="m.yaml").instance
+    except MarketFormatError as e:
+        got = e.message, e.path
+    assert got == _entry_by_entry(g, NameMap(mf.x_names, mf.y_names), mf.preferences)
 
 
 def test_preference_table_renders_names():
