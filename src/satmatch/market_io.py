@@ -4,6 +4,10 @@ One self-describing YAML document (schema_version "1") carries the graph
 (named vertices + edges), optionally a full preference table, and optionally
 a compatibility block (classes, X memberships, Y assignment). Names live
 only here; the core works on dense indices, and this layer owns the mapping.
+A plain file (printable ASCII, block mappings and sequences, flow lists of
+plain or unescaped quoted names) is read by `plain_yaml` in one pass over
+its lines, with no YAML events; any other text goes to PyYAML, which also
+decides every error. Both give the same data for every text.
 `resolve_market` turns names into indices through one name→index dict per
 side and checks each preference list in one pass; only a table with a
 fault is checked again entry by entry, for the message that names it.
@@ -11,6 +15,7 @@ fault is checked again entry by entry, for the message that names it.
 
 from __future__ import annotations
 
+import functools
 import gc
 import re
 import reprlib
@@ -198,7 +203,7 @@ _MAX_DEPTH = 64
 
 _STR_TAG = "tag:yaml.org,2002:str"
 _INT_TAG = "tag:yaml.org,2002:int"
-_OTHER = object()  # a document _build leaves to yaml.load
+_OTHER = object()  # a text _scan leaves to _build, or _build to yaml.load
 
 
 def _plain(loader: Any, value: str) -> Any:
@@ -310,9 +315,26 @@ def _count_depth(get_event: Any, depth: int, source: str) -> Any:
         return _OTHER
 
 
+def _scan(text: str) -> Any:
+    """What yaml.load gives for `text` when it is plain YAML, read by
+    `plain_yaml` with this module's resolver; _OTHER for any other text."""
+    from . import plain_yaml  # compiled on the first read, not by `verify`
+
+    loader = _Loader("")
+    try:
+        data = plain_yaml.read(text, functools.partial(_plain, loader))
+    finally:
+        loader.dispose()
+    return _OTHER if data is None else data
+
+
 def _load(text: str, source: str) -> Any:
-    """The data yaml.load gives for `text`, built by _build where it can.
-    Refuses nesting deeper than _MAX_DEPTH before yaml.load could see it."""
+    """The data yaml.load gives for `text`: read by _scan when it is in the
+    plain subset, else built by _build where it can. Refuses nesting deeper
+    than _MAX_DEPTH before yaml.load could see it."""
+    data = _scan(text)
+    if data is not _OTHER:
+        return data
     loader = _Loader(text)
     try:
         data = _build(loader, source)
@@ -332,9 +354,9 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
     levels are refused at the first one past that depth.
 
     The cyclic garbage collector is paused while the document is built,
-    from many small objects that would otherwise set off pass after pass
-    over everything built so far; its previous state is restored on every
-    path.
+    by _scan or from YAML events, from many small objects that would
+    otherwise set off pass after pass over everything built so far; its
+    previous state is restored on every path.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -359,6 +381,58 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
         return _market_file(data, source)
     except MarketFormatError as e:
         raise _located(e, text) from None
+
+
+def _edge_column(
+    entries: list, x_set: set[str], y_set: set[str]
+) -> Optional[list[tuple[str, str]]]:
+    """The edges as (x, y) pairs, checked as whole columns: every entry a
+    list of two, the X column within x_set, the Y column within y_set, and
+    no pair twice. None when any of that fails: _edge_rows then finds the
+    first faulty entry."""
+    if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
+        return None
+    pairs = list(map(tuple, entries))
+    try:
+        unique = set(pairs)
+    except TypeError:  # an endpoint that is a list or a mapping
+        return None
+    if (
+        len(unique) != len(pairs)
+        or {x for x, _ in unique} - x_set
+        or {y for _, y in unique} - y_set
+    ):
+        return None
+    return pairs
+
+
+def _edge_rows(
+    entries: list, x_set: set[str], y_set: set[str], source: str
+) -> list[tuple[str, str]]:
+    """The edges as (x, y) pairs, checked entry by entry; the first faulty
+    entry raises MarketFormatError."""
+    edges: list[tuple[str, str]] = []
+    seen_edges = set()
+    for k, raw in enumerate(entries):
+        at = ("edges", k)
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", source, at)
+        xn, yn = raw
+        if not all(isinstance(n, str) and n for n in raw):
+            _fail(
+                f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings",
+                source,
+                at,
+            )
+        if xn not in x_set:
+            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source, at + (0,))
+        if yn not in y_set:
+            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", source, at + (1,))
+        if (xn, yn) in seen_edges:
+            _fail(f"duplicate edge [{xn!r}, {yn!r}]", source, at)
+        seen_edges.add((xn, yn))
+        edges.append((xn, yn))
+    return edges
 
 
 def _market_file(data: Any, source: str) -> MarketFile:
@@ -403,27 +477,9 @@ def _market_file(data: Any, source: str) -> MarketFile:
 
     if not isinstance(data["edges"], list):
         _fail("edges must be a list of [x, y] pairs", source, ("edges",))
-    edges: list[tuple[str, str]] = []
-    seen_edges = set()
-    for k, raw in enumerate(data["edges"]):
-        at = ("edges", k)
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", source, at)
-        xn, yn = raw
-        if not all(isinstance(n, str) and n for n in raw):
-            _fail(
-                f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings",
-                source,
-                at,
-            )
-        if xn not in x_set:
-            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source, at + (0,))
-        if yn not in y_set:
-            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", source, at + (1,))
-        if (xn, yn) in seen_edges:
-            _fail(f"duplicate edge [{xn!r}, {yn!r}]", source, at)
-        seen_edges.add((xn, yn))
-        edges.append((xn, yn))
+    edges = _edge_column(data["edges"], x_set, y_set)
+    if edges is None:
+        edges = _edge_rows(data["edges"], x_set, y_set, source)
 
     preferences = None
     if data.get("preferences") is not None:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import gc
 import glob
+import importlib.util
 import os
+import random
+import re
+import sys
 import textwrap
 from dataclasses import replace
 
@@ -214,39 +218,51 @@ def test_non_utf8_file_names_the_first_bad_byte(tmp_path):
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_parse_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeypatch):
-    """The cyclic collector is off while each document is built from its
-    YAML events, and afterwards in the state the caller left it, on success
-    and on every error path: a YAML syntax error, a validation error and a
-    failing load_market."""
+    """The cyclic collector is off while each document is read, by the line
+    scanner or, for text outside its subset, from YAML events, and
+    afterwards in the state the caller left it, on success and on every
+    error path: a YAML syntax error, a validation error and a failing
+    load_market. The scanner and _build both make plain scalars through
+    _plain, which is watched for the scan; get_event is watched for the
+    events, which only the syntax error needs."""
     outcomes = (
-        lambda: parse_market(BARE),
-        lambda: parse_market("x_names: [a\nedges: oops"),
-        lambda: parse_market(BARE.replace("[ann, bob]", "[ann, ann]")),
-        lambda: _load_text(tmp_path, WITH_PREFS.replace("bob: [cut]", "bob: [tie]")),
+        (lambda: parse_market(BARE), False),
+        (lambda: parse_market("x_names: [a\nedges: oops"), True),
+        (lambda: parse_market(BARE.replace("[ann, bob]", "[ann, ann]")), False),
+        (lambda: _load_text(tmp_path, WITH_PREFS.replace("bob: [cut]", "bob: [tie]")),
+         False),
     )
+    plain = market_io._plain
     if not collecting:
         gc.disable()
     try:
         for loader in _each_loader(monkeypatch):
-            seen = []
+            scanned, read = [], []
+
+            def spy_plain(yaml_loader, value):
+                scanned.append(gc.isenabled())
+                return plain(yaml_loader, value)
 
             class Spy(market_io._Loader):
                 def get_event(self):
-                    seen.append(gc.isenabled())
+                    read.append(gc.isenabled())
                     return super().get_event()
 
+            monkeypatch.setattr(market_io, "_plain", spy_plain)
             monkeypatch.setattr(market_io, "_Loader", Spy)
             # _located reads the text again to place an error, after the
             # document is built; it is not what this test watches
             monkeypatch.setattr(market_io, "_located", lambda error, text: error)
-            for outcome in outcomes:
-                seen.clear()
+            for outcome, falls_back in outcomes:
+                scanned.clear()
+                read.clear()
                 try:
                     outcome()
                 except MarketFormatError:
                     pass
                 assert gc.isenabled() == collecting, loader
-                assert seen and not any(seen), loader
+                assert scanned and not any(scanned), loader
+                assert bool(read) == falls_back and not any(read), loader
     finally:
         gc.enable()
 
@@ -360,6 +376,209 @@ def test_pure_python_loader_refuses_a_market_nested_1000_levels(monkeypatch):
         parse_market(text, source="deep.yaml")
     _assert_at(exc.value, "deep.yaml", 2, 73)
     assert exc.value.message == "nested deeper than 64 levels (a market needs 4)"
+
+
+def _bench_markets():
+    """perfbench/markets.py: the benchmark's seeded generators and its own
+    YAML writer, which shares no code with market_io."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "markets.py")
+    spec = importlib.util.spec_from_file_location("perfbench_markets", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _writer_outputs() -> list[str]:
+    """Every fixture and dump_market of it, and seeded markets as the
+    benchmark writes them and as dump_market writes them, one of them with
+    names long enough that yaml.dump wraps a list right after its "["."""
+    texts = []
+    for path in sorted(glob.glob(os.path.join(MARKETS_DIR, "*.yaml"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    bench = _bench_markets()
+    for seed in range(3):
+        rng = random.Random(seed)
+        for market in (
+            bench.with_random_prefs(bench.sparse(12, 3, rng), rng),
+            bench.classes_market(4, 3, 3, 4, rng),
+            bench.with_random_prefs(bench.dense(9, 7, 0.5, rng), rng),
+        ):
+            texts.append(bench.to_yaml(market))
+    texts += [dump_market(parse_market(text)) for text in texts]
+    long = MarketFile(SCHEMA_VERSION, ["a" * 90, "b"], ["c" * 85], [("a" * 90, "c" * 85)])
+    long.preferences = {"a" * 90: ["c" * 85], "b": [], "c" * 85: ["a" * 90]}
+    texts.append(dump_market(long))
+    return texts
+
+
+def _data(text: str) -> str:
+    """What yaml.load makes of `text`, as its repr: the repr tells 1 from
+    1.0 and True, and shows the order of every mapping's keys."""
+    return repr(_yaml_outcome(lambda t: yaml.load(t, Loader=market_io._Loader), text))
+
+
+def test_scanner_reads_every_writer_output_as_yaml_load_does(monkeypatch):
+    """Every file the package or the benchmark writes stays on the scanner,
+    so a writer change that leaves its subset fails here."""
+    texts = _writer_outputs()
+    assert any("[\n" in text for text in texts)
+    for loader in _each_loader(monkeypatch):
+        for text in texts:
+            data = market_io._scan(text)
+            assert data is not market_io._OTHER, (loader, text[:300])
+            assert repr(data) == _data(text), loader
+
+
+_INDICATORS = [*"-?:,[]{}#&*!|>'\"%@`~ \n\t\r\\", "---", "- ", ": ", "\n  ", "1.5", "yes"]
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    kind = rng.randrange(6)
+    at = rng.randrange(len(text))
+    if kind == 0:
+        return text[:at] + rng.choice(_INDICATORS) + text[at:]
+    if kind == 1:
+        return text[:at] + text[at + rng.randint(1, 3) :]
+    if kind == 2:
+        return text[:at] + rng.choice(_INDICATORS) + text[at + 1 :]
+    if kind == 3:
+        lines.insert(k, lines[k])
+    elif kind == 4:
+        shift = rng.choice((-2, -1, 1, 2))
+        lines[k] = " " * shift + lines[k] if shift > 0 else lines[k][-shift:]
+    else:  # past YAML's 1,024 characters for a key
+        name = rng.choice(re.findall(r"[a-z][a-z0-9_]*", text))
+        return text.replace(name, "n" * 1030, rng.choice((1, 2, -1)))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "text,scanned",
+    [
+        ("a:\n- x\nb: [y, 'z', \"w\"]\n", True),  # an indentless sequence ends
+        ("a:\n  b:\n  - x\n  c: {d: e, 'f': 1}\n", True),
+        ("a:\n    - [x,\n      y]\n", True),
+        ("a: [b,\n  c]\n", True),
+        ("a: [\n  b, c]\n", True),
+        ("a: [[b, c], [], [d]]\n", True),
+        ("'a': 'yes'\n\"b\": 0x1F\n", True),
+        ("a: [1, 017, 1_000, b-c.d]\n", True),
+        ("a: [b,\nc]\n", False),  # goes on at the indent of its key
+        ("a: [b,\n\n  c]\n", False),
+        ("a: [b,\n  # c\n  d]\n", False),
+        ("a: ['b,\n  c']\n", False),
+        ("a: [b, c] # c\n", False),
+        ("a: b # c\n", False),
+        ("a: [b,]\n", False),
+        ("a: [[[b]]]\n", False),
+        ("a: [{b: c}]\n", False),
+        ("a: {b: [c]}\n", False),
+        ("a: {b:c}\n", False),
+        ("a: b: c\n", False),
+        ("a: b\n  c\n", False),
+        ("a:\n  b: 1\n c: 2\n", False),
+        ("a:\nb: 1\n", False),
+        ("a:\n", False),
+        ("a:\n  b:\n    c:\n      d: 1\n", True),  # 4 block levels
+        ("a:\n  b:\n    c:\n      d:\n        e: 1\n", False),
+        ("a: 1.5\n", False),
+        ("a: [yes]\n", False),
+        ("a: \"b\\tc\"\n", False),
+        ("\"a\\tb\": 1\n", False),
+        ("'a''b': 1\n", False),
+        ("a: &x 1\n", False),
+        ("a: *x\n", False),
+        ("a: !!str 1\n", False),
+        ("---\na: 1\n", False),
+        ("%YAML 1.1\n---\na: 1\n", False),
+        ("a: 1\n...\n", False),
+        ("a: 1\r\n", False),
+        ("a:\tb\n", False),
+        ("a: \u00e9\n", False),
+        ("a: b\x07\n", False),
+        ("n" * 1001 + ": 1\n", False),
+        ("a: {" + "n" * 1001 + ": 1}\n", False),
+        ("- a\n", False),
+        ("  a: 1\n", False),
+        ("# only a comment\n", False),
+        ("", False),
+    ],
+)
+def test_scanner_equals_yaml_load_or_leaves_the_text_to_it(text, scanned, monkeypatch):
+    """Each rule of the subset, on both sides of its edge: `scanned` says
+    whether _scan reads the text itself."""
+    for loader in _each_loader(monkeypatch):
+        data = market_io._scan(text)
+        assert (data is not market_io._OTHER) == scanned, loader
+        if scanned:
+            assert repr(data) == _data(text), loader
+
+
+# in the subset, though no writer writes it: quoted keys and values, a flow
+# mapping, a list of lists, a comment and a blank line
+HAND_WRITTEN = _doc(
+    """
+    'schema_version': "1"
+    "x_names": ['ann', bob]
+
+    # the edges as one list of pairs
+    y_names: [sew, "cut"]
+    edges: [[ann, sew], ['ann', cut],
+      [bob, cut]]
+    compatibility: {classes: 'k', "x_membership": 0x1F}
+    """
+)
+
+
+def test_scanner_mutants_fall_back_or_equal_yaml_load(monkeypatch):
+    """Seeded edits of the writer outputs and of HAND_WRITTEN: an indicator
+    inserted, deleted or put in place of a character, a line repeated or
+    re-indented, a name made 1,030 characters long. The scanner must leave
+    each one to yaml.load or read the same data. PyYAML's pure-Python
+    loader is about six times slower, so it checks fewer."""
+    texts = _writer_outputs() + [HAND_WRITTEN] * 10
+    assert market_io._scan(HAND_WRITTEN) is not market_io._OTHER
+    for loader in _each_loader(monkeypatch):
+        rng = random.Random(28)
+        count = 300 if loader == "SafeLoader" else 1500
+        scanned = 0
+        for _ in range(count):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 2)):
+                text = _mutant(text, rng)
+            data = market_io._scan(text)
+            if data is not market_io._OTHER:
+                scanned += 1
+                assert repr(data) == _data(text), (loader, text)
+        assert scanned > count // 5, loader
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        # a nest the scanner once read whole: composing it again to place
+        # the validation error crashed libyaml's recursive composer
+        ("[ann, bob]", f"[ann, {'[' * 100_000}{']' * 100_000}]",
+         "2:78: nested deeper than 64 levels (a market needs 4)"),
+        ("[ann, bob]", "[ann, [[bob]]]",
+         "2:16: x_names entries must be nonempty strings, got [['bob']]"),
+        # a key YAML refuses, which the scanner once read
+        ("x_names:", f"{'n' * 1100}: 1\nx_names:",
+         "2:1101: not valid YAML: could not find expected ':'"),
+    ],
+    ids=["100000-deep", "3-deep", "1100-character-key"],
+)
+def test_scanner_leaves_deep_nests_and_long_keys_to_yaml(old, new, message):
+    text = BARE.replace(old, new)
+    assert text != BARE
+    assert market_io._scan(text) is market_io._OTHER
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(text, source="m.yaml")
+    assert str(exc.value) == f"m.yaml:{message}"
 
 
 def test_invalid_yaml_reports_position(monkeypatch):
