@@ -442,12 +442,15 @@ def adversarial_instance(
 
     `report` is the vertex's `vertex_report` on `graph`. The instance
     exists exactly when v is strandable; otherwise this raises an
-    InputError whose message is v's `guarantee`. The report keeps no
-    absorbing matching, so this runs the one plain ascending
-    augmenting-path pass that finds it: the champion competitor of every
-    option of v. If that pass cannot absorb every option, the report was
-    wrong and this raises EngineInvariantError rather than build an
-    instance that does not strand v. The construction then sets:
+    InputError whose message is v's `guarantee`. The report's
+    `absorbers` come from the search that takes free competitors first,
+    and a twin's report holds a copy with the twins swapped; the
+    counterexamples pinned in the golden files come from plain ascending
+    Kuhn. So this runs that one augmenting-path pass again to find the
+    champion competitor of every option of v. If that pass cannot absorb
+    every option, the report was wrong and this raises
+    EngineInvariantError rather than build an instance that does not
+    strand v. The construction then sets:
 
     * every option of v ranks its champion first, its other neighbors
       next by ascending index, and v dead last;

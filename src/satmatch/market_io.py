@@ -4,10 +4,12 @@ One self-describing YAML document (schema_version "1") carries the graph
 (named vertices + edges), optionally a full preference table, and optionally
 a compatibility block (classes, X memberships, Y assignment). Names live
 only here; the core works on dense indices, and this layer owns the mapping.
-A plain file (printable ASCII, block mappings and sequences, flow lists of
-plain or unescaped quoted names) is read by `plain_yaml` in one pass over
-its lines, with no YAML events; any other text goes to PyYAML, which also
-decides every error. Both give the same data for every text.
+A text is read in one of two ways. A plain file (printable ASCII with LF
+or CR LF line ends, block mappings and sequences, flow lists of plain or
+unescaped quoted names, comments) is read by `plain_yaml` in one pass over
+its lines, with no YAML events. Any other text goes to yaml.load, which
+also decides every error, once one pass over its YAML events has checked
+its nesting depth. Both give the same data for every plain text.
 `resolve_market` turns names into indices through one name→index dict per
 side and checks each preference list in one pass; only a table with a
 fault is checked again entry by entry, for the message that names it.
@@ -20,7 +22,7 @@ import gc
 import re
 import reprlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 import yaml
 
@@ -106,7 +108,7 @@ _SHORT.maxstring = _SHORT.maxother = 80
 _SHORT.maxlist = _SHORT.maxdict = 12
 
 
-def _fail(message: str, source: str, path: tuple = ()):
+def _fail(message: str, source: str, path: tuple = ()) -> NoReturn:
     raise MarketFormatError(message, source=source, path=path)
 
 
@@ -203,12 +205,11 @@ _MAX_DEPTH = 64
 
 _STR_TAG = "tag:yaml.org,2002:str"
 _INT_TAG = "tag:yaml.org,2002:int"
-_OTHER = object()  # a text _scan leaves to _build, or _build to yaml.load
 
 
 def _plain(loader: Any, value: str) -> Any:
     """The str or int that `loader` makes of the plain scalar `value`, or
-    _OTHER for any other type (null, bool, float, timestamp, merge key...)."""
+    None for any other type (null, bool, float, timestamp, merge key...)."""
     tag = loader.resolve(yaml.ScalarNode, value, (True, False))
     if tag == _STR_TAG:
         return value
@@ -216,108 +217,46 @@ def _plain(loader: Any, value: str) -> Any:
         try:
             return loader.construct_yaml_int(yaml.ScalarNode(tag, value))
         except ValueError:  # "0x_": yaml.load reports a later syntax error first
-            return _OTHER
-    return _OTHER
+            return None
+    return None
 
 
-def _too_deep(event: Any, source: str) -> MarketFormatError:
-    mark = event.start_mark
-    return MarketFormatError(
-        f"nested deeper than {_MAX_DEPTH} levels (a market needs 4)",
-        source=source,
-        line=mark.line + 1,
-        column=mark.column + 1,
-    )
-
-
-def _build(loader: Any, source: str) -> Any:
-    """The data of the one document `loader` reads, built from its event
-    stream on an explicit stack, so that no nesting depth can overflow the
-    C stack. It equals what yaml.load gives for a document of mappings,
-    lists, strings and ints with no anchor, alias or tag other than "!".
-    Anything else returns _OTHER, but only after the events yaml.load
-    would compose have been read, so that yaml.load runs only on text whose
-    nesting stays within _MAX_DEPTH."""
-    get_event = loader.get_event
-    plain: dict[str, Any] = {}  # each plain value read and what it makes
-    doc: list = []  # holds the root value
-    stack: list = []  # the collections enclosing top, outermost first
-    top: Any = doc  # the innermost open collection
-    key: Any = _OTHER  # in a mapping, the key read whose value comes next, else _OTHER
-    started = False
-    while True:
-        event = get_event()
-        kind = event.__class__
-        if kind is yaml.ScalarEvent:
-            if event.anchor is not None or event.tag not in (None, "!"):
-                return _count_depth(get_event, len(stack), source)
-            value = event.value
-            if event.implicit[0]:
-                made = plain.get(value)
-                if made is None:
-                    made = plain[value] = _plain(loader, value)
-                if made is _OTHER:
-                    return _count_depth(get_event, len(stack), source)
-                value = made
-            if top.__class__ is list:
-                top.append(value)
-            elif key is _OTHER:
-                key = value
-            else:
-                top[key] = value
-                key = _OTHER
-        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-            if len(stack) == _MAX_DEPTH:
-                raise _too_deep(event, source)
-            if (
-                event.anchor is not None
-                or event.tag not in (None, "!")
-                or (top.__class__ is dict and key is _OTHER)  # a non-scalar key
-            ):
-                return _count_depth(get_event, len(stack) + 1, source)
-            new: Any = [] if kind is yaml.SequenceStartEvent else {}
-            if top.__class__ is list:
-                top.append(new)
-            else:
-                top[key] = new
-            stack.append(top)
-            top, key = new, _OTHER
-        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
-            top, key = stack.pop(), _OTHER
-        elif kind is yaml.DocumentStartEvent:
-            if started:  # a second one, which yaml.load refuses here
-                return _OTHER
-            started = True
-        elif kind is yaml.StreamEndEvent:
-            return doc[0] if doc else None
-        elif kind is yaml.AliasEvent:
-            return _count_depth(get_event, len(stack), source)
-
-
-def _count_depth(get_event: Any, depth: int, source: str) -> Any:
-    """Read the rest of the events after _build gave up at nesting `depth`,
-    refusing any deeper than _MAX_DEPTH, and return _OTHER. A syntax error
-    also returns _OTHER: yaml.load composes no further than it, and raises
-    it or an error of its composer that comes first."""
+def _check_depth(text: str, source: str) -> None:
+    """Refuse `text` at the first mapping or list nested deeper than
+    _MAX_DEPTH, reading only YAML events, before yaml.load composes it.
+    Stops at the end of the first document, which is all yaml.load
+    composes, and at a syntax error: yaml.load raises that error, or an
+    error of its composer that comes first."""
+    loader = _Loader(text)
+    depth = 0
     try:
         while True:
-            event = get_event()
+            event = loader.get_event()
             kind = event.__class__
             if kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
                 depth += 1
                 if depth > _MAX_DEPTH:
-                    raise _too_deep(event, source)
+                    mark = event.start_mark
+                    raise MarketFormatError(
+                        f"nested deeper than {_MAX_DEPTH} levels (a market needs 4)",
+                        source=source,
+                        line=mark.line + 1,
+                        column=mark.column + 1,
+                    )
             elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
                 depth -= 1
-            elif kind is yaml.DocumentStartEvent or kind is yaml.StreamEndEvent:
-                return _OTHER  # a second document ends what yaml.load composes
+            elif kind is yaml.DocumentEndEvent or kind is yaml.StreamEndEvent:
+                return
     except yaml.YAMLError:
-        return _OTHER
+        return
+    finally:
+        loader.dispose()
 
 
-def _scan(text: str) -> Any:
-    """What yaml.load gives for `text` when it is plain YAML, read by
-    `plain_yaml` with this module's resolver; _OTHER for any other text."""
+def _load(text: str, source: str) -> Any:
+    """The data yaml.load gives for `text`: read by `plain_yaml` with this
+    module's resolver when the text is plain, else by yaml.load once
+    _check_depth has found no nesting deeper than _MAX_DEPTH."""
     from . import plain_yaml  # compiled on the first read, not by `verify`
 
     loader = _Loader("")
@@ -325,22 +264,8 @@ def _scan(text: str) -> Any:
         data = plain_yaml.read(text, functools.partial(_plain, loader))
     finally:
         loader.dispose()
-    return _OTHER if data is None else data
-
-
-def _load(text: str, source: str) -> Any:
-    """The data yaml.load gives for `text`: read by _scan when it is in the
-    plain subset, else built by _build where it can. Refuses nesting deeper
-    than _MAX_DEPTH before yaml.load could see it."""
-    data = _scan(text)
-    if data is not _OTHER:
-        return data
-    loader = _Loader(text)
-    try:
-        data = _build(loader, source)
-    finally:
-        loader.dispose()
-    if data is _OTHER:
+    if data is None:
+        _check_depth(text, source)
         data = yaml.load(text, Loader=_Loader)
     return data
 
@@ -354,7 +279,7 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
     levels are refused at the first one past that depth.
 
     The cyclic garbage collector is paused while the document is built,
-    by _scan or from YAML events, from many small objects that would
+    by `plain_yaml` or by yaml.load, from many small objects that would
     otherwise set off pass after pass over everything built so far; its
     previous state is restored on every path.
     """
@@ -388,7 +313,7 @@ def _edge_column(
 ) -> Optional[list[tuple[str, str]]]:
     """The edges as (x, y) pairs, checked as whole columns: every entry a
     list of two, the X column within x_set, the Y column within y_set, and
-    no pair twice. None when any of that fails: _edge_rows then finds the
+    no pair twice. None when any of that fails: _edge_fault then finds the
     first faulty entry."""
     if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
         return None
@@ -406,16 +331,15 @@ def _edge_column(
     return pairs
 
 
-def _edge_rows(
+def _edge_fault(
     entries: list, x_set: set[str], y_set: set[str], source: str
-) -> list[tuple[str, str]]:
-    """The edges as (x, y) pairs, checked entry by entry; the first faulty
-    entry raises MarketFormatError."""
-    edges: list[tuple[str, str]] = []
+) -> NoReturn:
+    """Raise MarketFormatError for the first faulty entry of an edge list
+    that _edge_column rejected, checking the entries one by one."""
     seen_edges = set()
     for k, raw in enumerate(entries):
         at = ("edges", k)
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        if not isinstance(raw, list) or len(raw) != 2:
             _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", source, at)
         xn, yn = raw
         if not all(isinstance(n, str) and n for n in raw):
@@ -431,8 +355,7 @@ def _edge_rows(
         if (xn, yn) in seen_edges:
             _fail(f"duplicate edge [{xn!r}, {yn!r}]", source, at)
         seen_edges.add((xn, yn))
-        edges.append((xn, yn))
-    return edges
+    raise AssertionError("_edge_column rejected an edge list with no faulty entry")
 
 
 def _market_file(data: Any, source: str) -> MarketFile:
@@ -479,7 +402,7 @@ def _market_file(data: Any, source: str) -> MarketFile:
         _fail("edges must be a list of [x, y] pairs", source, ("edges",))
     edges = _edge_column(data["edges"], x_set, y_set)
     if edges is None:
-        edges = _edge_rows(data["edges"], x_set, y_set, source)
+        _edge_fault(data["edges"], x_set, y_set, source)
 
     preferences = None
     if data.get("preferences") is not None:

@@ -5,21 +5,23 @@ one pass over the lines, with no YAML events.
 None for any other text, which is then left to PyYAML. A text is plain
 when it holds:
 
-- printable ASCII and line feeds only;
-- a block mapping at column 0, holding block mappings and block sequences
-  (indentless ones too), at most 4 block levels in all;
+- printable ASCII and line ends (LF or CR LF) only;
+- at most a first line that is exactly "---", then a block mapping at
+  column 0, holding block mappings and block sequences (indentless ones
+  too), at most 4 block levels in all;
 - block values that are scalars, flow sequences of scalars or of flat flow
   sequences, or flat flow mappings; a flow value may wrap after "[", "{"
   or "," onto lines indented deeper than its first line;
 - plain scalars matching `_PLAIN` that the loader makes a str or an int,
   and one-line quoted scalars with no escape;
 - keys of at most 1,000 characters (YAML allows 1,024);
-- full-line comments and blank lines.
+- full-line comments, blank lines, and a comment after a key or after a
+  value that holds no quote.
 
-So "---", "%", anchors, aliases, tags, a trailing comment, an empty value,
-a deeper flow nest or any other text reads as None. `market_io` imports
-this module on its first read, so a process that reads no market does not
-compile it.
+So a lone CR, "%", "...", anchors, aliases, tags, a comment after a quote,
+an empty value, a deeper flow nest or any other text reads as None.
+`market_io` imports this module on its first read, so a process that reads
+no market does not compile it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class _NotPlain(Exception):
 
 _PLAIN = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"  # holds no YAML indicator
 _QUOTED = r"'[^'\n]*'|\"[^\"\\\n]*\""
-_PRINTABLE = bytes(range(32, 127)) + b"\n"  # the only bytes a plain text holds
+_PRINTABLE = bytes(range(32, 127)) + b"\r\n"  # the only bytes a plain text holds
 
 # a block line: its indent, then "- ", a key and ":", a comment or nothing,
 # then the rest of the line
@@ -49,6 +51,17 @@ _plain_list = re.compile(rf"\[({_PLAIN}(?:, {_PLAIN})*)\]").fullmatch
 _flow_tokens = re.compile(
     rf"[ \n]*(?:({_PLAIN})|'([^'\n]*)'|\"([^\"\\\n]*)\"|([][{{}},]))|(: )|(.)"
 ).finditer
+
+
+def _trimmed(rest: str) -> str:
+    """`rest`, the part of a line after its indent, key or "- ", without
+    its trailing spaces, and without the comment at its end if it holds no
+    quote: then a "#" that starts it or follows a space starts a comment.
+    A quoted scalar may hold " #", so a `rest` with a quote keeps its "#"
+    for the tokens to refuse."""
+    if "#" in rest and "'" not in rest and '"' not in rest:
+        rest = (" " + rest).partition(" #")[0][1:]
+    return rest.rstrip(" ")
 
 
 def _flow(
@@ -92,6 +105,10 @@ def read(text: str, resolve: Callable[[str], Any]) -> Any:
     str or an int leaves the text to YAML."""
     if not text.isascii() or text.encode().translate(None, _PRINTABLE):
         return None
+    if "\r" in text:  # CR LF ends a line as LF does; a lone CR is not plain
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
     made: dict[str, Any] = {}  # each plain scalar read and what it makes
     made_get = made.get
 
@@ -124,7 +141,7 @@ def read(text: str, resolve: Callable[[str], Any]) -> Any:
     stack: list = []  # the block collections that enclose top, outermost first
     top, top_indent, in_list = root, 0, False  # the innermost one
     pending = None  # a key of top whose value starts on a later line
-    pos, size = 0, len(text)
+    pos, size = (4 if text.startswith("---\n") else 0), len(text)
     try:
         while pos < size:
             m = _block_line(text, pos)
@@ -135,11 +152,11 @@ def read(text: str, resolve: Callable[[str], Any]) -> Any:
             if dash is None and key is None:
                 continue  # a blank line or a comment
             indent = len(spaces)
-            rest = rest.rstrip(" ")
+            rest = _trimmed(rest)
             while rest and rest[-1] in ",[{":  # a flow value goes on
                 m = _more_line(text, pos)
                 pos = m.end()
-                body = m[2].rstrip(" ")
+                body = _trimmed(m[2])
                 if not body or len(m[1]) <= indent:
                     raise _NotPlain
                 rest += "\n" + body

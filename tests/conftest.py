@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+from typing import Any
+
 from hypothesis import strategies as st
 
-from satmatch import prefs
+from satmatch import market_io, plain_yaml, prefs
 from satmatch.graph import BipartiteGraph, Side, Vertex
 
 
@@ -14,6 +17,16 @@ def X(i: int) -> Vertex:
 
 def Y(j: int) -> Vertex:
     return Vertex(Side.Y, j)
+
+
+def scan(text: str) -> Any:
+    """What the line scanner makes of `text` with market_io's resolver: the
+    data, or None when the text is not plain."""
+    loader = market_io._Loader("")
+    try:
+        return plain_yaml.read(text, functools.partial(market_io._plain, loader))
+    finally:
+        loader.dispose()
 
 
 def biclique(a: int, b: int) -> BipartiteGraph:

@@ -207,6 +207,26 @@ def test_analyze_y_side(capsys):
     assert report["saturation"]["failing"] == ["y1"]
 
 
+def test_analyze_text_marks_an_isolated_vertex(capsys, tmp_path):
+    market = tmp_path / "iso.yaml"
+    market.write_text(
+        'schema_version: "1"\nx_names: [a, b]\ny_names: [c, d]\nedges: [[a, c]]\n'
+    )
+    for side, table in (
+        ("x", ["a 1 1 yes c c guaranteed", "b 0 0 yes - - isolated",
+               "isolated on side X: b"]),
+        ("y", ["c 1 1 yes a a guaranteed", "d 0 0 yes - - isolated",
+               "isolated on side Y: d"]),
+    ):
+        code, out, err = _run(capsys, "analyze", str(market), "--side", side)
+        assert (code, err) == (1, "")
+        lines = [" ".join(line.split()) for line in out.splitlines()]
+        assert lines[1] == (
+            f"every stable matching {side.upper()}-saturating for all preferences: NO"
+        )
+        assert lines[3:6] == table
+
+
 def test_analyze_two_classes_coverage(capsys):
     code, report = _structured(capsys, "analyze", _market("two_classes.yaml"))
     assert code == 1  # deficient classes let stable matchings strand ada
@@ -331,6 +351,23 @@ def test_enumerate_tiny_cap(capsys):
     assert "cap" in err
 
 
+def test_enumerate_cap_out_inside_the_lattice_walk(capsys):
+    # both deferred-acceptance runs make 4 proposals, and the walk scans 2
+    # more list entries on its way from the X-optimal to the Y-optimal
+    # matching; a cap of 4 or 5 is passed inside the walk
+    argv = ["enumerate", _market("square_cycle.yaml"), "--cap"]
+    for cap in (4, 5):
+        code, out, err = _run(capsys, *argv, str(cap))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: stable-matching search visited 6 nodes, above the cap of {cap} "
+            "(the instance has at most 4 stable matchings)\n"
+        )
+    code, out, _ = _run(capsys, *argv, "6")
+    assert code == 0
+    assert "stable matchings: 2 (6 search nodes, cap 6)" in out
+
+
 def test_enumerate_cap_out_with_one_stable_matching_is_singular(capsys):
     code, out, err = _run(
         capsys, "enumerate", _market("single_pair.yaml"), "--cap", "0"
@@ -350,6 +387,15 @@ def test_enumerate_refuses_a_negative_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --cap: must be at least 0, got -1" in captured.err
+
+
+def test_enumerate_refuses_a_cap_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", _market("square_cycle.yaml"), "--cap", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap: invalid int value: 'abc'" in captured.err
 
 
 def test_enumerate_requires_preferences(capsys):
@@ -391,6 +437,19 @@ def test_adversary_strands_x2_and_writes_market(capsys, tmp_path):
     ss = engine.enumerate_stable(bundle.graph, bundle.instance)
     x2 = bundle.names.vertex("x2")
     assert all(m.partner(x2) is None for m in ss.matchings)
+
+
+def test_adversary_text_names_the_file_it_wrote(capsys, tmp_path):
+    out_path = str(tmp_path / "rigged.yaml")
+    argv = ["adversary", _market("path4.yaml"), "--target", "x2"]
+    code, out, err = _run(capsys, *argv, "--out", out_path)
+    assert (code, err) == (0, "")
+    assert f"\nmarket written to {out_path}\nemitted market:\n" in out
+    with open(out_path, encoding="utf-8") as fh:
+        written = fh.read()
+    assert out.endswith("".join(f"  {line}\n" for line in written.splitlines()))
+    _, unwritten, _ = _run(capsys, *argv)
+    assert "market written to" not in unwritten
 
 
 def test_adversary_inline_market_matches_file(capsys, tmp_path):

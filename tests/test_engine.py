@@ -235,6 +235,23 @@ def test_search_cap():
     assert exc.value.estimate == 1  # both optimal matchings coincide
 
 
+def test_search_cap_inside_the_lattice_walk():
+    """The cyclic 2x2 market: both deferred-acceptance runs make 4
+    proposals, and the walk scans 2 more list entries on its way from the
+    X-optimal to the Y-optimal matching. A cap of 4 or 5 is passed inside
+    the walk, and the error carries the bound on the stable matchings."""
+    g = biclique(2, 2)
+    inst = PreferenceInstance([(0, 1), (1, 0)], [(1, 0), (0, 1)])
+    with pytest.raises(SearchCapExceeded) as exc:
+        enumerate_stable(g, inst, cap=3)
+    assert (exc.value.visited, exc.value.estimate) == (4, 4)
+    for cap in (4, 5):
+        with pytest.raises(SearchCapExceeded) as exc:
+            enumerate_stable(g, inst, cap=cap)
+        assert (exc.value.visited, exc.value.cap, exc.value.estimate) == (6, cap, 4)
+    assert len(enumerate_stable(g, inst, cap=6).matchings) == 2
+
+
 def _mask(indices) -> int:
     return sum(1 << r for r in set(indices))
 

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import X, Y, graphs
+from conftest import X, Y, graphs, scan
 from satmatch import market_io, prefs
 from satmatch.errors import MarketFormatError, PreferenceError
 from satmatch.graph import BipartiteGraph
@@ -219,12 +219,12 @@ def test_non_utf8_file_names_the_first_bad_byte(tmp_path):
 @pytest.mark.parametrize("collecting", [True, False])
 def test_parse_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeypatch):
     """The cyclic collector is off while each document is read, by the line
-    scanner or, for text outside its subset, from YAML events, and
-    afterwards in the state the caller left it, on success and on every
-    error path: a YAML syntax error, a validation error and a failing
-    load_market. The scanner and _build both make plain scalars through
-    _plain, which is watched for the scan; get_event is watched for the
-    events, which only the syntax error needs."""
+    scanner or, for text outside its subset, by yaml.load after a pass over
+    its YAML events, and afterwards in the state the caller left it, on
+    success and on every error path: a YAML syntax error, a validation
+    error and a failing load_market. The scanner makes plain scalars
+    through _plain, which is watched for the scan; get_event is watched
+    for the events, which only the syntax error needs."""
     outcomes = (
         (lambda: parse_market(BARE), False),
         (lambda: parse_market("x_names: [a\nedges: oops"), True),
@@ -285,25 +285,15 @@ def _yaml_outcome(load, text: str):
         return type(e), str(e)
 
 
-def test_builder_builds_every_fixture_as_yaml_load_does(monkeypatch):
-    paths = sorted(glob.glob(os.path.join(MARKETS_DIR, "*.yaml")))
-    for loader in _each_loader(monkeypatch):
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            built = market_io._build(market_io._Loader(text), path)
-            assert built == yaml.load(text, Loader=market_io._Loader), (loader, path)
-
-
 @pytest.mark.parametrize(
-    "text,built",
+    "text,scanned",
     [
-        ("", True),
-        ("# only a comment\n", True),
-        ("a: [x, '1', 1, 0x1F, 1_000, 0o7, 017, 190:20:30, +5]", True),
+        ("", False),
+        ("# only a comment\n", False),
+        ("a: [x, '1', 1, 0x1F, 1_000, 0o7, 017, 190:20:30, +5]", False),
         ("a: 1\nb: 2\na: [3]\n", True),  # the last equal key wins
-        ("? 1\n: one\n? 0x1\n: again\n", True),
-        ("a: ! 1\nb: ! [x]\n", True),
+        ("? 1\n: one\n? 0x1\n: again\n", False),
+        ("a: ! 1\nb: ! [x]\n", False),
         ("a: yes", False),
         ("a: no", False),
         ("a: on", False),
@@ -330,26 +320,22 @@ def test_builder_builds_every_fixture_as_yaml_load_does(monkeypatch):
         ("a: !foo 1", False),
     ],
 )
-def test_builder_equals_yaml_load(text, built, monkeypatch):
+def test_builder_equals_yaml_load(text, scanned, monkeypatch):
     """_load gives what yaml.load gives, data or error at the same mark;
-    `built` says whether _build makes the data itself or leaves it to
+    `scanned` says whether the line scanner reads the text or leaves it to
     yaml.load (YAML 1.1 scalars other than str and int, anchors, aliases,
-    merge keys, explicit tags, non-scalar keys, a second document)."""
+    merge keys, tags, complex keys, a second document, no mapping)."""
     for loader in _each_loader(monkeypatch):
         expected = _yaml_outcome(lambda t: yaml.load(t, Loader=market_io._Loader), text)
         got = _yaml_outcome(lambda t: market_io._load(t, "s"), text)
         assert got == expected, loader
-        try:
-            made = market_io._build(market_io._Loader(text), "s")
-        except yaml.YAMLError:
-            made = market_io._OTHER
-        assert (made is not market_io._OTHER) == built, loader
+        assert (scan(text) is not None) == scanned, loader
 
 
 def test_builder_and_fallback_refuse_nesting_past_the_bound(monkeypatch):
-    """One level past _MAX_DEPTH is refused at its own position, whether
-    _build makes the data or leaves it to yaml.load; at the bound the
-    document loads."""
+    """One level past _MAX_DEPTH is refused at its own position, with or
+    without an anchor before it; at the bound yaml.load builds the
+    document."""
     bound = market_io._MAX_DEPTH
     for loader in _each_loader(monkeypatch):
         for head in ("", "&a "):
@@ -419,25 +405,39 @@ def _data(text: str) -> str:
     return repr(_yaml_outcome(lambda t: yaml.load(t, Loader=market_io._Loader), text))
 
 
+def _noted(text: str) -> str:
+    """`text` with " # note" at the end of each line that holds a value or
+    a key and no quote."""
+    return "".join(
+        line if "'" in line or '"' in line or not line.strip(" \n") or "#" in line
+        else line.replace("\n", " # note\n")
+        for line in text.splitlines(keepends=True)
+    )
+
+
 def test_scanner_reads_every_writer_output_as_yaml_load_does(monkeypatch):
     """Every file the package or the benchmark writes stays on the scanner,
-    so a writer change that leaves its subset fails here."""
+    so a writer change that leaves its subset fails here; so does its copy
+    with CR LF line ends and its copy with a comment after each value."""
     texts = _writer_outputs()
     assert any("[\n" in text for text in texts)
+    assert all(" # note\n" in _noted(text) for text in texts)
     for loader in _each_loader(monkeypatch):
         for text in texts:
-            data = market_io._scan(text)
-            assert data is not market_io._OTHER, (loader, text[:300])
-            assert repr(data) == _data(text), loader
+            for copy in (text, text.replace("\n", "\r\n"), _noted(text)):
+                data = scan(copy)
+                assert data is not None, (loader, copy[:300])
+                assert repr(data) == _data(copy) == _data(text), loader
 
 
-_INDICATORS = [*"-?:,[]{}#&*!|>'\"%@`~ \n\t\r\\", "---", "- ", ": ", "\n  ", "1.5", "yes"]
+_INDICATORS = [*"-?:,[]{}#&*!|>'\"%@`~ \n\t\r\\", "---", "- ", ": ", "\n  ", "1.5", "yes",
+               "\r\n", " # c"]
 
 
 def _mutant(text: str, rng: random.Random) -> str:
     lines = text.split("\n")
     k = rng.randrange(len(lines))
-    kind = rng.randrange(6)
+    kind = rng.randrange(9)
     at = rng.randrange(len(text))
     if kind == 0:
         return text[:at] + rng.choice(_INDICATORS) + text[at:]
@@ -446,10 +446,16 @@ def _mutant(text: str, rng: random.Random) -> str:
     if kind == 2:
         return text[:at] + rng.choice(_INDICATORS) + text[at + 1 :]
     if kind == 3:
+        return "---\n" + text
+    if kind == 4:
+        return text.replace("\n", "\r\n")
+    if kind == 5:
         lines.insert(k, lines[k])
-    elif kind == 4:
+    elif kind == 6:
         shift = rng.choice((-2, -1, 1, 2))
         lines[k] = " " * shift + lines[k] if shift > 0 else lines[k][-shift:]
+    elif kind == 7:
+        lines[k] += " # c"
     else:  # past YAML's 1,024 characters for a key
         name = rng.choice(re.findall(r"[a-z][a-z0-9_]*", text))
         return text.replace(name, "n" * 1030, rng.choice((1, 2, -1)))
@@ -470,9 +476,18 @@ def _mutant(text: str, rng: random.Random) -> str:
         ("a: [b,\nc]\n", False),  # goes on at the indent of its key
         ("a: [b,\n\n  c]\n", False),
         ("a: [b,\n  # c\n  d]\n", False),
+        ("a: [b, # c\n  d] # e\n", True),
         ("a: ['b,\n  c']\n", False),
-        ("a: [b, c] # c\n", False),
-        ("a: b # c\n", False),
+        ("a: [b, c] # c\n", True),
+        ("a: b # c\n", True),
+        ("a: # c\n  - b #c\n", True),
+        ("a: b #c # d\n", True),
+        ("a: b#c\n", False),  # "#" after no space: a scalar YAML reads, not plain
+        ("a: [b,#c]\n", False),
+        ("a: 'b' # c\n", False),  # a value with a quote keeps its "#"
+        ("'a': b # c\n", True),
+        ("a: 'b #c'\n", True),
+        ("- # c\n", False),
         ("a: [b,]\n", False),
         ("a: [[[b]]]\n", False),
         ("a: [{b: c}]\n", False),
@@ -493,10 +508,19 @@ def _mutant(text: str, rng: random.Random) -> str:
         ("a: &x 1\n", False),
         ("a: *x\n", False),
         ("a: !!str 1\n", False),
-        ("---\na: 1\n", False),
+        ("---\na: 1\n", True),
+        ("---\r\na: 1\r\n", True),
+        ("--- \na: 1\n", False),
+        ("--- # c\na: 1\n", False),
+        ("# c\n---\na: 1\n", False),
+        ("---\n", False),
+        ("a: 1\n---\nb: 2\n", False),
         ("%YAML 1.1\n---\na: 1\n", False),
         ("a: 1\n...\n", False),
-        ("a: 1\r\n", False),
+        ("a: 1\r\n", True),
+        ("a: [b,\r\n  c]\r\nd: 'e'\r\n", True),
+        ("a: 1\rb: 2\n", False),  # a lone CR ends a line too, but is not plain
+        ("a: 1\r\r\n", False),
         ("a:\tb\n", False),
         ("a: \u00e9\n", False),
         ("a: b\x07\n", False),
@@ -510,10 +534,10 @@ def _mutant(text: str, rng: random.Random) -> str:
 )
 def test_scanner_equals_yaml_load_or_leaves_the_text_to_it(text, scanned, monkeypatch):
     """Each rule of the subset, on both sides of its edge: `scanned` says
-    whether _scan reads the text itself."""
+    whether the scanner reads the text itself."""
     for loader in _each_loader(monkeypatch):
-        data = market_io._scan(text)
-        assert (data is not market_io._OTHER) == scanned, loader
+        data = scan(text)
+        assert (data is not None) == scanned, loader
         if scanned:
             assert repr(data) == _data(text), loader
 
@@ -536,12 +560,14 @@ HAND_WRITTEN = _doc(
 
 def test_scanner_mutants_fall_back_or_equal_yaml_load(monkeypatch):
     """Seeded edits of the writer outputs and of HAND_WRITTEN: an indicator
-    inserted, deleted or put in place of a character, a line repeated or
-    re-indented, a name made 1,030 characters long. The scanner must leave
-    each one to yaml.load or read the same data. PyYAML's pure-Python
-    loader is about six times slower, so it checks fewer."""
+    inserted, deleted or put in place of a character, a "---" line put
+    first, CR LF line ends, a line repeated, re-indented or ended by a
+    comment, a name made 1,030 characters long. _load must give what
+    yaml.load gives for each, data or error, and the scanner must read a
+    fair share of them. PyYAML's pure-Python loader is about six times
+    slower, so it checks fewer."""
     texts = _writer_outputs() + [HAND_WRITTEN] * 10
-    assert market_io._scan(HAND_WRITTEN) is not market_io._OTHER
+    assert scan(HAND_WRITTEN) is not None
     for loader in _each_loader(monkeypatch):
         rng = random.Random(28)
         count = 300 if loader == "SafeLoader" else 1500
@@ -550,10 +576,9 @@ def test_scanner_mutants_fall_back_or_equal_yaml_load(monkeypatch):
             text = rng.choice(texts)
             for _ in range(rng.randint(1, 2)):
                 text = _mutant(text, rng)
-            data = market_io._scan(text)
-            if data is not market_io._OTHER:
-                scanned += 1
-                assert repr(data) == _data(text), (loader, text)
+            scanned += scan(text) is not None
+            got = _yaml_outcome(lambda t: market_io._load(t, "s"), text)
+            assert repr(got) == _data(text), (loader, text)
         assert scanned > count // 5, loader
 
 
@@ -575,7 +600,7 @@ def test_scanner_mutants_fall_back_or_equal_yaml_load(monkeypatch):
 def test_scanner_leaves_deep_nests_and_long_keys_to_yaml(old, new, message):
     text = BARE.replace(old, new)
     assert text != BARE
-    assert market_io._scan(text) is market_io._OTHER
+    assert scan(text) is None
     with pytest.raises(MarketFormatError) as exc:
         parse_market(text, source="m.yaml")
     assert str(exc.value) == f"m.yaml:{message}"
@@ -757,7 +782,12 @@ DOCS = {"bare": BARE, "prefs": WITH_PREFS, "compat": WITH_COMPAT}
 def test_edge_and_preference_errors_are_pinned_in_full(
     doc, edits, line, column, message, tmp_path, monkeypatch
 ):
-    doc = DOCS[doc]
+    _assert_pinned(DOCS[doc], edits, line, column, message, tmp_path, monkeypatch)
+
+
+def _assert_pinned(doc, edits, line, column, message, tmp_path, monkeypatch):
+    """Loading `doc` with each (old, new) of `edits` made fails, under
+    both loaders, with exactly `message` at `line` and `column`."""
     for old, new in edits:
         assert old in doc
         doc = doc.replace(old, new)
@@ -767,6 +797,36 @@ def test_edge_and_preference_errors_are_pinned_in_full(
             _load_text(tmp_path, doc)
         assert (exc.value.line, exc.value.column) == (line, column)
         assert str(exc.value) == f"{path}:{line}:{column}: {message}"
+
+
+COMPAT_BLOCK = WITH_COMPAT[WITH_COMPAT.index("compatibility:"):]
+
+
+@pytest.mark.parametrize(
+    "edits, line, column, message",
+    [
+        ([(COMPAT_BLOCK, "compatibility: [cloth]\n")], 5, 1,
+         "compatibility must be a mapping"),
+        ([("classes: [cloth, paper]", "classes: []")], 6, 3,
+         "compatibility.classes must not be empty"),
+        ([("x_membership:\n    ann: [cloth]\n    bob: [cloth, paper]\n    eve: [paper]",
+           "x_membership: [ann, bob, eve]")], 7, 3,
+         "compatibility.x_membership must map X names to class lists"),
+        ([("ann: [cloth]", "ann: []")], 8, 5,
+         "compatibility.x_membership['ann'] must not be empty"),
+        ([("y_class:\n    sew: cloth\n    cut: paper", "y_class: cloth")], 11, 3,
+         "compatibility.y_class must map Y names to a class name"),
+        ([("    cut: paper\n", "")], 11, 3, "compatibility.y_class missing 'cut'"),
+        ([("cut: paper", "cut: paper\n    tie: paper")], 14, 5,
+         "compatibility.y_class names unknown Y-vertex 'tie'"),
+    ],
+    ids=["not-a-mapping", "no-classes", "membership-not-a-mapping", "empty-membership",
+         "y-class-not-a-mapping", "y-class-missing", "y-class-unknown"],
+)
+def test_compatibility_block_errors_are_pinned_in_full(
+    edits, line, column, message, tmp_path, monkeypatch
+):
+    _assert_pinned(WITH_COMPAT, edits, line, column, message, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(

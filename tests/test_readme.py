@@ -9,7 +9,11 @@ import shlex
 import subprocess
 import sys
 
-from satmatch import cli
+import pytest
+
+from conftest import scan
+from satmatch import cli, market_io
+from satmatch.errors import MarketFormatError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -48,3 +52,17 @@ def test_readme_transcripts_match_the_program(capsys, monkeypatch):
         assert capsys.readouterr().out == shown, command
         replayed.append(argv[0])
     assert sorted(replayed) == ["analyze", "enumerate", "match"]
+
+
+def test_readme_market_example_is_plain_and_fails_as_shown(tmp_path, monkeypatch):
+    """The example market is read by the line scanner, and with its last
+    edge misspelt it gives the error the README shows."""
+    [example] = _readme_blocks("yaml")
+    assert scan(example) is not None
+    monkeypatch.chdir(tmp_path)
+    with open("market.yaml", "w", encoding="utf-8") as fh:
+        fh.write(example.replace("- [bob, cut]", "- [bob, cutt]"))
+    with pytest.raises(MarketFormatError) as exc:
+        market_io.load_market("market.yaml")
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        assert f"\nerror: {exc.value}\n" in fh.read()
