@@ -3,18 +3,18 @@
 Decides whether every stable matching of a graph saturates one side no
 matter what the preferences are. The decisive per-vertex question: can
 v's neighborhood be fully absorbed by v's competitors — is there a
-matching, avoiding v, that covers every option in N(v)? `vertex_report`
-answers it: each option takes a free competitor if it has one and runs an
-augmenting-path search only when none is free. The answer is one of two
-certificates:
+matching, avoiding v, that covers every option in N(v)? One routine,
+`_absorb`, answers it for `vertex_report`: each option in ascending order
+takes a free competitor if it has one and runs an augmenting-path search
+only when none is free. The answer is one of two certificates:
 
 * If yes, v can be stranded, and the absorbing matching the search found
   is kept as the certificate. The caller that prints or checks a
-  stranding instance builds it with `adversarial_instance`, which finds
-  an absorbing matching again with plain ascending augmenting paths,
-  pairing each option with a champion competitor; preferences in which
-  every option and its champion rank each other first strand v in every
-  stable matching of that instance.
+  stranding instance builds it with `adversarial_instance`, which runs
+  `_absorb` again with the free-competitor step off (plain ascending
+  augmenting paths), pairing each option with a champion competitor;
+  preferences in which every option and its champion rank each other
+  first strand v in every stable matching of that instance.
 * If no, some set of options is a blockade: more options than the
   competitors adjacent to them, so however the options match away from v,
   one of them is left over — and an unmatched option next to an unmatched
@@ -41,8 +41,8 @@ competitors are masks too, and the one augmenting-path search,
 `engine.augment`, tries competitors lowest bit first, the same ascending
 order as a walk down the adjacency lists. The free-competitor step (Kuhn's
 cheap assignment) takes the lowest set bit of an option's mask and the
-free mask; it runs on every vertex, and on K(n,n) it makes one search per
-vertex instead of one per option. Neither certificate depends on it.
+free mask; it runs in every verdict, and on K(n,n) it makes one search
+per vertex instead of one per option. Neither certificate depends on it.
 Whether N(v) can be absorbed does not depend on the order of the search.
 The blockade is the set of options alternating-reachable from the first
 option u* whose ascending prefix cannot be absorbed: every search that
@@ -165,40 +165,22 @@ def _neighborhood(masks: tuple[int, ...], indices: Iterable[int]) -> int:
     return reach
 
 
-def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
-    """Certify v, or decide that it can be stranded.
+def _absorb(
+    comasks: tuple[int, ...], row: tuple[int, ...], mine: int, free: int
+) -> tuple[bool, tuple[int, ...]]:
+    """Place the options `row` with competitors outside `mine`, the one
+    absorption loop behind every verdict and every champion.
 
-    Competitor sets are bitmasks over v's own side, built from the masks
-    of v's options: the claimants N(N(v)) are their OR, counted with
-    `bit_count()`, and always include v itself when v has any option. The
-    dedicated neighbor is the lowest-index option whose mask is v's bit
-    alone. The options are placed in ascending order over the competitors
-    other than v: each takes the lowest set bit of its mask and the free
-    mask if there is one, and otherwise runs one augmenting-path search
-    with v's bit pre-seen; the first option u that search cannot place
-    ends it. That failed search returns as seen exactly the competitors
-    alternating-reachable from u, all of them taken, so u and the options
-    they absorb form the blockade: a set adjacent to strictly fewer
-    competitors than its own size.
-
-    The free-competitor step runs on every vertex. It changes which
-    competitor absorbs which option, but not u or the set reachable from
-    it, so the blockade is the same as plain ascending search would give.
-    A vertex whose options are all placed can be stranded; the report
-    keeps the matching that placed them, and its champions are left to
-    `adversarial_instance`.
+    Options go in ascending order. Each takes the lowest competitor of its
+    mask that is still in `free` if there is one, and otherwise runs one
+    `augment` with `mine` pre-seen. Returns (True, the competitor of each
+    option of `row`) when all are placed. Otherwise the first option u
+    that cannot be placed ends the loop, and this returns (False, u with
+    the options held by the competitors alternating-reachable from it,
+    ascending); u is the last of them, since every other was placed before
+    it. With `free` = 0 the loop is plain ascending Kuhn.
     """
-    graph.check_vertex(v)
-    opp = v.side.opposite
-    row = graph.adjacency(v.side)[v.index]
-    comasks = graph.masks(opp)
-    mine = 1 << v.index
-    reach = _neighborhood(comasks, row)
-    free = reach & ~mine  # competitors not yet absorbing an option
-    dedicated = next((Vertex(opp, u) for u in row if comasks[u] == mine), None)
-
     taken: dict[int, int] = {}  # competitor -> option it absorbs
-    blockade = None
     for u in row:
         avail = comasks[u] & free
         if avail:
@@ -208,21 +190,48 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
             continue
         found, seen = augment(comasks, taken, u, mine)
         if not found:
-            stuck = sorted([u] + [w for c, w in taken.items() if seen >> c & 1])
-            blockade = tuple(Vertex(opp, w) for w in stuck)
-            break
+            stuck = [u] + [w for c, w in taken.items() if seen >> c & 1]
+            return False, tuple(sorted(stuck))
         free &= ~seen  # the one free competitor a path visits is the one it takes
-    absorbers = None
-    if blockade is None and row:
-        absorbed_by = dict(zip(taken.values(), taken))  # option -> competitor
-        absorbers = tuple(map(absorbed_by.__getitem__, row))
+    absorbed_by = dict(zip(taken.values(), taken))  # option -> competitor
+    return True, tuple(map(absorbed_by.__getitem__, row))
+
+
+def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
+    """Certify v, or decide that it can be stranded.
+
+    Competitor sets are bitmasks over v's own side, built from the masks
+    of v's options: the claimants N(N(v)) are their OR, counted with
+    `bit_count()`, and always include v itself when v has any option. The
+    dedicated neighbor is the lowest-index option whose mask is v's bit
+    alone. `_absorb` then places the options over the competitors other
+    than v, with every claimant but v free at the start. The first option
+    u it cannot place ends it; its failed search returns as seen exactly
+    the competitors alternating-reachable from u, all of them taken, so u
+    and the options they absorb form the blockade: a set adjacent to
+    strictly fewer competitors than its own size.
+
+    The free-competitor step changes which competitor absorbs which
+    option, but not u or the set reachable from it, so the blockade is the
+    same as plain ascending search would give. A vertex whose options are
+    all placed can be stranded; the report keeps the matching that placed
+    them, and its champions are left to `adversarial_instance`.
+    """
+    graph.check_vertex(v)
+    opp = v.side.opposite
+    row = graph.adjacency(v.side)[v.index]
+    comasks = graph.masks(opp)
+    mine = 1 << v.index
+    reach = _neighborhood(comasks, row)
+    dedicated = next((Vertex(opp, u) for u in row if comasks[u] == mine), None)
+    placed, found = _absorb(comasks, row, mine, reach & ~mine)
     return VertexReport(
         vertex=v,
         options=len(row),
         claimants=reach.bit_count(),
         dedicated=dedicated,
-        blockade=blockade,
-        absorbers=absorbers,
+        blockade=None if placed else tuple(Vertex(opp, w) for w in found),
+        absorbers=found if placed and row else None,
     )
 
 
@@ -411,29 +420,6 @@ def saturation_holds(graph: BipartiteGraph, side: Side = Side.X) -> bool:
     return all(r.satisfied for r in _reports(graph, side))
 
 
-def _champions(graph: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
-    """The absorbing matching of plain ascending Kuhn: champions[k] is the
-    competitor of v that absorbs option graph.adjacency(v.side)[v.index][k].
-
-    Each option in ascending order runs one augmenting-path search over the
-    competitors other than v, trying them in ascending order. An option
-    that cannot be placed means v was wrongly reported strandable, which
-    raises EngineInvariantError.
-    """
-    row = graph.adjacency(v.side)[v.index]
-    comasks = graph.masks(v.side.opposite)
-    taken: dict[int, int] = {}  # competitor -> option it absorbs
-    for u in row:
-        found, _ = augment(comasks, taken, u, 1 << v.index)
-        if not found:
-            raise EngineInvariantError(
-                f"{v!r} was reported strandable, but option "
-                f"{Vertex(v.side.opposite, u)!r} cannot be absorbed"
-            )
-    absorbed_by = {u: c for c, u in taken.items()}
-    return tuple(absorbed_by[u] for u in row)
-
-
 def adversarial_instance(
     graph: BipartiteGraph, report: VertexReport
 ) -> PreferenceInstance:
@@ -442,15 +428,15 @@ def adversarial_instance(
 
     `report` is the vertex's `vertex_report` on `graph`. The instance
     exists exactly when v is strandable; otherwise this raises an
-    InputError whose message is v's `guarantee`. The report's
-    `absorbers` come from the search that takes free competitors first,
-    and a twin's report holds a copy with the twins swapped; the
-    counterexamples pinned in the golden files come from plain ascending
-    Kuhn. So this runs that one augmenting-path pass again to find the
-    champion competitor of every option of v. If that pass cannot absorb
-    every option, the report was wrong and this raises
-    EngineInvariantError rather than build an instance that does not
-    strand v. The construction then sets:
+    InputError whose message is v's `guarantee`. The champion competitor
+    of every option of v comes from `_absorb` with its free-competitor
+    step off (`free` = 0), which is plain ascending Kuhn, the search the
+    counterexamples pinned in the golden files follow. The report's own
+    `absorbers` cannot serve: they come from the same loop with that step
+    on, and a twin's report holds a copy with the twins swapped. If that
+    pass cannot absorb every option, the report was wrong and this raises
+    EngineInvariantError, naming the first option left over, rather than
+    build an instance that does not strand v. The construction then sets:
 
     * every option of v ranks its champion first, its other neighbors
       next by ascending index, and v dead last;
@@ -472,9 +458,16 @@ def adversarial_instance(
     adj = graph.adjacency(v.side)
     coadj = graph.adjacency(opp)
     options = graph.masks(v.side)[v.index]
-    champions = dict(zip(adj[v.index], _champions(graph, v)))  # option -> competitor
+    comasks = graph.masks(opp)
+    placed, found = _absorb(comasks, adj[v.index], 1 << v.index, 0)
+    if not placed:
+        raise EngineInvariantError(
+            f"{v!r} was reported strandable, but option "
+            f"{Vertex(opp, found[-1])!r} cannot be absorbed"
+        )
+    champions = dict(zip(adj[v.index], found))  # option -> competitor
     absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
-    claimants = _neighborhood(graph.masks(opp), adj[v.index]) & ~(1 << v.index)
+    claimants = _neighborhood(comasks, adj[v.index]) & ~(1 << v.index)
 
     # v's side: claimants crowd into N(v), champions lead with their option;
     # v itself and bystanders rank by ascending index.

@@ -521,15 +521,6 @@ def _node_cap(text: str) -> int:
     return cap
 
 
-_RENDERERS = {
-    "analyze": _render_analyze,
-    "match": _render_match,
-    "enumerate": _render_enumerate,
-    "adversary": _render_adversary,
-    "verify": _render_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satmatch",
@@ -564,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--side", choices=("x", "y"), default="x", help="side to analyze (default: x)"
     )
     add_format(p)
-    p.set_defaults(handler=cmd_analyze)
+    p.set_defaults(handler=cmd_analyze, render=_render_analyze)
 
     p = sub.add_parser("match", help="run deferred acceptance once")
     p.add_argument("market", help="market file with a preferences block")
@@ -575,13 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="proposing side (default: x)",
     )
     add_format(p)
-    p.set_defaults(handler=cmd_match)
+    p.set_defaults(handler=cmd_match, render=_render_match)
 
     p = sub.add_parser("enumerate", help="list every stable matching")
     p.add_argument("market", help="market file with a preferences block")
     add_node_cap(p)
     add_format(p)
-    p.set_defaults(handler=cmd_enumerate)
+    p.set_defaults(handler=cmd_enumerate, render=_render_enumerate)
 
     p = sub.add_parser(
         "adversary", help="emit preferences that strand a chosen vertex"
@@ -591,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the emitted market to this path")
     add_node_cap(p)
     add_format(p)
-    p.set_defaults(handler=cmd_adversary)
+    p.set_defaults(handler=cmd_adversary, render=_render_adversary)
 
     p = sub.add_parser("verify", help="run the release-gate suites")
     p.add_argument(
@@ -620,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
     add_format(p)
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, render=_render_verify)
 
     return parser
 
@@ -642,7 +633,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.format == "structured":
         print(json.dumps(report, indent=2))
     else:
-        print("\n".join(_RENDERERS[report["command"]](report)))
+        print("\n".join(args.render(report)))
     return code
 
 

@@ -59,17 +59,6 @@ class CompatibilityMarket:
             y_class=tuple(y_class),
         )
 
-    def class_members(self, c: int) -> list[int]:
-        """A_c: the X-vertices belonging to class c."""
-        return [i for i, m in enumerate(self.x_membership) if c in m]
-
-    def class_slots(self, c: int) -> list[int]:
-        """B_c: the Y-vertices assigned to class c."""
-        return [j for j, yc in enumerate(self.y_class) if yc == c]
-
-    def exclusive_members(self, c: int) -> list[int]:
-        return [i for i, m in enumerate(self.x_membership) if m == {c}]
-
 
 def induced_graph(market: CompatibilityMarket) -> BipartiteGraph:
     """The acceptability graph: (x, y) is an edge iff y's class is one of x's."""
@@ -142,7 +131,7 @@ def deficient_witness(
     covers its members."""
     for c, sizes in enumerate(coverage.classes):
         if not sizes.covered:
-            exclusive = market.exclusive_members(c)
-            if exclusive:
-                return exclusive[0]
+            for i, m in enumerate(market.x_membership):
+                if m == {c}:
+                    return i
     return None

@@ -255,7 +255,15 @@ def enumerate_stable(
                 t = lst[i]
                 h = py[t]
                 if h is None:
-                    break  # t is single in every stable matching: x never passes it
+                    # unreachable: t, single in M, is single in every stable
+                    # matching. Mz(x) prefers x to its partner in M, since Mz
+                    # is Y-optimal, so the scan stops at Mz(x) at the latest,
+                    # and t, which x ranks above Mz(x), would block Mz. Only
+                    # a walk that lost a rotation gets here.
+                    raise EngineInvariantError(
+                        f"x[{x}] passes y[{t}], single in a stable matching, "
+                        f"before its Y-optimal partner — engine bug"
+                    )
                 if y_rank[t][x] < y_rank[t][h]:
                     s[x] = t
                     nxt[x] = h

@@ -139,22 +139,16 @@ class BipartiteGraph:
                 continue
             xs, ys, edges = [start], [], 0
             seen_x[start] = True
-            frontier = [(0, start)]
-            while frontier:
-                side_tag, i = frontier.pop()
-                if side_tag == 0:
-                    edges += len(self.x_adj[i])
-                    for j in self.x_adj[i]:
-                        if not seen_y[j]:
-                            seen_y[j] = True
-                            ys.append(j)
-                            frontier.append((1, j))
-                else:
-                    for j in self.y_adj[i]:
-                        if not seen_x[j]:
-                            seen_x[j] = True
-                            xs.append(j)
-                            frontier.append((0, j))
+            for i in xs:  # xs grows as the piece is found
+                edges += len(self.x_adj[i])
+                for j in self.x_adj[i]:
+                    if not seen_y[j]:
+                        seen_y[j] = True
+                        ys.append(j)
+                        for k in self.y_adj[j]:
+                            if not seen_x[k]:
+                                seen_x[k] = True
+                                xs.append(k)
             pieces.append(Component(tuple(sorted(xs)), tuple(sorted(ys)), edges))
         for j in range(self.y_count):
             if not seen_y[j]:

@@ -686,7 +686,7 @@ def load_market(path: str) -> MarketBundle:
         raise _located(e, text) from None
 
 
-def market_to_dict(mf: MarketFile) -> dict:
+def dump_market(mf: MarketFile) -> str:
     out: dict[str, Any] = {
         "schema_version": mf.schema_version,
         "x_names": list(mf.x_names),
@@ -701,16 +701,7 @@ def market_to_dict(mf: MarketFile) -> dict:
             "x_membership": {k: list(v) for k, v in mf.compatibility.x_membership.items()},
             "y_class": dict(mf.compatibility.y_class),
         }
-    return out
-
-
-def dump_market(mf: MarketFile) -> str:
-    return yaml.dump(
-        market_to_dict(mf),
-        Dumper=_Dumper,
-        sort_keys=False,
-        default_flow_style=None,
-    )
+    return yaml.dump(out, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
 def save_market(mf: MarketFile, path: str) -> None:

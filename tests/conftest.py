@@ -7,7 +7,8 @@ from typing import Any
 
 from hypothesis import strategies as st
 
-from satmatch import market_io, plain_yaml, prefs
+from satmatch import engine, market_io, plain_yaml, prefs
+from satmatch.compatibility import CompatibilityMarket
 from satmatch.graph import BipartiteGraph, Side, Vertex
 
 
@@ -27,6 +28,34 @@ def scan(text: str) -> Any:
         return plain_yaml.read(text, functools.partial(market_io._plain, loader))
     finally:
         loader.dispose()
+
+
+# the counting reference for the coverage verdict's class sizes
+def class_members(market: CompatibilityMarket, c: int) -> list[int]:
+    """A_c: the X-vertices belonging to class c."""
+    return [i for i, m in enumerate(market.x_membership) if c in m]
+
+
+def class_slots(market: CompatibilityMarket, c: int) -> list[int]:
+    """B_c: the Y-vertices assigned to class c."""
+    return [j for j, yc in enumerate(market.y_class) if yc == c]
+
+
+def misreport_y_optimal(monkeypatch, partner_of_x: list[int]) -> None:
+    """Patch `engine._propose` so that its second run, the Y-optimal one
+    `enumerate_stable` makes, reports `partner_of_x` as each X-vertex's
+    partner (-1 for none)."""
+    real = engine._propose
+    runs = []
+
+    def misreport(lists, other_rank, other_count):
+        partner, other_partner, proposals = real(lists, other_rank, other_count)
+        runs.append(lists)
+        if len(runs) == 2:
+            other_partner = list(partner_of_x)
+        return partner, other_partner, proposals
+
+    monkeypatch.setattr(engine, "_propose", misreport)
 
 
 def biclique(a: int, b: int) -> BipartiteGraph:

@@ -128,6 +128,15 @@ def test_blockade_is_genuinely_deficient_on_fixtures():
 # -- per-vertex reports and verdicts ------------------------------------------
 
 
+def _champions(g: BipartiteGraph, v: Vertex) -> tuple[int, ...]:
+    """v's champions: `_absorb` with no competitor free, as
+    `adversarial_instance` runs it."""
+    row = g.adjacency(v.side)[v.index]
+    placed, found = analysis._absorb(g.masks(v.side.opposite), row, 1 << v.index, 0)
+    assert placed, (g, v)
+    return found
+
+
 def test_vertex_report_fields():
     r = vertex_report(path4(), X(1))
     assert r.vertex == X(1)
@@ -138,17 +147,30 @@ def test_vertex_report_fields():
     assert r.blockade is None
     assert not r.satisfied
     assert not r.isolated
-    assert analysis._champions(path4(), X(1)) == (0,)  # x0 absorbs y1, x1's only option
+    assert _champions(path4(), X(1)) == (0,)  # x0 absorbs y1, x1's only option
 
 
 def test_champions_align_with_the_options():
     # x2's options y0 and y1 are absorbed by x0 and x1, one each
     g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
-    assert analysis._champions(g, X(2)) == (1, 0)
-    # a satisfied vertex carries a blockade, and its options cannot be absorbed
+    assert _champions(g, X(2)) == (1, 0)
+    # a satisfied vertex carries a blockade, and its options cannot be
+    # absorbed: the loop returns the options reachable from the one left over
     assert vertex_report(path4(), X(0)).blockade == (Y(0),)
-    with pytest.raises(EngineInvariantError):
-        analysis._champions(path4(), X(0))
+    assert analysis._absorb(path4().masks(Side.Y), (0,), 1, 0) == (False, (0,))
+    # x2's options y0 and y1 share their only competitor x0: y1 is left over
+    # and is the last of the stuck options
+    g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)])
+    assert analysis._absorb(g.masks(Side.Y), (0, 1), 1 << 2, 0) == (False, (0, 1))
+    # a report that wrongly calls either vertex strandable gets no instance
+    for graph, v, option in ((path4(), X(0), 0), (g, X(2), 1)):
+        forged = dataclasses.replace(vertex_report(graph, v), blockade=None)
+        with pytest.raises(
+            EngineInvariantError,
+            match=rf"^x\[{v.index}\] was reported strandable, but option "
+            rf"y\[{option}\] cannot be absorbed$",
+        ):
+            analysis.adversarial_instance(graph, forged)
 
 
 def test_isolated_vertex_report():
@@ -479,7 +501,7 @@ def test_champions_are_those_of_plain_ascending_kuhn():
         for side in (Side.X, Side.Y):
             for r in saturation_verdict(g, side).reports:
                 if not r.satisfied and not r.isolated:
-                    champions = analysis._champions(g, r.vertex)
+                    champions = _champions(g, r.vertex)
                     assert champions == _plain_kuhn(g, r.vertex), (g, r.vertex)
                     strandable += 1
     assert strandable >= 200
@@ -515,7 +537,7 @@ def test_certificates_hold_on_graphs_wider_than_one_machine_word():
                     if not r.bounded and r.dedicated is None:
                         kinds["other satisfied"] += 1
                 elif r.strandable:
-                    champions = analysis._champions(g, r.vertex)
+                    champions = _champions(g, r.vertex)
                     assert len(set(champions)) == len(row)
                     assert v not in champions
                     assert all(c in coadj[u] for u, c in zip(adj[v], champions))
@@ -562,7 +584,7 @@ def test_reports_are_internally_consistent(g: BipartiteGraph):
             )
             if not r.satisfied and not r.isolated:
                 # an absorbing matching: one distinct competitor per option
-                champions = analysis._champions(g, r.vertex)
+                champions = _champions(g, r.vertex)
                 assert len(set(champions)) == len(row)
                 assert r.vertex.index not in champions
                 assert all(c in coadj[u] for u, c in zip(row, champions))

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import misreport_y_optimal
 from satmatch import analysis, cli, compatibility, engine, harness, market_io, prefs
 from satmatch.errors import EngineInvariantError, PreferenceError
 from satmatch.graph import Matching, Side, Vertex
@@ -366,6 +367,26 @@ def test_enumerate_cap_out_inside_the_lattice_walk(capsys):
     code, out, _ = _run(capsys, *argv, "6")
     assert code == 0
     assert "stable matchings: 2 (6 search nodes, cap 6)" in out
+
+
+def test_enumerate_exits_4_when_the_lattice_walk_passes_a_single_vertex(
+    capsys, monkeypatch, tmp_path
+):
+    # a misreported Y-optimal run sends ann's scan past cat to dee, who is
+    # single in the one stable matching, ann-cat
+    path = tmp_path / "m.yaml"
+    path.write_text(
+        'schema_version: "1"\nx_names: [ann]\ny_names: [cat, dee]\n'
+        "edges: [[ann, cat], [ann, dee]]\n"
+        "preferences: {ann: [cat, dee], cat: [ann], dee: [ann]}\n"
+    )
+    misreport_y_optimal(monkeypatch, [1])
+    code, out, err = _run(capsys, "enumerate", str(path))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal: EngineInvariantError: x[0] passes y[1], single in a "
+        "stable matching, before its Y-optimal partner — engine bug\n"
+    )
 
 
 def test_enumerate_cap_out_with_one_stable_matching_is_singular(capsys):
@@ -913,14 +934,18 @@ def test_analyze_refuses_a_counterexample_with_swapped_champions(
     capsys, monkeypatch, fmt
 ):
     # weld's options ada and bea each get the other's champion; ada is not
-    # adjacent to bea's
-    real = analysis._champions
+    # adjacent to bea's. Only the champions' pass runs with no competitor
+    # free; the verdict's own pass is left alone.
+    real = analysis._absorb
 
-    def swapped(graph, v):
-        first, second, *rest = real(graph, v)
-        return (second, first, *rest)
+    def swapped(comasks, row, mine, free):
+        placed, found = real(comasks, row, mine, free)
+        if placed and not free:
+            first, second, *rest = found
+            found = (second, first, *rest)
+        return placed, found
 
-    monkeypatch.setattr(analysis, "_champions", swapped)
+    monkeypatch.setattr(analysis, "_absorb", swapped)
     path = _market("covered_classes.yaml")
     code, out, err = _run(capsys, "analyze", path, "--side", "y", "--format", fmt)
     assert (code, out) == (4, "")

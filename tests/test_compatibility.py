@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import X
+from conftest import X, class_members, class_slots
 from satmatch import analysis, engine, harness, prefs
 from satmatch.compatibility import (
     ClassSizes,
@@ -62,13 +62,12 @@ def test_build_requires_an_exclusive_member_per_class():
 
 
 def test_member_and_slot_queries():
+    # the counting reference the other tests check coverage_verdict against
     m = _two_class_market()
-    assert m.class_members(0) == [0, 1]
-    assert m.class_members(1) == [1, 2]
-    assert m.class_slots(0) == [0]
-    assert m.class_slots(1) == [1]
-    assert m.exclusive_members(0) == [0]
-    assert m.exclusive_members(1) == [2]
+    assert class_members(m, 0) == [0, 1]
+    assert class_members(m, 1) == [1, 2]
+    assert class_slots(m, 0) == [0]
+    assert class_slots(m, 1) == [1]
 
 
 def test_induced_graph_edges():
@@ -108,6 +107,9 @@ def test_deficient_witness_picks_lowest_exclusive_member():
     # class 0 covered, class 1 deficient: witness is class 1's exclusive member
     m = CompatibilityMarket.build(2, [[0], [1], [1]], [0, 1])
     assert _witness(m) == 1
+    # x1 belongs to deficient class 1 but also to class 0: x2 is the witness
+    m = CompatibilityMarket.build(2, [[0], [0, 1], [1]], [0, 0, 1])
+    assert _witness(m) == 2
 
 
 def test_verdict_consistency_on_small_markets():
@@ -165,8 +167,8 @@ def markets(draw) -> CompatibilityMarket:
 def test_coverage_matches_classwise_counting(market: CompatibilityMarket):
     v = coverage_verdict(market)
     for c, sizes in enumerate(v.classes):
-        assert sizes.members == len(market.class_members(c))
-        assert sizes.slots == len(market.class_slots(c))
+        assert sizes.members == len(class_members(market, c))
+        assert sizes.slots == len(class_slots(market, c))
     assert v.holds == all(s.slots >= s.members for s in v.classes)
     assert _consistency(market).consistent
 
@@ -175,7 +177,7 @@ def test_coverage_counts_every_class_of_every_gate_market():
     # the coverage suite's own family: 18,702 markets
     for market in harness.all_compatibility_markets(3, 4):
         assert coverage_verdict(market).classes == tuple(
-            ClassSizes(len(market.class_members(c)), len(market.class_slots(c)))
+            ClassSizes(len(class_members(market, c)), len(class_slots(market, c)))
             for c in range(market.n_classes)
         )
 

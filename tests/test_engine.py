@@ -15,6 +15,7 @@ from conftest import (
     graphs,
     guarded_4x5,
     lopsided_blocks,
+    misreport_y_optimal,
     path4,
     path5,
     twin_blocks,
@@ -250,6 +251,23 @@ def test_search_cap_inside_the_lattice_walk():
             enumerate_stable(g, inst, cap=cap)
         assert (exc.value.visited, exc.value.cap, exc.value.estimate) == (6, cap, 4)
     assert len(enumerate_stable(g, inst, cap=6).matchings) == 2
+
+
+def test_a_walk_that_passes_a_single_vertex_is_an_engine_bug(monkeypatch):
+    """x0 ranks y0 then y1, and y0 and y1 each rank only x0: x0-y0 is the
+    one stable matching. With the Y-optimal run misreported as x0-y1, the
+    scan from y0 reaches y1, single in that matching; the walk raises
+    instead of cutting the scan."""
+    g = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
+    inst = PreferenceInstance([(0, 1)], [(0,), (0,)])
+    assert len(enumerate_stable(g, inst).matchings) == 1
+    misreport_y_optimal(monkeypatch, [1])
+    with pytest.raises(
+        EngineInvariantError,
+        match=r"^x\[0\] passes y\[1\], single in a stable matching, before its "
+        r"Y-optimal partner — engine bug$",
+    ):
+        enumerate_stable(g, inst)
 
 
 def _mask(indices) -> int:

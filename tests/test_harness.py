@@ -7,11 +7,12 @@ attributes the suites call through) and assert the suites notice.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
 
-from conftest import biclique, path4
+from conftest import biclique, class_members, class_slots, path4
 from satmatch import analysis, compatibility, engine, harness, prefs
 from satmatch.errors import GraphCountExceeded
 from satmatch.graph import BipartiteGraph, Matching, Side, Vertex
@@ -314,11 +315,102 @@ def test_suite_catches_a_broken_deferred_acceptance(monkeypatch):
     assert result.violations["equality"]
 
 
+def _failing(result: harness.SuiteResult) -> set[str]:
+    """The violation categories in which `result` reports anything."""
+    return {category for category, found in result.violations.items() if found}
+
+
+def test_oracle_suite_catches_an_oracle_that_drops_a_matching(monkeypatch):
+    real = harness.naive_stable_matchings
+
+    def one_short(graph, instance):
+        return real(graph, instance)[1:]
+
+    monkeypatch.setattr(harness, "naive_stable_matchings", one_short)
+    result = harness.oracle_suite(pairs=50, max_side=2)
+    # every instance has a stable matching, so every pair is one short
+    assert _failing(result) == {"equality"}
+    assert len(result.violations["equality"]) == result.counts["pairs"] == 50
+    assert all("oracle found" in v for v in result.violations["equality"])
+
+
+def test_oracle_suite_catches_deferred_acceptance_for_the_other_side(monkeypatch):
+    real = harness.engine.deferred_acceptance
+
+    def other_optimum(graph, instance, proposing=Side.X):
+        return real(graph, instance, proposing=proposing.opposite)
+
+    monkeypatch.setattr(harness.engine, "deferred_acceptance", other_optimum)
+    result = harness.oracle_suite(pairs=100, max_side=4)
+    # each result is still stable, so only an instance with two or more
+    # stable matchings shows that it is the other side's optimum, and then
+    # on both sides
+    assert _failing(result) == {"optimality"}
+    sides = {
+        re.search(r": ([xy])\[\d+\] does better in .* than in the \1-proposing "
+                  r"result$", v).group(1)
+        for v in result.violations["optimality"]
+    }
+    assert sides == {"x", "y"}
+
+
+def test_oracle_suite_catches_a_maximum_matching_that_is_too_small(monkeypatch):
+    def empty(graph):
+        return Matching([None] * graph.x_count, graph.y_count)
+
+    monkeypatch.setattr(harness.engine, "maximum_matching", empty)
+    result = harness.oracle_suite(pairs=50, max_side=2)
+    assert _failing(result) == {"maximum"}
+    exceeds = [
+        v for v in result.violations["maximum"]
+        if "a stable matching exceeds the maximum matching size 0" in v
+    ]
+    assert exceeds
+    assert all(
+        v in exceeds or "maximum matching size 0 <" in v
+        for v in result.violations["maximum"]
+    )
+
+
+def test_coverage_suite_catches_a_freeze_out_that_leaves_the_witness_matched(
+    monkeypatch,
+):
+    real = harness.analysis.adversarial_instance
+
+    def witness_first(graph, report):
+        # every option of the witness ranks it first, so every stable
+        # matching matches it
+        instance = real(graph, report)
+        lists = [list(ranked) for ranked in instance.y_lists]
+        v = report.vertex.index
+        for u in graph.x_adj[v]:
+            lists[u] = [v] + [w for w in lists[u] if w != v]
+        return PreferenceInstance(instance.x_lists, lists)
+
+    # a witness whose class has no slot is isolated and needs no instance
+    built = 0
+    for market in harness.all_compatibility_markets(2, 2):
+        coverage = compatibility.coverage_verdict(market)
+        if not coverage.holds:
+            witness = compatibility.deficient_witness(market, coverage)
+            (c,) = market.x_membership[witness]
+            built += coverage.classes[c].slots > 0
+
+    monkeypatch.setattr(harness.analysis, "adversarial_instance", witness_first)
+    result = harness.coverage_suite(max_classes=2, max_side=2, samples=5)
+    assert _failing(result) == {"adversarial"}
+    assert len(result.violations["adversarial"]) == built > 0
+    assert all(
+        v.startswith("market ") and v.endswith(" not confirmed")
+        for v in result.violations["adversarial"]
+    )
+
+
 def test_suite_catches_a_coverage_verdict_that_always_holds(monkeypatch):
     def always_covered(market):
         sizes = tuple(
-            compatibility.ClassSizes(len(market.class_members(c)),
-                                     len(market.class_slots(c)))
+            compatibility.ClassSizes(len(class_members(market, c)),
+                                     len(class_slots(market, c)))
             for c in range(market.n_classes)
         )
         return compatibility.CoverageVerdict(holds=True, classes=sizes)
@@ -335,7 +427,7 @@ def test_coverage_suite_records_a_deficiency_the_structure_rules_out(monkeypatch
     # guaranteed a partner, which nothing can strand
     def no_slots(market):
         sizes = tuple(
-            compatibility.ClassSizes(len(market.class_members(c)), 0)
+            compatibility.ClassSizes(len(class_members(market, c)), 0)
             for c in range(market.n_classes)
         )
         return compatibility.CoverageVerdict(holds=False, classes=sizes)

@@ -27,7 +27,6 @@ from satmatch.market_io import (
     NameMap,
     dump_market,
     load_market,
-    market_to_dict,
     parse_market,
     preference_table,
     resolve_market,
@@ -153,8 +152,7 @@ def test_round_trip_preserves_everything(monkeypatch):
     for _ in _each_loader(monkeypatch):
         for text in (BARE, WITH_PREFS, WITH_COMPAT):
             mf = parse_market(text)
-            again = parse_market(dump_market(mf))
-            assert market_to_dict(again) == market_to_dict(mf)
+            assert parse_market(dump_market(mf)) == mf
 
 
 AWKWARD_NAMES = ["é", "名前", "yes", "null", "1e3", "a: b", "#c", "'q'",
@@ -173,13 +171,18 @@ def test_dump_matches_safe_dump_on_awkward_names(monkeypatch):
     for edge in mf.edges:
         mf.preferences[edge[0]].append(edge[1])
         mf.preferences[edge[1]].insert(0, edge[0])
-    expected = yaml.safe_dump(
-        market_to_dict(mf), sort_keys=False, default_flow_style=None
-    )
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "x_names": xs,
+        "y_names": ys,
+        "edges": [list(e) for e in mf.edges],
+        "preferences": mf.preferences,
+    }
+    expected = yaml.safe_dump(document, sort_keys=False, default_flow_style=None)
     for loader in _each_loader(monkeypatch):
         text = dump_market(mf)
         assert text == expected, loader
-        assert market_to_dict(parse_market(text)) == market_to_dict(mf), loader
+        assert parse_market(text) == mf, loader
         resolve_market(parse_market(text))
 
 

@@ -1,0 +1,121 @@
+"""Side transposition: swapping X and Y in a market file swaps every answer.
+
+The copy keeps every name and every preference list and reverses each
+edge. Saturating Y in the original is saturating X in the copy, the stable
+matchings are the same sets of pairs, and Y-proposing deferred acceptance
+on the original is X-proposing deferred acceptance on the copy (Gale &
+Shapley, Amer. Math. Monthly 69(1), 1962; Gusfield & Irving 1989, §1.2).
+A class block describes X's memberships, so the copy drops it; the
+saturation, perfection and matching sections do not read it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+
+from conftest import graph_with_instance
+from satmatch import cli
+from satmatch.market_io import MarketFile, dump_market, parse_market
+
+MARKETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "markets")
+FIXTURES = sorted(f for f in os.listdir(MARKETS) if f.endswith(".yaml"))
+
+
+def _transposed(mf: MarketFile) -> MarketFile:
+    return MarketFile(
+        schema_version=mf.schema_version,
+        x_names=list(mf.y_names),
+        y_names=list(mf.x_names),
+        edges=[(y, x) for x, y in mf.edges],
+        preferences=mf.preferences,
+    )
+
+
+def _structured(*argv: str) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--format", "structured"])
+    return code, json.loads(out.getvalue())
+
+
+def _pairs(pairs: list, reverse: bool = False) -> frozenset:
+    return frozenset((b, a) if reverse else (a, b) for a, b in pairs)
+
+
+def _check_transposition(text: str) -> None:
+    mf = parse_market(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        original = os.path.join(tmp, "original.yaml")
+        copy = os.path.join(tmp, "copy.yaml")
+        with open(original, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(copy, "w", encoding="utf-8") as fh:
+            fh.write(dump_market(_transposed(mf)))
+
+        for side in ("x", "y"):
+            other = "y" if side == "x" else "x"
+            code, theirs = _structured("analyze", original, "--side", side)
+            copy_code, mine = _structured("analyze", copy, "--side", other)
+            assert copy_code == code
+            for report in (mine, theirs):
+                del report["saturation"]["side"]
+            # rows, holds, failing, isolated, and the counterexample as a
+            # mapping from each name to its list
+            assert mine["saturation"] == theirs["saturation"], side
+            assert mine["perfect"] == {
+                "holds": theirs["perfect"]["holds"],
+                "x_holds": theirs["perfect"]["y_holds"],
+                "y_holds": theirs["perfect"]["x_holds"],
+            }
+        if mf.preferences is None:
+            return
+
+        code, theirs = _structured("enumerate", original)
+        copy_code, mine = _structured("enumerate", copy)
+        assert code == copy_code == 0
+        assert {_pairs(m["pairs"]) for m in mine["matchings"]} == {
+            _pairs(m["pairs"], reverse=True) for m in theirs["matchings"]
+        }
+        assert mine["count"] == theirs["count"]
+        assert (mine["matched_x"], mine["matched_y"]) == (
+            theirs["matched_y"],
+            theirs["matched_x"],
+        )
+
+        for side, other in (("x", "y"), ("y", "x")):
+            code, theirs = _structured("match", original, "--propose", other)
+            copy_code, mine = _structured("match", copy, "--propose", side)
+            assert code == copy_code == 0
+            assert _pairs(mine["pairs"]) == _pairs(theirs["pairs"], reverse=True)
+            assert (mine["unmatched_x"], mine["unmatched_y"], mine["stable"]) == (
+                theirs["unmatched_y"],
+                theirs["unmatched_x"],
+                theirs["stable"],
+            )
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_transposed_answers_for_the_other_side(fixture):
+    with open(os.path.join(MARKETS, fixture), encoding="utf-8") as fh:
+        _check_transposition(fh.read())
+
+
+@given(graph_with_instance(8, 8))
+@settings(max_examples=100, deadline=None)
+def test_market_transposed_answers_for_the_other_side(case):
+    g, instance = case
+    xs = [f"a{i}" for i in range(g.x_count)]
+    ys = [f"b{j}" for j in range(g.y_count)]
+    preferences = {xs[i]: [ys[j] for j in lst] for i, lst in enumerate(instance.x_lists)}
+    preferences.update(
+        {ys[j]: [xs[i] for i in lst] for j, lst in enumerate(instance.y_lists)}
+    )
+    mf = MarketFile("1", xs, ys, [(xs[i], ys[j]) for i, j in g.edges()], preferences)
+    _check_transposition(dump_market(mf))
