@@ -13,14 +13,24 @@ Every report exists as one dict; text mode renders that dict, so machine
 output always carries every number the human output shows. Exit codes:
 0 success / verdict true, 1 domain-negative, 2 usage or input error,
 3 resource cap exceeded, 4 internal failure.
+
+The argument parser is built once per process and reused by every `main`
+call: it holds only constants and function references, and parsing does
+not change it. `--format structured` prints the report through
+`_json_text`, which writes exactly what `json.dumps(report, indent=2)`
+writes but builds each container with one `str.join` and escapes strings
+with the C `encode_basestring_ascii`; with `indent` set, `json.dumps`
+falls back to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import analysis, compatibility, defaults, engine, market_io
@@ -521,6 +531,7 @@ def _node_cap(text: str) -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satmatch",
@@ -616,9 +627,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, for the types a
+    report holds: str, int, float, bool, None, and lists, tuples and dicts
+    with str keys of them. Anything else raises TypeError. `newline` is a
+    line break and the indent of the line `value` starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # compact, so in C: repr, NaN or Infinity
+    # Each container is built by one join that copies its children's text
+    # once; wrapping the joined text in brackets would copy a large report
+    # once more per level. Names are most of a report's leaves, so they are
+    # written inline, saving a call each.
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner)
+            for v in value
+        ]
+        items[0] = f"[{inner}{items[0]}"
+        items[-1] = f"{items[-1]}{newline}]"
+        return f",{inner}".join(items)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pieces = ["{"]
+        separator = inner
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            pieces.append(f"{separator}{encode_basestring_ascii(k)}: ")
+            pieces.append(
+                encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner)
+            )
+            separator = f",{inner}"
+        pieces.append(f"{newline}}}")
+        return "".join(pieces)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
     except CapExceeded as e:
@@ -631,7 +691,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.format == "structured":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print("\n".join(args.render(report)))
     return code

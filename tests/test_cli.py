@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -1177,6 +1179,45 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _outcome(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one `cli.main` call, a usage error's
+    SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_built_once_keeps_no_state_between_calls(monkeypatch):
+    """Calls in one process through the parser built once give what a parser
+    built afresh for each call gives: a default after an explicit value is
+    the default again, and a usage error leaves the next call intact."""
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["analyze", _market("path5.yaml"), "--side", "y"],
+        ["analyze", _market("path5.yaml")],
+        ["enumerate", _market("square_cycle.yaml"), "--cap", "5"],
+        ["enumerate", _market("square_cycle.yaml")],
+        ["analyze", "--side", "y"],
+        ["match", _market("square_cycle.yaml")],
+    ]
+    calls = [[*argv, "--format", "structured"] for argv in calls]
+    once = [_outcome(argv) for argv in calls]
+    assert [code for code, _, _ in once] == [1, 0, 3, 0, 2, 0]
+    assert json.loads(once[1][1])["side"] == "x"
+    assert json.loads(once[3][1])["cap"] == engine.DEFAULT_NODE_CAP
+    assert once[4][1] == ""
+    assert once[4][2].startswith("usage: satmatch analyze")
+    assert "the following arguments are required: market" in once[4][2]
+
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert [_outcome(argv) for argv in calls] == once
 
 
 def test_module_invocation_matches_the_console_script():

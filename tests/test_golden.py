@@ -42,36 +42,43 @@ def _report(*argv: str) -> dict:
     return {"exit": code, "report": report}
 
 
-def current() -> dict:
-    """Every golden entry as the code computes it now, keyed by argv."""
+def commands() -> dict[str, list[str]]:
+    """The argv of every `fixtures.json` entry, keyed as the file keys it."""
     entries = {}
     for rel in _fixtures():
         path = os.path.join(ROOT, rel)
         for side in ("x", "y"):
-            entries[f"analyze {rel} --side {side}"] = _report(
-                "analyze", path, "--side", side
-            )
+            entries[f"analyze {rel} --side {side}"] = ["analyze", path, "--side", side]
         names = market_io.load_market(path).names
         for name in names.x_names + names.y_names:
-            entries[f"adversary {rel} --target {name}"] = _report(
+            entries[f"adversary {rel} --target {name}"] = [
                 "adversary", path, "--target", name
-            )
+            ]
     return entries
 
 
-def current_preferences() -> dict:
-    """`enumerate` and `match` entries on every market with preferences."""
+def preference_commands() -> dict[str, list[str]]:
+    """The argv of every `preferences.json` entry: `enumerate` and `match`
+    on every market with preferences."""
     entries = {}
     for rel in _fixtures():
         path = os.path.join(ROOT, rel)
         if market_io.load_market(path).instance is None:
             continue
-        entries[f"enumerate {rel}"] = _report("enumerate", path)
+        entries[f"enumerate {rel}"] = ["enumerate", path]
         for side in ("x", "y"):
-            entries[f"match {rel} --propose {side}"] = _report(
-                "match", path, "--propose", side
-            )
+            entries[f"match {rel} --propose {side}"] = ["match", path, "--propose", side]
     return entries
+
+
+def current() -> dict:
+    """Every golden entry as the code computes it now, keyed by argv."""
+    return {key: _report(*argv) for key, argv in commands().items()}
+
+
+def current_preferences() -> dict:
+    """`enumerate` and `match` entries on every market with preferences."""
+    return {key: _report(*argv) for key, argv in preference_commands().items()}
 
 
 def _assert_golden(path: str, now: dict) -> None:

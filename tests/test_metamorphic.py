@@ -1,4 +1,6 @@
-"""Side transposition: swapping X and Y in a market file swaps every answer.
+"""Relations between the answers on two markets.
+
+Side transposition: swapping X and Y in a market file swaps every answer.
 
 The copy keeps every name and every preference list and reverses each
 edge. Saturating Y in the original is saturating X in the copy, the stable
@@ -7,6 +9,12 @@ on the original is X-proposing deferred acceptance on the copy (Gale &
 Shapley, Amer. Math. Monthly 69(1), 1962; Gusfield & Irving 1989, §1.2).
 A class block describes X's memberships, so the copy drops it; the
 saturation, perfection and matching sections do not read it.
+
+The `--out` round trip: the market `adversary --out` writes is the original
+market with the stranding preferences, so it reads back to the same names,
+edges and classes, both deferred-acceptance runs leave the target
+unmatched (by the rural hospitals theorem every stable matching does), and
+`analyze` answers on it as on the original.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from hypothesis import given, settings
 
 from conftest import graph_with_instance
 from satmatch import cli
-from satmatch.market_io import MarketFile, dump_market, parse_market
+from satmatch.market_io import MarketFile, dump_market, load_market, parse_market
 
 MARKETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "markets")
 FIXTURES = sorted(f for f in os.listdir(MARKETS) if f.endswith(".yaml"))
@@ -119,3 +127,40 @@ def test_market_transposed_answers_for_the_other_side(case):
     )
     mf = MarketFile("1", xs, ys, [(xs[i], ys[j]) for i, j in g.edges()], preferences)
     _check_transposition(dump_market(mf))
+
+
+def test_adversary_out_reads_back_and_strands_its_target(tmp_path):
+    stranded = 0
+    for fixture in FIXTURES:
+        original = os.path.join(MARKETS, fixture)
+        market = load_market(original).market
+        analyzed = {
+            side: _structured("analyze", original, "--side", side) for side in "xy"
+        }
+        for side, names in (("x", market.x_names), ("y", market.y_names)):
+            for target in names:
+                out = str(tmp_path / f"{fixture}-{target}.yaml")
+                code, report = _structured(
+                    "adversary", original, "--target", target, "--out", out
+                )
+                if code == 1:  # refused: the target cannot be stranded
+                    assert not os.path.exists(out)
+                    continue
+                assert code == 0
+                stranded += 1
+                written = load_market(out).market
+                assert written.x_names == market.x_names
+                assert written.y_names == market.y_names
+                assert written.edges == market.edges
+                assert written.compatibility == market.compatibility
+                assert written.preferences == report["preferences"]
+                for propose in "xy":
+                    code, matched = _structured("match", out, "--propose", propose)
+                    assert code == 0
+                    assert target in matched[f"unmatched_{side}"], (out, propose)
+                code, again = _structured("analyze", out, "--side", side)
+                want_code, want = analyzed[side]
+                assert code == want_code == 1, out
+                assert {**again, "source": original} == want, out
+    # every strandable vertex of the fixtures, as the golden file records
+    assert stranded == 27
