@@ -260,8 +260,9 @@ def _render_analyze(report: dict) -> list[str]:
         )
         for row in coverage["classes"]:
             lines.append(
-                f"  class {row['name']}: {row['members']} members, "
-                f"{row['slots']} slots — "
+                f"  class {row['name']}: "
+                f"{analysis.counted(row['members'], 'member')}, "
+                f"{analysis.counted(row['slots'], 'slot')} — "
                 f"{'covered' if row['covered'] else 'DEFICIENT'}"
             )
     return lines

@@ -1,8 +1,11 @@
 """Block-structured markets: class memberships on X, a class partition on Y.
 
 Each X-vertex belongs to one or more classes (overlaps allowed, but every
-class must have at least one exclusive member); each Y-vertex belongs to
-exactly one class. Acceptability is class membership: the induced graph has
+class must have at least one exclusive member: an X-vertex that belongs to
+it and to no other class); each Y-vertex belongs to exactly one class.
+`exclusive_members` owns that rule: the constructor, the witness of a
+deficient class, the file reader and the harness's market family all ask
+it. Acceptability is class membership: the induced graph has
 an edge (x, y) exactly when y's class is one of x's. A preference instance
 on that induced graph is automatically class-wise complete — every vertex
 ranks all compatible partners — which is the only preference regime these
@@ -12,7 +15,7 @@ verdicts quantify over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 from .graph import BipartiteGraph
@@ -39,8 +42,9 @@ class CompatibilityMarket:
         for j, c in enumerate(self.y_class):
             if not (0 <= c < self.n_classes):
                 raise InputError(f"y[{j}] names unknown class {c}")
+        exclusive = exclusive_members(self.x_membership)
         for c in range(self.n_classes):
-            if not any(m == {c} for m in self.x_membership):
+            if c not in exclusive:
                 raise InputError(
                     f"class {c} has no exclusive member: some X-vertex must "
                     f"belong to it and to no other class"
@@ -60,13 +64,31 @@ class CompatibilityMarket:
         )
 
 
+def exclusive_members(
+    memberships: Iterable[Collection[Hashable]],
+) -> dict[Hashable, int]:
+    """Each class that has an exclusive member, mapped to the lowest index
+    of one, in one pass over `memberships` (each X-vertex's classes, with
+    no class twice). A class with no exclusive member is left out."""
+    owner: dict[Hashable, int] = {}
+    for i, classes in enumerate(memberships):
+        if len(classes) == 1:
+            for c in classes:
+                owner.setdefault(c, i)
+    return owner
+
+
 def induced_graph(market: CompatibilityMarket) -> BipartiteGraph:
-    """The acceptability graph: (x, y) is an edge iff y's class is one of x's."""
+    """The acceptability graph: (x, y) is an edge iff y's class is one of
+    x's. Each X-vertex gets the slots of each of its classes."""
+    slots: list[list[int]] = [[] for _ in range(market.n_classes)]
+    for j, c in enumerate(market.y_class):
+        slots[c].append(j)
     edges = [
         (i, j)
         for i, classes in enumerate(market.x_membership)
-        for j, c in enumerate(market.y_class)
-        if c in classes
+        for c in classes
+        for j in slots[c]
     ]
     return BipartiteGraph(len(market.x_membership), len(market.y_class), edges)
 
@@ -129,9 +151,8 @@ def deficient_witness(
     """The lowest-index exclusive member of the lowest-index deficient class
     of `coverage` (the market's coverage verdict), or None when every class
     covers its members."""
+    exclusive = exclusive_members(market.x_membership)
     for c, sizes in enumerate(coverage.classes):
-        if not sizes.covered:
-            for i, m in enumerate(market.x_membership):
-                if m == {c}:
-                    return i
+        if not sizes.covered and c in exclusive:
+            return exclusive[c]
     return None

@@ -417,10 +417,9 @@ def all_compatibility_markets(
             frozenset(c for c in range(n) if mask >> c & 1)
             for mask in range(1, 1 << n)
         ]
-        singletons = [frozenset((c,)) for c in range(n)]
         for a in range(n, max_side + 1):
             for membership in product(subsets, repeat=a):
-                if any(s not in membership for s in singletons):
+                if len(compatibility.exclusive_members(membership)) < n:
                     continue
                 for b in range(max_side + 1):
                     for y_class in product(range(n), repeat=b):

@@ -27,7 +27,7 @@ from typing import Any, NoReturn, Optional
 import yaml
 
 from . import prefs
-from .compatibility import CompatibilityMarket, induced_graph
+from .compatibility import CompatibilityMarket, exclusive_members, induced_graph
 from .errors import MarketFormatError, PreferenceError
 from .graph import BipartiteGraph, Side, Vertex
 from .prefs import PreferenceInstance
@@ -517,8 +517,9 @@ def _parse_compatibility(
 
     # exclusivity gets checked here with names so the message is readable;
     # CompatibilityMarket re-checks it on indices regardless
+    exclusive = exclusive_members(x_membership.values())
     for k, c in enumerate(classes):
-        if not any(set(m) == {c} for m in x_membership.values()):
+        if c not in exclusive:
             _fail(
                 f"compatibility: class {c!r} has no exclusive member; some "
                 f"X-vertex must belong to it and to no other class",
@@ -599,14 +600,33 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
     entry by entry, by name lookup and `prefs.validate`, which raises the
     error for the first defect. So every message, and which defect is
     reported first, is that of the full check.
+
+    A file that parse_market never checked may hold what it refuses: a
+    name listed twice, an edge or a class entry that names no vertex or
+    class, a list for no vertex. When a name lookup fails, a name repeats,
+    the graph constructor refuses the edges or the preference table has a
+    fault, the file's document image (`_document`) goes through
+    `_market_file` first, so the error is the one parse_market gives for
+    that document. Parsed files never fail those tests, so they cost only
+    the tests.
     """
     names = NameMap(mf.x_names, mf.y_names)
     x_index, y_index = names.x_index, names.y_index
-    graph = BipartiteGraph(
-        len(names.x_names),
-        len(names.y_names),
-        [(x_index[xn], y_index[yn]) for xn, yn in mf.edges],
-    )
+    if (
+        len(x_index) < len(names.x_names)
+        or len(y_index) < len(names.y_names)
+        or not x_index.keys().isdisjoint(y_index)
+    ):
+        _market_file(_document(mf), source)  # a name listed twice
+    try:
+        graph = BipartiteGraph(
+            len(names.x_names),
+            len(names.y_names),
+            [(x_index[xn], y_index[yn]) for xn, yn in mf.edges],
+        )
+    except (KeyError, TypeError, ValueError):  # InputError is a ValueError
+        _market_file(_document(mf), source)
+        raise
 
     instance = None
     if mf.preferences is not None:
@@ -619,6 +639,7 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
             or y_lists is None
             or len(table) != len(x_lists) + len(y_lists)
         ):
+            _market_file(_document(mf), source)
             instance = _validated_instance(graph, names, table, source)
         else:
             instance = PreferenceInstance(x_lists, y_lists)
@@ -626,14 +647,25 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
     compat = None
     if mf.compatibility is not None:
         block = mf.compatibility
+        if (len(block.x_membership), len(block.y_class)) != (
+            len(mf.x_names),
+            len(mf.y_names),
+        ):
+            # an entry for no vertex, or none for one
+            _market_file(_document(mf), source)
         class_index = {c: k for k, c in enumerate(block.classes)}
-        compat = CompatibilityMarket.build(
-            n_classes=len(block.classes),
-            x_membership=[
-                [class_index[c] for c in block.x_membership[xn]] for xn in mf.x_names
-            ],
-            y_class=[class_index[block.y_class[yn]] for yn in mf.y_names],
-        )
+        try:
+            compat = CompatibilityMarket.build(
+                n_classes=len(block.classes),
+                x_membership=[
+                    [class_index[c] for c in block.x_membership[xn]]
+                    for xn in mf.x_names
+                ],
+                y_class=[class_index[block.y_class[yn]] for yn in mf.y_names],
+            )
+        except (KeyError, TypeError, ValueError):
+            _market_file(_document(mf), source)
+            raise
         implied = induced_graph(compat)
         if implied != graph:
             declared = set(graph.edges())
@@ -686,7 +718,9 @@ def load_market(path: str) -> MarketBundle:
         raise _located(e, text) from None
 
 
-def dump_market(mf: MarketFile) -> str:
+def _document(mf: MarketFile) -> dict[str, Any]:
+    """The data of the document `mf` is an image of: what `dump_market`
+    writes, and what `_market_file` reads back to `mf`."""
     out: dict[str, Any] = {
         "schema_version": mf.schema_version,
         "x_names": list(mf.x_names),
@@ -701,7 +735,13 @@ def dump_market(mf: MarketFile) -> str:
             "x_membership": {k: list(v) for k, v in mf.compatibility.x_membership.items()},
             "y_class": dict(mf.compatibility.y_class),
         }
-    return yaml.dump(out, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
+    return out
+
+
+def dump_market(mf: MarketFile) -> str:
+    return yaml.dump(
+        _document(mf), Dumper=_Dumper, sort_keys=False, default_flow_style=None
+    )
 
 
 def save_market(mf: MarketFile, path: str) -> None:

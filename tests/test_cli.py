@@ -241,7 +241,11 @@ def test_analyze_two_classes_coverage(capsys):
         {"name": "beta", "members": 2, "slots": 1, "covered": False},
     ]
     code, out, _ = _run(capsys, "analyze", _market("two_classes.yaml"))
-    assert "DEFICIENT" in out
+    assert out.splitlines()[-3:] == [
+        "every class covers its members: NO (cross-check consistent: yes)",
+        "  class alpha: 2 members, 1 slot — DEFICIENT",
+        "  class beta: 2 members, 1 slot — DEFICIENT",
+    ]
 
 
 def test_analyze_covered_classes(capsys):

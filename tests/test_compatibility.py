@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import X, class_members, class_slots
+from itertools import product
+
 from satmatch import analysis, engine, harness, prefs
 from satmatch.compatibility import (
     ClassSizes,
     CompatibilityMarket,
     coverage_verdict,
     deficient_witness,
+    exclusive_members,
     induced_graph,
     verdict_consistency,
 )
-from satmatch.errors import InputError
+from satmatch.errors import InputError, MarketFormatError
 from satmatch.graph import BipartiteGraph, Side
+from satmatch.market_io import CompatibilityBlock, MarketFile, dump_market, parse_market
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -190,3 +194,130 @@ def test_positive_coverage_saturates_sampled_instances(market, seed):
     g = induced_graph(market)
     ss = engine.enumerate_stable(g, prefs.sample_uniform(g, seed))
     assert ss.x_saturating
+
+
+# -- the exclusive-member rule and the induced graph, against the scans -------
+# `exclusive_members` and the slot lists of `induced_graph` replaced the
+# scans below, which stay here as references.
+
+
+def _scanned_exclusive(memberships, n_classes: int) -> dict[int, int]:
+    """Each class with an exclusive member, mapped to the lowest index of
+    one: one scan of every membership per class."""
+    found = {}
+    for c in range(n_classes):
+        for i, m in enumerate(memberships):
+            if m == {c}:
+                found[c] = i
+                break
+    return found
+
+
+def _scanned_witness(market: CompatibilityMarket, coverage) -> int | None:
+    for c, sizes in enumerate(coverage.classes):
+        if not sizes.covered:
+            for i, m in enumerate(market.x_membership):
+                if m == {c}:
+                    return i
+    return None
+
+
+def _scanned_graph(market: CompatibilityMarket) -> BipartiteGraph:
+    edges = [
+        (i, j)
+        for i, classes in enumerate(market.x_membership)
+        for j, c in enumerate(market.y_class)
+        if c in classes
+    ]
+    return BipartiteGraph(len(market.x_membership), len(market.y_class), edges)
+
+
+def _scanned_family(max_classes: int, max_side: int):
+    """all_compatibility_markets as (classes, memberships, slots), with a
+    containment test per class for the exclusive-member rule."""
+    for n in range(1, max_classes + 1):
+        subsets = [
+            frozenset(c for c in range(n) if mask >> c & 1) for mask in range(1, 1 << n)
+        ]
+        singletons = [frozenset((c,)) for c in range(n)]
+        for a in range(n, max_side + 1):
+            for membership in product(subsets, repeat=a):
+                if any(s not in membership for s in singletons):
+                    continue
+                for b in range(max_side + 1):
+                    for y_class in product(range(n), repeat=b):
+                        yield n, membership, y_class
+
+
+def _check_against_scans(market: CompatibilityMarket) -> None:
+    exclusive = exclusive_members(market.x_membership)
+    assert exclusive == _scanned_exclusive(market.x_membership, market.n_classes)
+    assert len(exclusive) == market.n_classes
+    coverage = coverage_verdict(market)
+    assert deficient_witness(market, coverage) == _scanned_witness(market, coverage)
+    assert induced_graph(market) == _scanned_graph(market)
+
+
+def test_class_rules_agree_with_their_scans_on_every_tiny_market():
+    family = list(harness.all_compatibility_markets(2, 3))
+    assert [(m.n_classes, m.x_membership, m.y_class) for m in family] == list(
+        _scanned_family(2, 3)
+    )
+    for market in family:
+        _check_against_scans(market)
+
+
+@st.composite
+def class_markets(draw, max_classes: int = 6, max_side: int = 10):
+    """A valid market: one exclusive member per class, further members of
+    one class or of several, in a drawn order, and slots that may leave a
+    class with none."""
+    n = draw(st.integers(1, max_classes))
+    extra = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=max_side - n)
+    )
+    membership = draw(st.permutations([frozenset({c}) for c in range(n)] + extra))
+    y_class = draw(st.lists(st.integers(0, n - 1), max_size=max_side))
+    return CompatibilityMarket.build(n, membership, y_class)
+
+
+@given(class_markets())
+@PROPERTY_SETTINGS
+def test_class_rules_agree_with_their_scans(market):
+    _check_against_scans(market)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=10),
+        )
+    )
+)
+@PROPERTY_SETTINGS
+def test_every_owner_of_the_rule_refuses_the_same_memberships(case):
+    # memberships that may leave a class without an exclusive member: the
+    # constructor and the file reader refuse the first such class
+    n, memberships = case
+    exclusive = exclusive_members(memberships)
+    assert exclusive == _scanned_exclusive(memberships, n)
+    missing = [c for c in range(n) if c not in exclusive]
+    classes = [f"c{c}" for c in range(n)]
+    xs = [f"x{i}" for i in range(len(memberships))]
+    block = CompatibilityBlock(
+        classes, {x: [classes[c] for c in sorted(m)] for x, m in zip(xs, memberships)}, {}
+    )
+    text = dump_market(MarketFile("1", xs, [], [], compatibility=block))
+    if not missing:
+        CompatibilityMarket.build(n, memberships, [])
+        assert parse_market(text).compatibility == block
+        return
+    with pytest.raises(InputError, match=f"^class {missing[0]} has no exclusive"):
+        CompatibilityMarket.build(n, memberships, [])
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(text)
+    assert exc.value.message.startswith(
+        f"compatibility: class {classes[missing[0]]!r} has no exclusive member"
+    )
+    assert exc.value.path == ("compatibility", "classes", missing[0])

@@ -948,7 +948,11 @@ def markets_with_preferences(draw):
 def _entry_by_entry(graph: BipartiteGraph, names: NameMap, table: dict):
     """The full check of a preferences block: the instance `prefs.validate`
     builds from its table of vertices, or the message and path of the first
-    defect, where an entry that names no vertex comes first in list order."""
+    defect. A list for no vertex comes first, as parse_market finds it, then
+    an entry that names no vertex, in list order."""
+    for name in table:
+        if names.vertex(name) is None:
+            return f"preferences given for unknown vertex {name!r}", ("preferences", name)
     vertex_table = {}
     for name, ranked in table.items():
         for k, cand in enumerate(ranked):
@@ -997,6 +1001,75 @@ def test_name_map_rejects_nothing_but_returns_none():
     names = NameMap(["a"], ["b"])
     assert names.vertex("a") == X(0)
     assert names.vertex("missing") is None
+
+
+def _hand_built(**changes) -> MarketFile:
+    base = MarketFile(
+        SCHEMA_VERSION,
+        ["a", "c"],
+        ["b", "d"],
+        [("a", "b"), ("c", "d")],
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"], "c": ["l"]}, {"b": "k", "d": "l"}
+        ),
+    )
+    return replace(base, **changes)
+
+
+HAND_BUILT = {
+    "unknown edge endpoint": _hand_built(edges=[("a", "b"), ("c", "zzz")]),
+    "name listed twice": _hand_built(x_names=["a", "a"], edges=[("a", "b")]),
+    "name on both sides": _hand_built(y_names=["b", "a"]),
+    "edge twice": _hand_built(edges=[("a", "b"), ("c", "d"), ("a", "b")]),
+    "edge of three": _hand_built(edges=[("a", "b"), ("c", "d", "b")]),
+    "unknown class": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"], "c": ["q"]}, {"b": "k", "d": "l"}
+        )
+    ),
+    "membership left out": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"]}, {"b": "k", "d": "l"}
+        )
+    ),
+    "membership for no vertex": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"], "c": ["l"], "q": ["k"]}, {"b": "k", "d": "l"}
+        )
+    ),
+    "slot left out": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"], "c": ["l"]}, {"b": "k"}
+        )
+    ),
+    "no exclusive member": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": ["k"], "c": ["k", "l"]}, {"b": "k", "d": "l"}
+        )
+    ),
+    "list for no vertex": _hand_built(
+        preferences={"a": ["b"], "c": ["d"], "b": ["a"], "d": ["c"], "zz": []}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_files_fail_as_their_documents_parse(case):
+    # resolve_market on a file parse_market never checked raises what
+    # parse_market raises for the same document, never a bare KeyError or
+    # a wrong graph
+    mf = HAND_BUILT[case]
+    with pytest.raises(MarketFormatError) as parsed:
+        parse_market(dump_market(mf), source="m.yaml")
+    with pytest.raises(MarketFormatError) as resolved:
+        resolve_market(mf, source="m.yaml")
+    assert (resolved.value.message, resolved.value.path) == (
+        parsed.value.message,
+        parsed.value.path,
+    )
+    # parse_market locates the entry; resolve_market has no text to do so
+    assert resolved.value.line is None
+    assert resolved.value.source == "m.yaml"
 
 
 def test_market_file_defaults():

@@ -10,6 +10,16 @@ Shapley, Amer. Math. Monthly 69(1), 1962; Gusfield & Irving 1989, §1.2).
 A class block describes X's memberships, so the copy drops it; the
 saturation, perfection and matching sections do not read it.
 
+Relabelling: giving each vertex another index changes no answer. The
+copy lists each side's names, the edges and the preference keys in a drawn
+order; every name keeps its lists and its classes. Hall's condition, the
+claimant bound and a dedicated neighbor do not depend on order, so each
+vertex's verdict and counts, and every exit code, are those of the same
+name in the original. A blockade or a counterexample follows index order
+and may differ, but each printed one must pass its certificate on the
+copy. The stable matchings, and so each side's optimal one, are the same
+sets of named pairs.
+
 The `--out` round trip: the market `adversary --out` writes is the original
 market with the stranding preferences, so it reads back to the same names,
 edges and classes, both deferred-acceptance runs leave the target
@@ -23,14 +33,24 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_with_instance
-from satmatch import cli
-from satmatch.market_io import MarketFile, dump_market, load_market, parse_market
+from satmatch import analysis, cli
+from satmatch.market_io import (
+    MarketBundle,
+    MarketFile,
+    dump_market,
+    load_market,
+    parse_market,
+    resolve_market,
+)
 
 MARKETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "markets")
 FIXTURES = sorted(f for f in os.listdir(MARKETS) if f.endswith(".yaml"))
@@ -46,11 +66,13 @@ def _transposed(mf: MarketFile) -> MarketFile:
     )
 
 
-def _structured(*argv: str) -> tuple[int, dict]:
+def _structured(*argv: str) -> tuple[int, dict | None]:
+    """The exit code and structured report of one command, or None for a
+    report when it printed none (a market with no preferences block)."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([*argv, "--format", "structured"])
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
 def _pairs(pairs: list, reverse: bool = False) -> frozenset:
@@ -109,6 +131,19 @@ def _check_transposition(text: str) -> None:
             )
 
 
+def _market_text(case) -> str:
+    """A hypothesis graph with its instance, as a market file."""
+    g, instance = case
+    xs = [f"a{i}" for i in range(g.x_count)]
+    ys = [f"b{j}" for j in range(g.y_count)]
+    preferences = {xs[i]: [ys[j] for j in lst] for i, lst in enumerate(instance.x_lists)}
+    preferences.update(
+        {ys[j]: [xs[i] for i in lst] for j, lst in enumerate(instance.y_lists)}
+    )
+    mf = MarketFile("1", xs, ys, [(xs[i], ys[j]) for i, j in g.edges()], preferences)
+    return dump_market(mf)
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_fixture_transposed_answers_for_the_other_side(fixture):
     with open(os.path.join(MARKETS, fixture), encoding="utf-8") as fh:
@@ -118,15 +153,123 @@ def test_fixture_transposed_answers_for_the_other_side(fixture):
 @given(graph_with_instance(8, 8))
 @settings(max_examples=100, deadline=None)
 def test_market_transposed_answers_for_the_other_side(case):
-    g, instance = case
-    xs = [f"a{i}" for i in range(g.x_count)]
-    ys = [f"b{j}" for j in range(g.y_count)]
-    preferences = {xs[i]: [ys[j] for j in lst] for i, lst in enumerate(instance.x_lists)}
-    preferences.update(
-        {ys[j]: [xs[i] for i in lst] for j, lst in enumerate(instance.y_lists)}
+    _check_transposition(_market_text(case))
+
+
+def _relabelled(mf: MarketFile, rng: random.Random) -> MarketFile:
+    def shuffled(items) -> list:
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    preferences = mf.preferences
+    if preferences is not None:
+        preferences = {name: preferences[name] for name in shuffled(preferences)}
+    return replace(
+        mf,
+        x_names=shuffled(mf.x_names),
+        y_names=shuffled(mf.y_names),
+        edges=shuffled(mf.edges),
+        preferences=preferences,
     )
-    mf = MarketFile("1", xs, ys, [(xs[i], ys[j]) for i, j in g.edges()], preferences)
-    _check_transposition(dump_market(mf))
+
+
+def _vertex_answers(report: dict) -> dict:
+    """Each vertex's verdict and counts, by name: what a relabelling keeps."""
+    return {
+        row["vertex"]: (
+            row["satisfied"],
+            row["isolated"],
+            row["options"],
+            row["claimants"],
+            row["bounded"],
+            row["dedicated"] is not None,
+        )
+        for row in report["saturation"]["vertices"]
+    }
+
+
+def _certify_printed(report: dict, bundle: MarketBundle) -> None:
+    """Recheck each blockade and the counterexample an `analyze` report
+    prints against `bundle`'s market."""
+    graph, vertex = bundle.graph, bundle.names.vertex
+    for row in report["saturation"]["vertices"]:
+        if row["blockade"] is not None:
+            blockade = tuple(map(vertex, row["blockade"]))
+            analysis.certify_blockade(
+                graph,
+                analysis.VertexReport(
+                    vertex(row["vertex"]),
+                    row["options"],
+                    row["claimants"],
+                    None,
+                    blockade,
+                    None,
+                ),
+            )
+    counterexample = report["saturation"]["counterexample"]
+    if counterexample is not None:
+        stranding = resolve_market(
+            replace(bundle.market, preferences=counterexample["preferences"])
+        )
+        analysis.certify_stranding(
+            graph,
+            stranding.instance,
+            vertex(counterexample["vertex"]),
+            bundle.names.name,
+        )
+
+
+def _matchings(report: dict) -> set:
+    return {_pairs(m["pairs"]) for m in report["matchings"]}
+
+
+def _check_relabelling(text: str, seed: int) -> None:
+    mf = parse_market(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        original = os.path.join(tmp, "original.yaml")
+        copy = os.path.join(tmp, "copy.yaml")
+        with open(original, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(copy, "w", encoding="utf-8") as fh:
+            fh.write(dump_market(_relabelled(mf, random.Random(seed))))
+        bundle = load_market(copy)
+
+        for side in ("x", "y"):
+            code, theirs = _structured("analyze", original, "--side", side)
+            copy_code, mine = _structured("analyze", copy, "--side", side)
+            assert copy_code == code, side
+            assert _vertex_answers(mine) == _vertex_answers(theirs), side
+            assert mine["perfect"] == theirs["perfect"]
+            assert mine["coverage"] == theirs["coverage"]
+            for report in (theirs, mine):
+                _certify_printed(report, bundle)
+
+        code, theirs = _structured("enumerate", original)
+        copy_code, mine = _structured("enumerate", copy)
+        assert copy_code == code
+        if theirs is not None:
+            assert mine["count"] == theirs["count"]
+            assert _matchings(mine) == _matchings(theirs)
+
+        for side in ("x", "y"):
+            code, theirs = _structured("match", original, "--propose", side)
+            copy_code, mine = _structured("match", copy, "--propose", side)
+            assert copy_code == code, side
+            if theirs is not None:
+                assert _pairs(mine["pairs"]) == _pairs(theirs["pairs"])
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_relabelled_gives_the_same_answers(fixture):
+    with open(os.path.join(MARKETS, fixture), encoding="utf-8") as fh:
+        _check_relabelling(fh.read(), seed=FIXTURES.index(fixture))
+
+
+@given(graph_with_instance(8, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_market_relabelled_gives_the_same_answers(case, seed):
+    _check_relabelling(_market_text(case), seed)
 
 
 def test_adversary_out_reads_back_and_strands_its_target(tmp_path):
