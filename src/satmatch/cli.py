@@ -12,7 +12,8 @@ Five subcommands over one market file format:
 Every report exists as one dict; text mode renders that dict, so machine
 output always carries every number the human output shows. Exit codes:
 0 success / verdict true, 1 domain-negative, 2 usage or input error,
-3 resource cap exceeded, 4 internal failure.
+3 resource cap exceeded, 4 internal failure. A reader that closes stdout
+before the report is written changes neither the exit code nor stderr.
 
 The argument parser is built once per process and reused by every `main`
 call: it holds only constants and function references, and parsing does
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -692,9 +694,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.format == "structured":
-        print(_json_text(report))
+        text = _json_text(report)
     else:
-        print("\n".join(args.render(report)))
+        text = "\n".join(args.render(report))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, which changes no verdict; the
+        # interpreter's own flush at exit then writes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -10,9 +10,13 @@ unescaped quoted names, comments) is read by `plain_yaml` in one pass over
 its lines, with no YAML events. Any other text goes to yaml.load, which
 also decides every error, once one pass over its YAML events has checked
 its nesting depth. Both give the same data for every plain text.
-`resolve_market` turns names into indices through one name→index dict per
-side and checks each preference list in one pass; only a table with a
-fault is checked again entry by entry, for the message that names it.
+`MarketFile` checks its own fields when it is made, so a file built by
+hand or by dataclasses.replace meets the rules, and gets the messages,
+of a file read from text; the reader itself checks only that the
+document is a mapping with the known keys. `resolve_market` turns names
+into indices through one name→index dict per side and checks each
+preference list in one pass; only a table with a fault is checked again
+entry by entry, for the message that names it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,18 @@ class CompatibilityBlock:
 
 @dataclass
 class MarketFile:
-    """Structured image of one market document, still name-based."""
+    """Structured image of one market document, still name-based.
+
+    Checked when it is made, by parse_market, by hand or by
+    dataclasses.replace: each field must hold what parse_market accepts
+    under its key, in the order parse_market checks them, or
+    MarketFormatError names the first fault with parse_market's message
+    and path, but with no source or position. A list may be given as a
+    tuple, and `compatibility` as the document's mapping; each field is
+    stored as parse_market stores it (the version as "1", lists, edges as
+    (x, y) tuples, a CompatibilityBlock). A file changed in place after it
+    was made is not checked again.
+    """
 
     schema_version: str
     x_names: list[str]
@@ -52,6 +67,65 @@ class MarketFile:
     edges: list[tuple[str, str]]
     preferences: Optional[dict[str, list[str]]] = None
     compatibility: Optional[CompatibilityBlock] = None
+
+    def __post_init__(self):
+        version = self.schema_version
+        if isinstance(version, int):
+            version = str(version)
+        if version != SCHEMA_VERSION:
+            _fail(
+                f"unsupported schema_version {_SHORT.repr(self.schema_version)} "
+                f"(this build reads {SCHEMA_VERSION!r})",
+                ("schema_version",),
+            )
+        self.schema_version = SCHEMA_VERSION
+
+        x_names = self.x_names = _expect_str_list(self.x_names, "x_names", ("x_names",))
+        y_names = self.y_names = _expect_str_list(self.y_names, "y_names", ("y_names",))
+        for names, label in ((x_names, "x_names"), (y_names, "y_names")):
+            k = _first_repeat(names)
+            if k is not None:
+                _fail(f"{label} lists {names[k]!r} twice", (label, k))
+        x_set, y_set = set(x_names), set(y_names)
+        overlap = x_set & y_set
+        if overlap:
+            shared = sorted(overlap)[0]
+            _fail(
+                f"name {shared!r} appears on both sides; names must be "
+                f"unique across the market so preference keys stay unambiguous",
+                ("y_names", y_names.index(shared)),
+            )
+
+        if not isinstance(self.edges, (list, tuple)):
+            _fail("edges must be a list of [x, y] pairs", ("edges",))
+        edges = _edge_column(self.edges, x_set, y_set)
+        if edges is None:
+            _edge_fault(self.edges, x_set, y_set)
+        self.edges = edges
+
+        if self.preferences is not None:
+            raw_prefs = self.preferences
+            if not isinstance(raw_prefs, dict):
+                _fail(
+                    "preferences must map vertex names to ranked name lists",
+                    ("preferences",),
+                )
+            self.preferences = {}
+            for name, ranked in raw_prefs.items():
+                at = ("preferences", name)
+                if name not in x_set and name not in y_set:
+                    _fail(f"preferences given for unknown vertex {name!r}", at)
+                self.preferences[name] = _expect_str_list(
+                    ranked, f"preference list for {name!r}", at
+                )
+
+        if self.compatibility is not None:
+            raw = self.compatibility
+            if isinstance(raw, CompatibilityBlock):
+                raw = vars(raw)
+            self.compatibility = _parse_compatibility(
+                raw, x_names, y_names, x_set, y_set
+            )
 
 
 class NameMap:
@@ -108,18 +182,17 @@ _SHORT.maxstring = _SHORT.maxother = 80
 _SHORT.maxlist = _SHORT.maxdict = 12
 
 
-def _fail(message: str, source: str, path: tuple = ()) -> NoReturn:
+def _fail(message: str, path: tuple = (), source: Optional[str] = None) -> NoReturn:
     raise MarketFormatError(message, source=source, path=path)
 
 
-def _expect_str_list(value: Any, what: str, source: str, path: tuple) -> list[str]:
-    if not isinstance(value, list):
-        _fail(f"{what} must be a list, got {type(value).__name__}", source, path)
+def _expect_str_list(value: Any, what: str, path: tuple) -> list[str]:
+    if not isinstance(value, (list, tuple)):
+        _fail(f"{what} must be a list, got {type(value).__name__}", path)
     for k, item in enumerate(value):
         if not isinstance(item, str) or not item:
             _fail(
                 f"{what} entries must be nonempty strings, got {_SHORT.repr(item)}",
-                source,
                 path + (k,),
             )
     return list(value)
@@ -271,7 +344,8 @@ def _load(text: str, source: str) -> Any:
 
 
 def parse_market(text: str, source: str = "<string>") -> MarketFile:
-    """Parse one market document; structural and name-level validation only.
+    """Parse one market document; structural and name-level validation
+    only, by `MarketFile` for each field.
 
     Graph-level validation (preference tables, compatibility cross-checks)
     happens in resolve_market. Every error names the line and column of
@@ -298,7 +372,7 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
                 line=mark.line + 1,
                 column=mark.column + 1,
             ) from None
-        _fail(f"not valid YAML: {e}", source)
+        _fail(f"not valid YAML: {e}", source=source)
     finally:
         if collecting:
             gc.enable()
@@ -312,10 +386,10 @@ def _edge_column(
     entries: list, x_set: set[str], y_set: set[str]
 ) -> Optional[list[tuple[str, str]]]:
     """The edges as (x, y) pairs, checked as whole columns: every entry a
-    list of two, the X column within x_set, the Y column within y_set, and
-    no pair twice. None when any of that fails: _edge_fault then finds the
-    first faulty entry."""
-    if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
+    list (or tuple) of two, the X column within x_set, the Y column within
+    y_set, and no pair twice. None when any of that fails: _edge_fault then
+    finds the first faulty entry."""
+    if set(map(type, entries)) - {list, tuple} or set(map(len, entries)) - {2}:
         return None
     pairs = list(map(tuple, entries))
     try:
@@ -331,111 +405,47 @@ def _edge_column(
     return pairs
 
 
-def _edge_fault(
-    entries: list, x_set: set[str], y_set: set[str], source: str
-) -> NoReturn:
+def _edge_fault(entries: list, x_set: set[str], y_set: set[str]) -> NoReturn:
     """Raise MarketFormatError for the first faulty entry of an edge list
-    that _edge_column rejected, checking the entries one by one."""
+    that _edge_column rejected, checking the entries one by one. A tuple
+    is shown as the list the document holds."""
     seen_edges = set()
     for k, raw in enumerate(entries):
         at = ("edges", k)
+        if isinstance(raw, tuple):
+            raw = list(raw)
         if not isinstance(raw, list) or len(raw) != 2:
-            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", source, at)
+            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", at)
         xn, yn = raw
         if not all(isinstance(n, str) and n for n in raw):
-            _fail(
-                f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings",
-                source,
-                at,
-            )
+            _fail(f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings", at)
         if xn not in x_set:
-            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", source, at + (0,))
+            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", at + (0,))
         if yn not in y_set:
-            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", source, at + (1,))
+            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", at + (1,))
         if (xn, yn) in seen_edges:
-            _fail(f"duplicate edge [{xn!r}, {yn!r}]", source, at)
+            _fail(f"duplicate edge [{xn!r}, {yn!r}]", at)
         seen_edges.add((xn, yn))
     raise AssertionError("_edge_column rejected an edge list with no faulty entry")
 
 
 def _market_file(data: Any, source: str) -> MarketFile:
+    """The MarketFile of a loaded document: the document-level checks here,
+    every field's check in MarketFile, each error raised with `source`."""
     if not isinstance(data, dict):
-        _fail(f"document must be a mapping, got {type(data).__name__}", source)
+        _fail(f"document must be a mapping, got {type(data).__name__}", source=source)
 
     known = {"schema_version", "x_names", "y_names", "edges", "preferences", "compatibility"}
     for key in data:
         if key not in known:
-            _fail(f"unknown key {key!r}", source, (key,))
+            _fail(f"unknown key {key!r}", (key,), source)
     for key in ("schema_version", "x_names", "y_names", "edges"):
         if key not in data:
-            _fail(f"missing required key {key!r}", source)
-
-    version = data["schema_version"]
-    if isinstance(version, int):
-        version = str(version)
-    if version != SCHEMA_VERSION:
-        _fail(
-            f"unsupported schema_version {_SHORT.repr(data['schema_version'])} "
-            f"(this build reads {SCHEMA_VERSION!r})",
-            source,
-            ("schema_version",),
-        )
-
-    x_names = _expect_str_list(data["x_names"], "x_names", source, ("x_names",))
-    y_names = _expect_str_list(data["y_names"], "y_names", source, ("y_names",))
-    for names, label in ((x_names, "x_names"), (y_names, "y_names")):
-        k = _first_repeat(names)
-        if k is not None:
-            _fail(f"{label} lists {names[k]!r} twice", source, (label, k))
-    x_set, y_set = set(x_names), set(y_names)
-    overlap = x_set & y_set
-    if overlap:
-        shared = sorted(overlap)[0]
-        _fail(
-            f"name {shared!r} appears on both sides; names must be "
-            f"unique across the market so preference keys stay unambiguous",
-            source,
-            ("y_names", y_names.index(shared)),
-        )
-
-    if not isinstance(data["edges"], list):
-        _fail("edges must be a list of [x, y] pairs", source, ("edges",))
-    edges = _edge_column(data["edges"], x_set, y_set)
-    if edges is None:
-        _edge_fault(data["edges"], x_set, y_set, source)
-
-    preferences = None
-    if data.get("preferences") is not None:
-        raw_prefs = data["preferences"]
-        if not isinstance(raw_prefs, dict):
-            _fail(
-                "preferences must map vertex names to ranked name lists",
-                source,
-                ("preferences",),
-            )
-        preferences = {}
-        for name, ranked in raw_prefs.items():
-            at = ("preferences", name)
-            if name not in x_set and name not in y_set:
-                _fail(f"preferences given for unknown vertex {name!r}", source, at)
-            preferences[name] = _expect_str_list(
-                ranked, f"preference list for {name!r}", source, at
-            )
-
-    compatibility = None
-    if data.get("compatibility") is not None:
-        compatibility = _parse_compatibility(
-            data["compatibility"], x_names, y_names, x_set, y_set, source
-        )
-
-    return MarketFile(
-        schema_version=SCHEMA_VERSION,
-        x_names=x_names,
-        y_names=y_names,
-        edges=edges,
-        preferences=preferences,
-        compatibility=compatibility,
-    )
+            _fail(f"missing required key {key!r}", source=source)
+    try:
+        return MarketFile(**data)
+    except MarketFormatError as e:
+        raise MarketFormatError(e.message, source=source, path=e.path) from None
 
 
 def _parse_compatibility(
@@ -444,73 +454,71 @@ def _parse_compatibility(
     y_names: list[str],
     x_set: set[str],
     y_set: set[str],
-    source: str,
 ) -> CompatibilityBlock:
+    """The compatibility block `raw`, a document's mapping or the fields of
+    a CompatibilityBlock, checked against the market's names."""
     block = ("compatibility",)
     if not isinstance(raw, dict):
-        _fail("compatibility must be a mapping", source, block)
+        _fail("compatibility must be a mapping", block)
     for key in raw:
         if key not in {"classes", "x_membership", "y_class"}:
-            _fail(f"compatibility: unknown key {key!r}", source, block + (key,))
+            _fail(f"compatibility: unknown key {key!r}", block + (key,))
     for key in ("classes", "x_membership", "y_class"):
         if key not in raw:
-            _fail(f"compatibility: missing key {key!r}", source, block)
+            _fail(f"compatibility: missing key {key!r}", block)
     at = block + ("classes",)
-    classes = _expect_str_list(raw["classes"], "compatibility.classes", source, at)
+    classes = _expect_str_list(raw["classes"], "compatibility.classes", at)
     if not classes:
-        _fail("compatibility.classes must not be empty", source, at)
+        _fail("compatibility.classes must not be empty", at)
     k = _first_repeat(classes)
     if k is not None:
-        _fail("compatibility.classes contains duplicates", source, at + (k,))
+        _fail("compatibility.classes contains duplicates", at + (k,))
     class_set = set(classes)
 
     membership_raw = raw["x_membership"]
     at = block + ("x_membership",)
     if not isinstance(membership_raw, dict):
-        _fail("compatibility.x_membership must map X names to class lists", source, at)
+        _fail("compatibility.x_membership must map X names to class lists", at)
     x_membership: dict[str, list[str]] = {}
     for xn in x_names:
         if xn not in membership_raw:
-            _fail(f"compatibility.x_membership missing {xn!r}", source, at)
+            _fail(f"compatibility.x_membership missing {xn!r}", at)
     for name, classes_of in membership_raw.items():
         entry = at + (name,)
         if name not in x_set:
             _fail(
                 f"compatibility.x_membership names unknown X-vertex {name!r}",
-                source,
                 entry,
             )
         what = f"compatibility.x_membership[{name!r}]"
-        listed = _expect_str_list(classes_of, what, source, entry)
+        listed = _expect_str_list(classes_of, what, entry)
         if not listed:
-            _fail(f"{what} must not be empty", source, entry)
+            _fail(f"{what} must not be empty", entry)
         k = _first_repeat(listed)
         if k is not None:
-            _fail(f"{what} lists a class twice", source, entry + (k,))
+            _fail(f"{what} lists a class twice", entry + (k,))
         for k, c in enumerate(listed):
             if c not in class_set:
-                _fail(f"{what} names unknown class {c!r}", source, entry + (k,))
+                _fail(f"{what} names unknown class {c!r}", entry + (k,))
         x_membership[name] = listed
 
     y_class_raw = raw["y_class"]
     at = block + ("y_class",)
     if not isinstance(y_class_raw, dict):
-        _fail("compatibility.y_class must map Y names to a class name", source, at)
+        _fail("compatibility.y_class must map Y names to a class name", at)
     y_class: dict[str, str] = {}
     for yn in y_names:
         if yn not in y_class_raw:
-            _fail(f"compatibility.y_class missing {yn!r}", source, at)
+            _fail(f"compatibility.y_class missing {yn!r}", at)
     for name, c in y_class_raw.items():
         if name not in y_set:
             _fail(
                 f"compatibility.y_class names unknown Y-vertex {name!r}",
-                source,
                 at + (name,),
             )
         if not isinstance(c, str) or c not in class_set:
             _fail(
                 f"compatibility.y_class[{name!r}] names unknown class {_SHORT.repr(c)}",
-                source,
                 at + (name,),
             )
         y_class[name] = c
@@ -523,7 +531,6 @@ def _parse_compatibility(
             _fail(
                 f"compatibility: class {c!r} has no exclusive member; some "
                 f"X-vertex must belong to it and to no other class",
-                source,
                 block + ("classes", k),
             )
 
@@ -572,8 +579,8 @@ def _validated_instance(
             if cv is None:
                 _fail(
                     f"preference list for {name!r} names unknown vertex {cand!r}",
-                    source,
                     ("preferences", name, k),
+                    source,
                 )
             entries.append(cv)
         vertex_table[names.vertex(name)] = entries
@@ -585,11 +592,17 @@ def _validated_instance(
             at += (names.name(e.vertex),)
             if e.entry is not None:
                 at += (e.entry,)
-        _fail(f"preferences: {e}", source, at)
+        _fail(f"preferences: {e}", at, source)
 
 
 def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
-    """Build and cross-validate the domain objects for a parsed market.
+    """Build and cross-validate the domain objects for a market file.
+
+    Every MarketFile was checked when it was made, so its names are
+    unique, its edges and preference keys name vertices and its
+    compatibility block is complete; what is left are the faults that
+    need the graph: the preference lists, and edges that differ from the
+    ones the compatibility classes imply.
 
     Works on indices: each edge endpoint and each preference entry is
     looked up once, in the name→index dict of its side (`NameMap`). A
@@ -600,46 +613,21 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
     entry by entry, by name lookup and `prefs.validate`, which raises the
     error for the first defect. So every message, and which defect is
     reported first, is that of the full check.
-
-    A file that parse_market never checked may hold what it refuses: a
-    name listed twice, an edge or a class entry that names no vertex or
-    class, a list for no vertex. When a name lookup fails, a name repeats,
-    the graph constructor refuses the edges or the preference table has a
-    fault, the file's document image (`_document`) goes through
-    `_market_file` first, so the error is the one parse_market gives for
-    that document. Parsed files never fail those tests, so they cost only
-    the tests.
     """
     names = NameMap(mf.x_names, mf.y_names)
     x_index, y_index = names.x_index, names.y_index
-    if (
-        len(x_index) < len(names.x_names)
-        or len(y_index) < len(names.y_names)
-        or not x_index.keys().isdisjoint(y_index)
-    ):
-        _market_file(_document(mf), source)  # a name listed twice
-    try:
-        graph = BipartiteGraph(
-            len(names.x_names),
-            len(names.y_names),
-            [(x_index[xn], y_index[yn]) for xn, yn in mf.edges],
-        )
-    except (KeyError, TypeError, ValueError):  # InputError is a ValueError
-        _market_file(_document(mf), source)
-        raise
+    graph = BipartiteGraph(
+        len(names.x_names),
+        len(names.y_names),
+        [(x_index[xn], y_index[yn]) for xn, yn in mf.edges],
+    )
 
     instance = None
     if mf.preferences is not None:
         table = mf.preferences
         x_lists = _ranked_rows(table, names.x_names, y_index, graph.x_adj)
         y_lists = _ranked_rows(table, names.y_names, x_index, graph.y_adj)
-        # a table built without parse_market may also hold unknown keys
-        if (
-            x_lists is None
-            or y_lists is None
-            or len(table) != len(x_lists) + len(y_lists)
-        ):
-            _market_file(_document(mf), source)
+        if x_lists is None or y_lists is None:
             instance = _validated_instance(graph, names, table, source)
         else:
             instance = PreferenceInstance(x_lists, y_lists)
@@ -647,25 +635,14 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
     compat = None
     if mf.compatibility is not None:
         block = mf.compatibility
-        if (len(block.x_membership), len(block.y_class)) != (
-            len(mf.x_names),
-            len(mf.y_names),
-        ):
-            # an entry for no vertex, or none for one
-            _market_file(_document(mf), source)
         class_index = {c: k for k, c in enumerate(block.classes)}
-        try:
-            compat = CompatibilityMarket.build(
-                n_classes=len(block.classes),
-                x_membership=[
-                    [class_index[c] for c in block.x_membership[xn]]
-                    for xn in mf.x_names
-                ],
-                y_class=[class_index[block.y_class[yn]] for yn in mf.y_names],
-            )
-        except (KeyError, TypeError, ValueError):
-            _market_file(_document(mf), source)
-            raise
+        compat = CompatibilityMarket.build(
+            n_classes=len(block.classes),
+            x_membership=[
+                [class_index[c] for c in block.x_membership[xn]] for xn in mf.x_names
+            ],
+            y_class=[class_index[block.y_class[yn]] for yn in mf.y_names],
+        )
         implied = induced_graph(compat)
         if implied != graph:
             declared = set(graph.edges())
@@ -675,8 +652,8 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
                     f"edges omit [{mf.x_names[xi]!r}, {mf.y_names[yi]!r}], which the "
                     f"compatibility classes imply; edges must equal the induced "
                     f"acceptability exactly",
-                    source,
                     ("edges",),
+                    source,
                 )
             for xi, yi in sorted(declared - wanted):
                 edge = (mf.x_names[xi], mf.y_names[yi])
@@ -684,8 +661,8 @@ def resolve_market(mf: MarketFile, source: str = "<market>") -> MarketBundle:
                     f"edge [{edge[0]!r}, {edge[1]!r}] joins "
                     f"incompatible classes; edges must equal the induced "
                     f"acceptability exactly",
-                    source,
                     ("edges", mf.edges.index(edge)),
+                    source,
                 )
 
     return MarketBundle(
@@ -720,7 +697,7 @@ def load_market(path: str) -> MarketBundle:
 
 def _document(mf: MarketFile) -> dict[str, Any]:
     """The data of the document `mf` is an image of: what `dump_market`
-    writes, and what `_market_file` reads back to `mf`."""
+    writes, and what parse_market reads back to `mf`."""
     out: dict[str, Any] = {
         "schema_version": mf.schema_version,
         "x_names": list(mf.x_names),

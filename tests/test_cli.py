@@ -33,16 +33,22 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _run_python(*argv: str) -> subprocess.CompletedProcess:
-    """The interpreter with `argv`, in a fresh process that imports this
-    checkout's satmatch."""
+def _checkout_env() -> dict[str, str]:
+    """The environment of a fresh process that imports this checkout's
+    satmatch."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH")))
     )
+    return env
+
+
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    """The interpreter with `argv`, in a fresh process that imports this
+    checkout's satmatch."""
     return subprocess.run(
         [sys.executable, *argv],
-        env=env,
+        env=_checkout_env(),
         capture_output=True,
         text=True,
     )
@@ -1228,6 +1234,25 @@ def test_module_invocation_matches_the_console_script():
     proc = _run_module("analyze", _market("path5.yaml"))
     assert proc.returncode == 0
     assert "YES" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(("verify", "--max-side", "1", "--quiet"), 0), (("analyze", "path4.yaml"), 1)],
+)
+def test_a_closed_stdout_changes_no_exit_code(argv, want):
+    # the reader closes the pipe before satmatch starts writing: no
+    # BrokenPipeError traceback, and the command's own exit code
+    argv = [_market(a) if a.endswith(".yaml") else a for a in argv]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "satmatch", *argv],
+        env=_checkout_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (want, b"")
 
 
 def test_structured_output_is_the_full_report(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import X, class_members, class_slots
@@ -20,7 +21,7 @@ from satmatch.compatibility import (
 )
 from satmatch.errors import InputError, MarketFormatError
 from satmatch.graph import BipartiteGraph, Side
-from satmatch.market_io import CompatibilityBlock, MarketFile, dump_market, parse_market
+from satmatch.market_io import CompatibilityBlock, MarketFile, parse_market
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -298,7 +299,7 @@ def test_class_rules_agree_with_their_scans(market):
 @PROPERTY_SETTINGS
 def test_every_owner_of_the_rule_refuses_the_same_memberships(case):
     # memberships that may leave a class without an exclusive member: the
-    # constructor and the file reader refuse the first such class
+    # constructor, the file reader and MarketFile refuse the first such class
     n, memberships = case
     exclusive = exclusive_members(memberships)
     assert exclusive == _scanned_exclusive(memberships, n)
@@ -308,10 +309,12 @@ def test_every_owner_of_the_rule_refuses_the_same_memberships(case):
     block = CompatibilityBlock(
         classes, {x: [classes[c] for c in sorted(m)] for x, m in zip(xs, memberships)}, {}
     )
-    text = dump_market(MarketFile("1", xs, [], [], compatibility=block))
+    fields = dict(schema_version="1", x_names=xs, y_names=[], edges=[])
+    text = yaml.safe_dump({**fields, "compatibility": vars(block)}, sort_keys=False)
     if not missing:
         CompatibilityMarket.build(n, memberships, [])
         assert parse_market(text).compatibility == block
+        assert MarketFile(**fields, compatibility=block).compatibility == block
         return
     with pytest.raises(InputError, match=f"^class {missing[0]} has no exclusive"):
         CompatibilityMarket.build(n, memberships, [])
@@ -321,3 +324,9 @@ def test_every_owner_of_the_rule_refuses_the_same_memberships(case):
         f"compatibility: class {classes[missing[0]]!r} has no exclusive member"
     )
     assert exc.value.path == ("compatibility", "classes", missing[0])
+    with pytest.raises(MarketFormatError) as built:
+        MarketFile(**fields, compatibility=block)
+    assert (built.value.message, built.value.path) == (
+        exc.value.message,
+        exc.value.path,
+    )

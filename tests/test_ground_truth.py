@@ -13,6 +13,7 @@ fail on every such 4x3 graph because another vertex can be stranded.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
@@ -87,6 +88,26 @@ def test_blockade_only_4x3_graphs_match_the_brute_force_guarantee():
         assert wrong == [], g
         instances += count
     assert instances == 72_576
+
+
+def test_a_seeded_sample_of_blockade_only_4x4_graphs_matches_the_brute_force_guarantee():
+    """Beyond the release gate's sizes: of the 65,536 4x4 graphs, those
+    with a blockade-only X-vertex and at most 10^4 instances, of which a
+    seeded sample of 12 is enumerated in full."""
+    graphs = [
+        g
+        for g in harness.graphs_of_shape(4, 4)
+        if any(_blockade_only(g, i) for i in range(g.x_count))
+    ]
+    assert len(graphs) == 1_944
+    small = [g for g in graphs if prefs.instance_count(g) <= 10**4]
+    assert len(small) == 1_224
+    instances = 0
+    for g in random.Random(34).sample(small, 12):
+        count, wrong = _mismatches(g)
+        assert wrong == [], g
+        instances += count
+    assert instances == 27_072
 
 
 def test_failing_3x3_graphs_match_the_brute_force_guarantee():

@@ -901,11 +901,11 @@ FAULTS = (
 
 @st.composite
 def markets_with_preferences(draw):
-    """A market up to 8x8 whose preference lists are valid or carry one
-    drawn fault in one drawn list, with the lists in a drawn order. Some
-    draws leave the list valid: a drop from an empty list, a non-neighbor
-    for a vertex adjacent to the whole other side, an entry overwritten by
-    itself."""
+    """The fields of a market file up to 8x8 whose preference lists are
+    valid or carry one drawn fault in one drawn list, with the lists in a
+    drawn order. Some draws leave the list valid: a drop from an empty
+    list, a non-neighbor for a vertex adjacent to the whole other side, an
+    entry overwritten by itself."""
     g = draw(graphs(max_x=8, max_y=8))
     rng = draw(st.randoms(use_true_random=False))
     xs = [f"x{i}" for i in range(g.x_count)]
@@ -942,7 +942,7 @@ def markets_with_preferences(draw):
     order = list(table)
     rng.shuffle(order)
     edges = [(xs[i], ys[j]) for i, j in g.edges()]
-    return g, MarketFile(SCHEMA_VERSION, xs, ys, edges, {n: table[n] for n in order})
+    return g, (SCHEMA_VERSION, xs, ys, edges, {n: table[n] for n in order})
 
 
 def _entry_by_entry(graph: BipartiteGraph, names: NameMap, table: dict):
@@ -974,12 +974,13 @@ def _entry_by_entry(graph: BipartiteGraph, names: NameMap, table: dict):
 @given(markets_with_preferences())
 @settings(max_examples=200, deadline=None)
 def test_resolve_agrees_with_the_entry_by_entry_check(market):
-    g, mf = market
+    g, fields = market
+    _, xs, ys, _, table = fields
     try:
-        got = resolve_market(mf, source="m.yaml").instance
+        got = resolve_market(MarketFile(*fields), source="m.yaml").instance
     except MarketFormatError as e:
         got = e.message, e.path
-    assert got == _entry_by_entry(g, NameMap(mf.x_names, mf.y_names), mf.preferences)
+    assert got == _entry_by_entry(g, NameMap(xs, ys), table)
 
 
 def test_preference_table_renders_names():
@@ -1003,17 +1004,18 @@ def test_name_map_rejects_nothing_but_returns_none():
     assert names.vertex("missing") is None
 
 
-def _hand_built(**changes) -> MarketFile:
-    base = MarketFile(
-        SCHEMA_VERSION,
-        ["a", "c"],
-        ["b", "d"],
-        [("a", "b"), ("c", "d")],
+def _hand_built(**changes) -> dict:
+    """The fields of a valid hand-built file, with `changes` applied."""
+    base = dict(
+        schema_version=SCHEMA_VERSION,
+        x_names=["a", "c"],
+        y_names=["b", "d"],
+        edges=[("a", "b"), ("c", "d")],
         compatibility=market_io.CompatibilityBlock(
             ["k", "l"], {"a": ["k"], "c": ["l"]}, {"b": "k", "d": "l"}
         ),
     )
-    return replace(base, **changes)
+    return {**base, **changes}
 
 
 HAND_BUILT = {
@@ -1050,26 +1052,109 @@ HAND_BUILT = {
     "list for no vertex": _hand_built(
         preferences={"a": ["b"], "c": ["d"], "b": ["a"], "d": ["c"], "zz": []}
     ),
+    "edge not a pair": _hand_built(edges=[5]),
+    "no edge list": _hand_built(edges=None),
+    "no name list": _hand_built(x_names=None),
+    "no preference list": _hand_built(preferences={"a": None}),
+    "no membership list": _hand_built(
+        compatibility=market_io.CompatibilityBlock(
+            ["k", "l"], {"a": None, "c": ["l"]}, {"b": "k", "d": "l"}
+        )
+    ),
+    "preferences not a mapping": _hand_built(preferences="ab"),
+    "block as a mapping": _hand_built(
+        compatibility={
+            "classes": ["k", "l"], "x_membership": {"a": ["k"]}, "y_class": {}
+        }
+    ),
+    "unsupported version": _hand_built(schema_version="2"),
 }
+
+
+def _as_document(value):
+    """`value` as the data of a document: tuples as lists, a
+    CompatibilityBlock as its mapping."""
+    if isinstance(value, market_io.CompatibilityBlock):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {k: _as_document(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_document(v) for v in value]
+    return value
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
 def test_hand_built_files_fail_as_their_documents_parse(case):
-    # resolve_market on a file parse_market never checked raises what
-    # parse_market raises for the same document, never a bare KeyError or
-    # a wrong graph
-    mf = HAND_BUILT[case]
+    # a file made by hand raises, when it is made, what parse_market raises
+    # for the same document, never a bare exception, a wrong graph or a file
+    # that resolves
+    fields = HAND_BUILT[case]
+    text = yaml.safe_dump(_as_document(fields), sort_keys=False)
     with pytest.raises(MarketFormatError) as parsed:
-        parse_market(dump_market(mf), source="m.yaml")
-    with pytest.raises(MarketFormatError) as resolved:
-        resolve_market(mf, source="m.yaml")
-    assert (resolved.value.message, resolved.value.path) == (
+        parse_market(text, source="m.yaml")
+    with pytest.raises(MarketFormatError) as built:
+        MarketFile(**fields)
+    assert (built.value.message, built.value.path) == (
         parsed.value.message,
         parsed.value.path,
     )
-    # parse_market locates the entry; resolve_market has no text to do so
-    assert resolved.value.line is None
-    assert resolved.value.source == "m.yaml"
+    # parse_market locates the entry; a hand-built file has no text
+    assert built.value.line is None
+    assert built.value.source is None
+    # so does dataclasses.replace
+    with pytest.raises(MarketFormatError) as replaced:
+        replace(MarketFile(**_hand_built()), **fields)
+    assert (replaced.value.message, replaced.value.path) == (
+        built.value.message,
+        built.value.path,
+    )
+
+
+def _same_bundle(a: market_io.MarketBundle, b: market_io.MarketBundle) -> None:
+    assert a.market == b.market
+    assert a.graph == b.graph
+    assert (a.names.x_names, a.names.y_names) == (b.names.x_names, b.names.y_names)
+    assert a.instance == b.instance
+    assert a.compat == b.compat
+
+
+def test_hand_built_tuples_resolve_as_their_document():
+    # tuples wherever the document holds lists are stored as the lists
+    # parse_market makes, and resolve to the document's bundle
+    fields = dict(
+        schema_version=1,
+        x_names=("a", "c", "e"),
+        y_names=("b", "d"),
+        edges=(("a", "b"), ["e", "b"], ("c", "d"), ("e", "d")),
+        preferences={
+            "a": ("b",), "c": ("d",), "e": ("d", "b"), "b": ("e", "a"), "d": ("c", "e")
+        },
+        compatibility=market_io.CompatibilityBlock(
+            ("k", "l"),
+            {"a": ("k",), "c": ("l",), "e": ("l", "k")},
+            {"b": "k", "d": "l"},
+        ),
+    )
+    mf = MarketFile(**fields)
+    parsed = parse_market(yaml.safe_dump(_as_document(fields), sort_keys=False))
+    assert mf == parsed
+    assert mf.edges == [("a", "b"), ("e", "b"), ("c", "d"), ("e", "d")]
+    assert mf.compatibility.classes == ["k", "l"]
+    _same_bundle(resolve_market(mf), resolve_market(parsed))
+    # the document's mapping is accepted for the compatibility block
+    as_mapping = replace(mf, compatibility=vars(fields["compatibility"]))
+    assert as_mapping == mf
+
+
+def test_replace_of_a_parsed_file_resolves_as_its_document():
+    mf = parse_market(WITH_PREFS)
+    flipped = {k: list(reversed(v)) for k, v in mf.preferences.items()}
+    changed = replace(mf, preferences=flipped)
+    assert changed.preferences == flipped
+    again = parse_market(dump_market(changed))
+    _same_bundle(resolve_market(changed), resolve_market(again))
+    assert replace(mf) == mf
+    _same_bundle(resolve_market(replace(mf)), resolve_market(mf))
 
 
 def test_market_file_defaults():

@@ -24,7 +24,9 @@ The `--out` round trip: the market `adversary --out` writes is the original
 market with the stranding preferences, so it reads back to the same names,
 edges and classes, both deferred-acceptance runs leave the target
 unmatched (by the rural hospitals theorem every stable matching does), and
-`analyze` answers on it as on the original.
+`analyze` answers on it as on the original. It is checked for every vertex
+of the fixtures and of generated markets, with names that YAML must quote
+or escape among them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_with_instance
+from test_valid_markets import markets
 from satmatch import analysis, cli
 from satmatch.market_io import (
     MarketBundle,
@@ -272,38 +275,57 @@ def test_market_relabelled_gives_the_same_answers(case, seed):
     _check_relabelling(_market_text(case), seed)
 
 
+def _check_out_round_trip(original: str, tmp: str) -> int:
+    """Run `adversary --out` on every vertex of the market file `original`,
+    writing into the directory `tmp`, and check each written market; the
+    number of vertices stranded."""
+    market = load_market(original).market
+    analyzed = {side: _structured("analyze", original, "--side", side) for side in "xy"}
+    stranded = 0
+    for side, names in (("x", market.x_names), ("y", market.y_names)):
+        for k, target in enumerate(names):
+            out = os.path.join(tmp, f"{side}{k}.yaml")
+            code, report = _structured(
+                "adversary", original, "--target", target, "--out", out
+            )
+            if code == 1:  # refused: the target cannot be stranded
+                assert not os.path.exists(out)
+                continue
+            assert code == 0
+            stranded += 1
+            written = load_market(out).market
+            assert written.x_names == market.x_names
+            assert written.y_names == market.y_names
+            assert written.edges == market.edges
+            assert written.compatibility == market.compatibility
+            assert written.preferences == report["preferences"]
+            for propose in "xy":
+                code, matched = _structured("match", out, "--propose", propose)
+                assert code == 0
+                assert target in matched[f"unmatched_{side}"], (out, propose)
+            code, again = _structured("analyze", out, "--side", side)
+            want_code, want = analyzed[side]
+            assert code == want_code == 1, out
+            assert {**again, "source": original} == want, out
+    return stranded
+
+
 def test_adversary_out_reads_back_and_strands_its_target(tmp_path):
     stranded = 0
     for fixture in FIXTURES:
-        original = os.path.join(MARKETS, fixture)
-        market = load_market(original).market
-        analyzed = {
-            side: _structured("analyze", original, "--side", side) for side in "xy"
-        }
-        for side, names in (("x", market.x_names), ("y", market.y_names)):
-            for target in names:
-                out = str(tmp_path / f"{fixture}-{target}.yaml")
-                code, report = _structured(
-                    "adversary", original, "--target", target, "--out", out
-                )
-                if code == 1:  # refused: the target cannot be stranded
-                    assert not os.path.exists(out)
-                    continue
-                assert code == 0
-                stranded += 1
-                written = load_market(out).market
-                assert written.x_names == market.x_names
-                assert written.y_names == market.y_names
-                assert written.edges == market.edges
-                assert written.compatibility == market.compatibility
-                assert written.preferences == report["preferences"]
-                for propose in "xy":
-                    code, matched = _structured("match", out, "--propose", propose)
-                    assert code == 0
-                    assert target in matched[f"unmatched_{side}"], (out, propose)
-                code, again = _structured("analyze", out, "--side", side)
-                want_code, want = analyzed[side]
-                assert code == want_code == 1, out
-                assert {**again, "source": original} == want, out
+        tmp = tmp_path / fixture
+        tmp.mkdir()
+        stranded += _check_out_round_trip(os.path.join(MARKETS, fixture), str(tmp))
     # every strandable vertex of the fixtures, as the golden file records
     assert stranded == 27
+
+
+@given(markets())
+@settings(max_examples=100, deadline=None)
+def test_adversary_out_reads_back_on_generated_markets(text):
+    # markets with preferences up to 8x8, with awkward and non-ASCII names
+    with tempfile.TemporaryDirectory() as tmp:
+        original = os.path.join(tmp, "market.yaml")
+        with open(original, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _check_out_round_trip(original, tmp)
