@@ -13,10 +13,12 @@ its nesting depth. Both give the same data for every plain text.
 `MarketFile` checks its own fields when it is made, so a file built by
 hand or by dataclasses.replace meets the rules, and gets the messages,
 of a file read from text; the reader itself checks only that the
-document is a mapping with the known keys. `resolve_market` turns names
-into indices through one name→index dict per side and checks each
-preference list in one pass; only a table with a fault is checked again
-entry by entry, for the message that names it.
+document is a mapping with the known keys. An edge entry may be any
+list or tuple of two names; one pass over the entries builds the (x, y)
+pairs and stops at the first fault. `resolve_market` turns names into
+indices through one name→index dict per side and checks each preference
+list in one pass; only a table with a fault is checked again entry by
+entry, for the message that names it.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ class MarketFile:
     under its key, in the order parse_market checks them, or
     MarketFormatError names the first fault with parse_market's message
     and path, but with no source or position. A list may be given as a
-    tuple, and `compatibility` as the document's mapping; each field is
-    stored as parse_market stores it (the version as "1", lists, edges as
-    (x, y) tuples, a CompatibilityBlock). A file changed in place after it
-    was made is not checked again.
+    tuple, an edge as any list or tuple of two names, and `compatibility`
+    as the document's mapping; each field is stored as parse_market stores
+    it (the version as "1", lists, edges as (x, y) tuples, a
+    CompatibilityBlock). A file changed in place after it was made is not
+    checked again.
     """
 
     schema_version: str
@@ -98,10 +101,7 @@ class MarketFile:
 
         if not isinstance(self.edges, (list, tuple)):
             _fail("edges must be a list of [x, y] pairs", ("edges",))
-        edges = _edge_column(self.edges, x_set, y_set)
-        if edges is None:
-            _edge_fault(self.edges, x_set, y_set)
-        self.edges = edges
+        self.edges = _edge_pairs(self.edges, x_set, y_set)
 
         if self.preferences is not None:
             raw_prefs = self.preferences
@@ -382,51 +382,43 @@ def parse_market(text: str, source: str = "<string>") -> MarketFile:
         raise _located(e, text) from None
 
 
-def _edge_column(
+def _edge_pairs(
     entries: list, x_set: set[str], y_set: set[str]
-) -> Optional[list[tuple[str, str]]]:
-    """The edges as (x, y) pairs, checked as whole columns: every entry a
-    list (or tuple) of two, the X column within x_set, the Y column within
-    y_set, and no pair twice. None when any of that fails: _edge_fault then
-    finds the first faulty entry."""
-    if set(map(type, entries)) - {list, tuple} or set(map(len, entries)) - {2}:
-        return None
-    pairs = list(map(tuple, entries))
-    try:
-        unique = set(pairs)
-    except TypeError:  # an endpoint that is a list or a mapping
-        return None
-    if (
-        len(unique) != len(pairs)
-        or {x for x, _ in unique} - x_set
-        or {y for _, y in unique} - y_set
-    ):
-        return None
+) -> list[tuple[str, str]]:
+    """The edges as (x, y) pairs, each entry checked as it is read: a list
+    or tuple of two nonempty strings, X-vertex first, that no earlier entry
+    repeats. The first faulty entry raises MarketFormatError, with a tuple
+    shown as the list the document holds. An endpoint is looked up in its
+    name set first; only an unknown one is then tested for a string, which
+    reports the same first fault as testing it first."""
+    pairs = []
+    seen = set()
+    for k, raw in enumerate(entries):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            shown = _SHORT.repr(_shown(raw))
+            _fail(f"edge {shown} must be an [x, y] pair", ("edges", k))
+        xn, yn = pair = tuple(raw)
+        try:
+            known = xn in x_set and yn in y_set
+        except TypeError:  # an endpoint that is a list or a mapping
+            known = False
+        if not known:
+            at, raw = ("edges", k), _shown(raw)
+            if not all(isinstance(n, str) and n for n in raw):
+                _fail(f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings", at)
+            if xn not in x_set:
+                _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", at + (0,))
+            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", at + (1,))
+        seen.add(pair)
+        if len(seen) == k:  # the pair was there already
+            _fail(f"duplicate edge [{xn!r}, {yn!r}]", ("edges", k))
+        pairs.append(pair)
     return pairs
 
 
-def _edge_fault(entries: list, x_set: set[str], y_set: set[str]) -> NoReturn:
-    """Raise MarketFormatError for the first faulty entry of an edge list
-    that _edge_column rejected, checking the entries one by one. A tuple
-    is shown as the list the document holds."""
-    seen_edges = set()
-    for k, raw in enumerate(entries):
-        at = ("edges", k)
-        if isinstance(raw, tuple):
-            raw = list(raw)
-        if not isinstance(raw, list) or len(raw) != 2:
-            _fail(f"edge {_SHORT.repr(raw)} must be an [x, y] pair", at)
-        xn, yn = raw
-        if not all(isinstance(n, str) and n for n in raw):
-            _fail(f"edge {_SHORT.repr(raw)} endpoints must be nonempty strings", at)
-        if xn not in x_set:
-            _fail(f"edge {raw!r} references unknown X-vertex {xn!r}", at + (0,))
-        if yn not in y_set:
-            _fail(f"edge {raw!r} references unknown Y-vertex {yn!r}", at + (1,))
-        if (xn, yn) in seen_edges:
-            _fail(f"duplicate edge [{xn!r}, {yn!r}]", at)
-        seen_edges.add((xn, yn))
-    raise AssertionError("_edge_column rejected an edge list with no faulty entry")
+def _shown(raw: Any) -> Any:
+    """An edge entry as a message shows it: a tuple as a list."""
+    return list(raw) if isinstance(raw, tuple) else raw
 
 
 def _market_file(data: Any, source: str) -> MarketFile:

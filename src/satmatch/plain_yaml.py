@@ -125,9 +125,7 @@ def read(text: str, resolve: Callable[[str], Any]) -> Any:
         if m is not None:  # the usual list: one line, plain scalars
             # a comprehension sizes each list as appending does: tighter
             # than list() of a map, and faster
-            items = m[1].split(", ")
-            out = [made_get(item) for item in items]
-            return [plain(item) for item in items] if None in out else out
+            return [plain(item) for item in m[1].split(", ")]
         if _plain_scalar(rest):
             return plain(rest)
         tokens = [(m.lastindex, m[m.lastindex]) for m in _flow_tokens(rest)]

@@ -714,6 +714,36 @@ def test_verify_with_no_sampling_budget_confirms_isolated_failures(capsys):
     assert "overall: all suites passed" in out
 
 
+def test_verify_shows_ten_violations_per_category_and_reports_them_all(
+    capsys, monkeypatch
+):
+    messages = [f"graph {k} is wrong" for k in range(12)]
+
+    def failing_suite(**kwargs):
+        return [
+            harness.SuiteResult(
+                name="saturation",
+                counts={"graphs": 12},
+                violations={"verdict": list(messages)},
+            )
+        ]
+
+    monkeypatch.setattr(harness, "run_all", failing_suite)
+    code, out, err = _run(capsys, "verify", "--quiet")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "[FAIL] saturation (0.0s): graphs 12",
+        *(f"    verdict: {msg}" for msg in messages[:10]),
+        "    verdict: ... 2 more violations",
+        "overall: FAILURES above",
+    ]
+    assert err == ""
+    code, report = _structured(capsys, "verify", "--quiet")
+    assert code == 1
+    assert report["passed"] is False
+    assert report["suites"][0]["violations"] == {"verdict": messages}
+
+
 def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):
     def no_suite(*args, **kwargs):
         raise AssertionError("a suite ran")

@@ -278,6 +278,22 @@ def test_progress_callback_fires():
     harness.perfection_suite(max_n=1, instance_cap=10**4, seeds=2,
                              progress=lines.append)
     assert lines  # one line per side size
+    # the other suites report every 200 graphs or pairs, or 2,000 markets
+    lines = []
+    harness.saturation_suite(max_side=3, instance_cap=0, seeds=1,
+                             progress=lines.append)
+    assert lines == [
+        "saturation: 200 graphs, 218 instances checked",
+        "saturation: 400 graphs, 457 instances checked",
+        "saturation: 600 graphs, 720 instances checked",
+    ]
+    lines = []
+    harness.coverage_suite(max_classes=2, max_side=4, samples=1,
+                           progress=lines.append)
+    assert lines == ["coverage: 2000 markets checked"]
+    lines = []
+    harness.oracle_suite(pairs=200, max_side=3, progress=lines.append)
+    assert lines == ["oracle: 200 pairs checked"]
 
 
 # -- fault injection: every suite must catch a broken layer --------------------

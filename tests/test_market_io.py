@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import glob
 import importlib.util
@@ -491,6 +492,7 @@ def _mutant(text: str, rng: random.Random) -> str:
         ("'a': b # c\n", True),
         ("a: 'b #c'\n", True),
         ("- # c\n", False),
+        ("x_names:\n- a\n-\n", False),  # a dash with no item after it
         ("a: [b,]\n", False),
         ("a: [[[b]]]\n", False),
         ("a: [{b: c}]\n", False),
@@ -543,6 +545,18 @@ def test_scanner_equals_yaml_load_or_leaves_the_text_to_it(text, scanned, monkey
         assert (data is not None) == scanned, loader
         if scanned:
             assert repr(data) == _data(text), loader
+
+
+def test_a_dash_with_no_item_is_read_by_yaml_as_null(monkeypatch):
+    # the scanner leaves the empty item to YAML, which reads it as None
+    text = BARE.replace("x_names: [ann, bob]", "x_names:\n- ann\n-")
+    for loader in _each_loader(monkeypatch):
+        assert scan(text) is None, loader
+        with pytest.raises(MarketFormatError) as exc:
+            parse_market(text, source="m.yaml")
+        assert str(exc.value) == (
+            "m.yaml:4:2: x_names entries must be nonempty strings, got None"
+        ), loader
 
 
 # in the subset, though no writer writes it: quoted keys and values, a flow
@@ -1144,6 +1158,25 @@ def test_hand_built_tuples_resolve_as_their_document():
     # the document's mapping is accepted for the compatibility block
     as_mapping = replace(mf, compatibility=vars(fields["compatibility"]))
     assert as_mapping == mf
+
+
+class _Pair(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make", [collections.namedtuple("Edge", "x y"), lambda x, y: _Pair((x, y))],
+    ids=["namedtuple", "list subclass"],
+)
+def test_hand_built_edges_of_any_pair_type_resolve_as_plain_tuples(make):
+    # an edge entry may be any list or tuple of two names; it is stored,
+    # and resolves, as the plain tuple parse_market makes
+    fields = _hand_built()
+    mf = MarketFile(**{**fields, "edges": [make(x, y) for x, y in fields["edges"]]})
+    plain = MarketFile(**fields)
+    assert mf == plain
+    assert all(e.__class__ is tuple for e in mf.edges)
+    _same_bundle(resolve_market(mf), resolve_market(plain))
 
 
 def test_replace_of_a_parsed_file_resolves_as_its_document():

@@ -27,6 +27,10 @@ unmatched (by the rural hospitals theorem every stable matching does), and
 `analyze` answers on it as on the original. It is checked for every vertex
 of the fixtures and of generated markets, with names that YAML must quote
 or escape among them.
+
+Transposition and relabelling are each checked on the fixtures, on
+hypothesis markets up to 12x12, and on one seeded 300x300 sparse market
+of the benchmark with random preferences.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_with_instance
+from test_market_io import _bench_markets
 from test_valid_markets import markets
 from satmatch import analysis, cli
+from satmatch.graph import BipartiteGraph
 from satmatch.market_io import (
     MarketBundle,
     MarketFile,
@@ -54,6 +60,7 @@ from satmatch.market_io import (
     parse_market,
     resolve_market,
 )
+from satmatch.prefs import PreferenceInstance
 
 MARKETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "markets")
 FIXTURES = sorted(f for f in os.listdir(MARKETS) if f.endswith(".yaml"))
@@ -147,13 +154,25 @@ def _market_text(case) -> str:
     return dump_market(mf)
 
 
+def _sparse_case(seed: int):
+    """A seeded 300x300 market of the benchmark, each X-vertex with 4
+    neighbors, with random preferences: a hypothesis case far past 12x12."""
+    bench = _bench_markets()
+    rng = random.Random(seed)
+    m = bench.with_random_prefs(bench.sparse(300, 4, rng), rng)
+    return BipartiteGraph(m.x_count, m.y_count, m.edges), PreferenceInstance(
+        m.x_lists, m.y_lists
+    )
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_fixture_transposed_answers_for_the_other_side(fixture):
     with open(os.path.join(MARKETS, fixture), encoding="utf-8") as fh:
         _check_transposition(fh.read())
 
 
-@given(graph_with_instance(8, 8))
+@given(graph_with_instance(12, 12))
+@example(_sparse_case(300))
 @settings(max_examples=100, deadline=None)
 def test_market_transposed_answers_for_the_other_side(case):
     _check_transposition(_market_text(case))
@@ -269,7 +288,8 @@ def test_fixture_relabelled_gives_the_same_answers(fixture):
         _check_relabelling(fh.read(), seed=FIXTURES.index(fixture))
 
 
-@given(graph_with_instance(8, 8), st.integers(0, 2**32 - 1))
+@given(graph_with_instance(12, 12), st.integers(0, 2**32 - 1))
+@example(_sparse_case(301), 7)
 @settings(max_examples=100, deadline=None)
 def test_market_relabelled_gives_the_same_answers(case, seed):
     _check_relabelling(_market_text(case), seed)
