@@ -136,16 +136,17 @@ class VertexReport:
 
 @dataclass(frozen=True)
 class SaturationVerdict:
-    """Does every stable matching saturate `side`, for every instance?
+    """Does every stable matching saturate one side, for every instance?
 
-    holds ⇔ every report is satisfied. When it fails because some vertex
-    is strandable, `first_strandable` is the first such report; the caller
-    that wants a stranding instance builds it with `adversarial_instance`.
-    An all-isolated failure has no strandable report (no instance is
-    needed — an isolated vertex is never matched).
+    `reports` holds one report per vertex of that side, in index order;
+    each report's `vertex` names the side. holds ⇔ every report is
+    satisfied. When it fails because some vertex is strandable,
+    `first_strandable` is the first such report; the caller that wants a
+    stranding instance builds it with `adversarial_instance`. An
+    all-isolated failure has no strandable report (no instance is needed —
+    an isolated vertex is never matched).
     """
 
-    side: Side
     reports: tuple[VertexReport, ...]
 
     @property
@@ -411,7 +412,7 @@ def saturation_verdict(graph: BipartiteGraph, side: Side = Side.X) -> Saturation
     """The full verdict for one side, with per-vertex certificates; the
     caller builds any stranding instance from `first_strandable`. Twins
     share one search (see `_reports`)."""
-    return SaturationVerdict(side=side, reports=tuple(_reports(graph, side)))
+    return SaturationVerdict(tuple(_reports(graph, side)))
 
 
 def saturation_holds(graph: BipartiteGraph, side: Side = Side.X) -> bool:
@@ -508,8 +509,10 @@ def connected_perfect_verdict(graph: BipartiteGraph) -> CompletenessVerdict:
     """For a connected balanced graph: is every stable matching perfect, always?
 
     Holds exactly when the graph is a balanced biclique. When false, the
-    lowest-index missing edge is reported. Disconnected or unbalanced input
-    is an error; use component_perfect_verdict for those.
+    lowest-index missing edge is reported: rows ascend strictly, so it lies
+    in the first row shorter than `y_count`, at the first position k that
+    does not hold k, or else just past the row's end. Disconnected or
+    unbalanced input is an error; use component_perfect_verdict for those.
     """
     if graph.x_count != graph.y_count or graph.x_count == 0:
         raise InputError(
@@ -522,16 +525,11 @@ def connected_perfect_verdict(graph: BipartiteGraph) -> CompletenessVerdict:
             "needs a connected graph; for disconnected graphs use "
             "component_perfect_verdict"
         )
-    if graph.is_biclique():
-        return CompletenessVerdict(True, None)
     for xi, row in enumerate(graph.x_adj):
-        have = set(row)
-        for yi in range(graph.y_count):
-            if yi not in have:
-                return CompletenessVerdict(
-                    False, (Vertex(Side.X, xi), Vertex(Side.Y, yi))
-                )
-    raise AssertionError("unreachable: non-biclique with no missing edge")
+        if len(row) < graph.y_count:
+            yi = next((k for k, y in enumerate(row) if y != k), len(row))
+            return CompletenessVerdict(False, (Vertex(Side.X, xi), Vertex(Side.Y, yi)))
+    return CompletenessVerdict(True, None)
 
 
 @dataclass(frozen=True)

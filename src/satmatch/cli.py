@@ -183,6 +183,14 @@ def cmd_analyze(args) -> tuple[dict, int]:
     return report, 0 if verdict.holds else 1
 
 
+def _perfection_line(label: str, section: dict) -> str:
+    """`label: YES` or `NO`, or `label: n/a (reason)` when the section's
+    theorem does not apply to the market."""
+    if not section["applicable"]:
+        return f"{label}: n/a ({section['reason']})"
+    return f"{label}: {'YES' if section['holds'] else 'NO'}"
+
+
 def _render_analyze(report: dict) -> list[str]:
     lines = [f"market: {report['source']}"]
     sat = report["saturation"]
@@ -224,35 +232,19 @@ def _render_analyze(report: dict) -> list[str]:
         f"Y: {'yes' if perfect['y_holds'] else 'no'})"
     )
     completeness = report["completeness"]
-    if completeness["applicable"]:
-        line = (
-            f"connected balanced market complete: "
-            f"{'YES' if completeness['holds'] else 'NO'}"
-        )
-        if completeness["missing_edge"] is not None:
-            xe, ye = completeness["missing_edge"]
-            line += f" (missing edge [{xe}, {ye}])"
-        lines.append(line)
-    else:
-        lines.append(
-            f"connected balanced market complete: n/a ({completeness['reason']})"
-        )
+    line = _perfection_line("connected balanced market complete", completeness)
+    if completeness.get("missing_edge") is not None:
+        xe, ye = completeness["missing_edge"]
+        line += f" (missing edge [{xe}, {ye}])"
+    lines.append(line)
     components = report["components"]
-    if not components["applicable"]:
+    lines.append(_perfection_line("every component a balanced biclique", components))
+    for piece in components.get("pieces", ()):
         lines.append(
-            f"every component a balanced biclique: n/a ({components['reason']})"
+            f"  component {{{', '.join(piece['x'] + piece['y'])}}}: "
+            f"biclique {'yes' if piece['biclique'] else 'no'}, "
+            f"balanced {'yes' if piece['balanced'] else 'no'}"
         )
-    else:
-        lines.append(
-            f"every component a balanced biclique: "
-            f"{'YES' if components['holds'] else 'NO'}"
-        )
-        for piece in components["pieces"]:
-            lines.append(
-                f"  component {{{', '.join(piece['x'] + piece['y'])}}}: "
-                f"biclique {'yes' if piece['biclique'] else 'no'}, "
-                f"balanced {'yes' if piece['balanced'] else 'no'}"
-            )
     coverage = report["coverage"]
     if coverage is not None:
         lines.append(
@@ -469,12 +461,7 @@ def _render_adversary(report: dict) -> list[str]:
 def cmd_verify(args) -> tuple[dict, int]:
     from . import harness  # the largest module; only `verify` needs it
 
-    progress = None
-    if not args.quiet:
-
-        def progress(msg: str) -> None:
-            print(msg, file=sys.stderr)
-
+    progress = None if args.quiet else functools.partial(print, file=sys.stderr)
     results = harness.run_all(
         max_side=args.max_side,
         instance_cap=args.cap,
@@ -500,7 +487,7 @@ def _render_verify(report: dict) -> list[str]:
     p = report["params"]
     lines = [
         f"verification run: max side {p['max_side']}, instance cap {p['cap']}, "
-        f"{p['seeds']} sample seeds, seed {p['seed']}"
+        f"{analysis.counted(p['seeds'], 'sample seed')}, seed {p['seed']}"
     ]
     for suite in report["suites"]:
         status = "PASS" if suite["passed"] else "FAIL"
@@ -510,9 +497,8 @@ def _render_verify(report: dict) -> list[str]:
             for msg in messages[:10]:
                 lines.append(f"    {category}: {msg}")
             if len(messages) > 10:
-                lines.append(
-                    f"    {category}: ... {len(messages) - 10} more violations"
-                )
+                more = analysis.counted(len(messages) - 10, "more violation")
+                lines.append(f"    {category}: ... {more}")
     lines.append(
         "overall: " + ("all suites passed" if report["passed"] else "FAILURES above")
     )
@@ -546,14 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="report rendering: human text or JSON (default: text)",
-        )
-
     def add_node_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cap",
@@ -568,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--side", choices=("x", "y"), default="x", help="side to analyze (default: x)"
     )
-    add_format(p)
     p.set_defaults(handler=cmd_analyze, render=_render_analyze)
 
     p = sub.add_parser("match", help="run deferred acceptance once")
@@ -579,13 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="x",
         help="proposing side (default: x)",
     )
-    add_format(p)
     p.set_defaults(handler=cmd_match, render=_render_match)
 
     p = sub.add_parser("enumerate", help="list every stable matching")
     p.add_argument("market", help="market file with a preferences block")
     add_node_cap(p)
-    add_format(p)
     p.set_defaults(handler=cmd_enumerate, render=_render_enumerate)
 
     p = sub.add_parser(
@@ -595,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="vertex name to strand")
     p.add_argument("--out", help="write the emitted market to this path")
     add_node_cap(p)
-    add_format(p)
     p.set_defaults(handler=cmd_adversary, render=_render_adversary)
 
     p = sub.add_parser("verify", help="run the release-gate suites")
@@ -624,9 +598,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
-    add_format(p)
     p.set_defaults(handler=cmd_verify, render=_render_verify)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("text", "structured"),
+            default="text",
+            help="report rendering: human text or JSON (default: text)",
+        )
     return parser
 
 

@@ -41,15 +41,14 @@ class BipartiteGraph:
     """A bipartite graph on X = {0..x_count-1}, Y = {0..y_count-1}.
 
     Adjacency is stored once per side as tuples of strictly increasing index
-    tuples; the Y side is the exact transpose of the X side. `masks(side)`
-    gives the same rows as int bitmasks, built on first use and kept in the
-    instance, so they are freed with it. Instances are immutable and
-    hashable.
+    tuples; the Y side is the exact transpose of the X side. Nothing else
+    about the edges is stored: a vertex's degree is its row's length, and
+    `edges()` lists them all. `masks(side)` gives the same rows as int
+    bitmasks, built on first use and kept in the instance, so they are
+    freed with it. Instances are immutable and hashable.
     """
 
-    __slots__ = (
-        "x_count", "y_count", "x_adj", "y_adj", "edge_count", "_x_masks", "_y_masks"
-    )
+    __slots__ = ("x_count", "y_count", "x_adj", "y_adj", "_x_masks", "_y_masks")
 
     def __init__(self, x_count: int, y_count: int, edges: Iterable[tuple[int, int]]):
         if not (isinstance(x_count, int) and isinstance(y_count, int)):
@@ -79,7 +78,6 @@ class BipartiteGraph:
         self.y_count = y_count
         self.x_adj = tuple(tuple(sorted(row)) for row in x_rows)
         self.y_adj = tuple(tuple(sorted(row)) for row in y_rows)
-        self.edge_count = len(seen)
         self._x_masks: Optional[tuple[int, ...]] = None
         self._y_masks: Optional[tuple[int, ...]] = None
 
@@ -154,10 +152,6 @@ class BipartiteGraph:
             if not seen_y[j]:
                 pieces.append(Component((), (j,), 0))
         return pieces
-
-    def is_biclique(self) -> bool:
-        """True iff every cross-side pair is an edge (vacuously true when empty)."""
-        return self.edge_count == self.x_count * self.y_count
 
     def is_connected(self) -> bool:
         if self.x_count + self.y_count == 0:

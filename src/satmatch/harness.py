@@ -396,7 +396,8 @@ def perfection_suite(
                         f"but brute force says {ground}"
                     )
         if progress:
-            progress(f"perfection: sides {n}+{n} done ({counts['graphs']} graphs)")
+            graphs = analysis.counted(counts["graphs"], "graph")
+            progress(f"perfection: sides {n}+{n} done ({graphs})")
 
     result.seconds = time.perf_counter() - started
     return result

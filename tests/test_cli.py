@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -742,6 +743,44 @@ def test_verify_shows_ten_violations_per_category_and_reports_them_all(
     assert code == 1
     assert report["passed"] is False
     assert report["suites"][0]["violations"] == {"verdict": messages}
+
+
+def test_verify_progress_goes_to_stderr_and_counts_say_one_in_the_singular(
+    capsys, monkeypatch
+):
+    def timeless(out):  # suite seconds differ from run to run
+        return re.sub(r"\(\d+(\.\d+)?s\)", "(s)", out)
+
+    code, out, err = _run(capsys, "verify", "--max-side", "2", "--seeds", "3")
+    assert code == 0
+    assert err.splitlines() == [
+        "perfection: sides 0+0 done (1 graph)",
+        "perfection: sides 1+1 done (3 graphs)",
+        "perfection: sides 2+2 done (19 graphs)",
+    ]
+    code, quiet_out, quiet_err = _run(
+        capsys, "verify", "--max-side", "2", "--seeds", "3", "--quiet"
+    )
+    assert code == 0
+    assert timeless(quiet_out) == timeless(out)
+    assert quiet_err == ""
+
+    code, out, _ = _run(capsys, "verify", "--max-side", "1", "--seeds", "1", "--quiet")
+    assert code == 0
+    assert ", 1 sample seed, seed " in out.splitlines()[0]
+
+    def failing_suite(**kwargs):
+        messages = [f"graph {k} is wrong" for k in range(11)]
+        return [
+            harness.SuiteResult(
+                name="saturation", counts={}, violations={"verdict": messages}
+            )
+        ]
+
+    monkeypatch.setattr(harness, "run_all", failing_suite)
+    code, out, _ = _run(capsys, "verify", "--quiet")
+    assert code == 1
+    assert "    verdict: ... 1 more violation\n" in out
 
 
 def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):

@@ -301,7 +301,7 @@ def test_progress_callback_fires():
 
 def test_suite_catches_a_verdict_that_always_holds(monkeypatch):
     def always_holds(graph, side):
-        return analysis.SaturationVerdict(side=side, reports=())
+        return analysis.SaturationVerdict(reports=())
 
     monkeypatch.setattr(harness.analysis, "saturation_verdict", always_holds)
     result = harness.saturation_suite(max_side=2, instance_cap=10**4, seeds=5)
@@ -468,7 +468,7 @@ def test_coverage_suite_records_a_deficiency_the_structure_rules_out(monkeypatch
 
 def test_coverage_suite_catches_a_structural_verdict_that_always_holds(monkeypatch):
     def always_holds(graph, side):
-        return analysis.SaturationVerdict(side=side, reports=())
+        return analysis.SaturationVerdict(reports=())
 
     deficient = sum(
         not compatibility.coverage_verdict(market).holds

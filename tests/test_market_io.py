@@ -1198,4 +1198,4 @@ def test_market_file_defaults():
         edges=[("a", "b")],
     )
     bundle = resolve_market(mf)
-    assert bundle.graph.edge_count == 1
+    assert list(bundle.graph.edges()) == [(0, 0)]
