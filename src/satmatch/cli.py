@@ -45,8 +45,6 @@ from .errors import (
 )
 from .graph import Side
 
-_SIDES = {"x": Side.X, "y": Side.Y}
-
 
 # -- analyze -------------------------------------------------------------------
 
@@ -54,7 +52,7 @@ _SIDES = {"x": Side.X, "y": Side.Y}
 def cmd_analyze(args) -> tuple[dict, int]:
     bundle = market_io.load_market(args.market)
     g, names = bundle.graph, bundle.names
-    side = _SIDES[args.side]
+    side = Side(args.side)
 
     verdict = analysis.saturation_verdict(g, side)
     vertices = []
@@ -278,7 +276,7 @@ def _load_with_preferences(path: str, command: str) -> market_io.MarketBundle:
 def cmd_match(args) -> tuple[dict, int]:
     bundle = _load_with_preferences(args.market, "match")
     g, names = bundle.graph, bundle.names
-    side = _SIDES[args.propose]
+    side = Side(args.propose)
     m = engine.deferred_acceptance(g, bundle.instance, proposing=side)
     if not engine.is_stable(g, bundle.instance, m):
         raise EngineInvariantError(

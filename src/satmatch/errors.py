@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+# a count of more bits is shown as a power of two: a huge one is unreadable,
+# and Python refuses to print an int of more than 4,300 digits at all
+SHORT_COUNT_BITS = 64
+
+
+def count_text(count: int, *, at_most: bool = False) -> str:
+    """`count` as a message shows it: in full when it fits in
+    SHORT_COUNT_BITS bits, else as a true power-of-two bound. With
+    `at_most`, `count` is itself an upper bound and reads `at most ...`
+    either way; an exact count too long to show reads `more than 2^k`."""
+    if count.bit_length() <= SHORT_COUNT_BITS:
+        return f"at most {count}" if at_most else str(count)
+    if at_most:
+        return f"at most 2^{(count - 1).bit_length()}"
+    return f"more than 2^{(count - 1).bit_length() - 1}"
+
 
 class InputError(ValueError):
     """Invalid domain input: malformed graph, preferences, market, or argument."""
@@ -49,19 +65,27 @@ class InstanceCapExceeded(CapExceeded):
 
     def __init__(self, count, cap):
         super().__init__(
-            f"exhaustive enumeration needs {count} preference instances, "
-            f"above the cap of {cap}; fall back to sampling"
+            f"exhaustive enumeration needs {count_text(count)} preference "
+            f"instances, above the cap of {cap}; fall back to sampling"
         )
         self.count = count
         self.cap = cap
 
 
 class GraphCountExceeded(CapExceeded):
-    """Exhaustive verification refused: too many graphs to enumerate."""
+    """Exhaustive verification refused: too many graphs to enumerate.
+
+    `count` is None when max_side is too large to count the family: its
+    n x n graphs alone number 2^(n*n), so it has more than that.
+    """
 
     def __init__(self, max_side, count, cap):
+        if count is None:
+            shown = f"more than 2^{max_side * max_side}"
+        else:
+            shown = count_text(count)
         super().__init__(
-            f"verification with max side {max_side} would enumerate {count} "
+            f"verification with max side {max_side} would enumerate {shown} "
             f"graphs, above the limit of {cap}"
         )
         self.count = count
@@ -77,7 +101,7 @@ class SearchCapExceeded(CapExceeded):
     def __init__(self, visited, cap, estimate):
         super().__init__(
             f"stable-matching search visited {visited} nodes, above the cap of "
-            f"{cap} (the instance has at most {estimate} stable "
+            f"{cap} (the instance has {count_text(estimate, at_most=True)} stable "
             f"matching{'' if estimate == 1 else 's'})"
         )
         self.visited = visited

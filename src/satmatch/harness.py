@@ -11,8 +11,9 @@ Both graph suites take one ground truth per graph from one routine,
 all of the graph's instances or a seeded sample of them, saturates X. On a
 balanced graph a stable matching saturates X exactly when it is perfect,
 so `run_all` hands the record of each balanced graph checked whole from
-the saturation suite to the perfection suite. Sampled graphs draw their
-own instances in each suite, and a suite run alone computes every record.
+the saturation suite to the perfection suite, in the order both suites
+enumerate them. Sampled graphs draw their own instances in each suite, and
+a suite run alone computes every record.
 
 Calls into the analysis/engine layers go through the module namespaces on
 purpose: the test suite injects faults by patching those attributes and
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import analysis, compatibility, engine, prefs
 from .defaults import DEFAULT_GATE_CAP, DEFAULT_MAX_SIDE, DEFAULT_SEED, DEFAULT_SEEDS
-from .errors import GraphCountExceeded, InputError
+from .errors import SHORT_COUNT_BITS, GraphCountExceeded, InputError
 from .graph import BipartiteGraph, Matching, Side, Vertex
 
 MAX_GRAPHS = 1 << 20  # admits max side 4 (74,963 graphs); 5 has 2^25 at 5x5 alone
@@ -211,16 +212,6 @@ def _brute_check(
     return BruteCheck(saturates, count, matchings, tuple(invariance))
 
 
-def _graph_key(g: BipartiteGraph, width: int) -> int:
-    """g as one int, packed as `_induced_key` packs a market's induced graph;
-    |X| and |Y| must fit in `width` bits."""
-    b = g.y_count
-    mask = 0
-    for i, row in enumerate(g.masks(Side.X)):
-        mask |= row << (i * b)
-    return (mask << width | g.x_count) << width | b
-
-
 # -- suite 1: one-sided saturation (verdict + adversarial + invariance) ------
 
 
@@ -230,7 +221,7 @@ def saturation_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
-    truths: Optional[dict[int, BruteCheck]] = None,
+    truths: Optional[list[Optional[BruteCheck]]] = None,
 ) -> SuiteResult:
     """Exhaustively cross-check the X-side saturation verdict.
 
@@ -242,10 +233,10 @@ def saturation_suite(
     must leave it unmatched in every stable matching. Every stable-matching
     set produced on the way must agree on who is matched, on both sides.
 
-    `truths` receives the check of each balanced graph checked whole, keyed
-    by `_graph_key` at max_side's bit width, for a perfection suite run next
-    with the same max_side and instance_cap; by default it is a fresh dict.
-    Sampled checks are not shared.
+    `truths` receives one entry per balanced graph, in enumeration order:
+    its check when the graph was checked whole, None when it was sampled.
+    A perfection suite run next meets the balanced graphs in the same order
+    and takes the entries in turn. By default it is a fresh list.
     """
     result = SuiteResult(
         name="saturation",
@@ -262,9 +253,8 @@ def saturation_suite(
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
-    width = max_side.bit_length()
     if truths is None:
-        truths = {}
+        truths = []
 
     for g_index, g in enumerate(all_graphs(max_side, max_side)):
         counts["graphs"] += 1
@@ -292,8 +282,8 @@ def saturation_suite(
         seed_base = seed * 1_000_003 + g_index * 1_009
         check = _brute_check(g, instances_for(g, instance_cap, seeds, seed_base, extra))
         check.add_to(result, f"graph {g_index}")
-        if whole and g.x_count == g.y_count:
-            truths[_graph_key(g, width)] = check
+        if g.x_count == g.y_count:
+            truths.append(check if whole else None)
         ground = check.saturates
         if verdict.holds != ground:
             violations["verdict"].append(
@@ -328,7 +318,7 @@ def perfection_suite(
     seeds: int = DEFAULT_SEEDS,
     seed: int = DEFAULT_SEED,
     progress: Progress = None,
-    truths: Optional[dict[int, BruteCheck]] = None,
+    truths: Optional[list[Optional[BruteCheck]]] = None,
 ) -> SuiteResult:
     """Cross-check the perfect-for-all-preferences characterizations.
 
@@ -339,12 +329,12 @@ def perfection_suite(
     Y-vertices, so a stable matching is perfect exactly when it saturates
     X: the ground truth is `_brute_check` over the graph's instances from
     `instances_for`, or, for a graph checked whole, the saturation suite's
-    record of that check in `truths` (which it removes). The suite adds the
-    check's counts and violations as its own. A sampled graph gets the
-    constructed stranding instance injected, so a negative verdict stays
-    checkable when the instance space dwarfs the sample budget. A fault in
-    the Y-side matched set shows as an `invariance` violation, since every
-    member is rechecked on both sides.
+    record of that check, the next entry of `truths`, which it empties. The
+    suite adds the check's counts and violations as its own. A sampled
+    graph gets the constructed stranding instance injected, so a negative
+    verdict stays checkable when the instance space dwarfs the sample
+    budget. A fault in the Y-side matched set shows as an `invariance`
+    violation, since every member is rechecked on both sides.
     """
     result = SuiteResult(
         name="perfection",
@@ -360,9 +350,7 @@ def perfection_suite(
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
-    width = max_n.bit_length()
-    if truths is None:
-        truths = {}
+    handed = iter(truths or ())
 
     g_index = 0
     for n in range(max_n + 1):
@@ -370,9 +358,9 @@ def perfection_suite(
             g_index += 1
             counts["graphs"] += 1
 
+            check = next(handed, None)
             whole = prefs.instance_count(g) <= instance_cap
-            check = truths.pop(_graph_key(g, width), None) if whole else None
-            if check is None:
+            if check is None or not whole:
                 extra = None if whole else perfect_counterexample(g)
                 seed_base = seed * 2_000_003 + g_index * 1_013
                 check = _brute_check(
@@ -399,6 +387,8 @@ def perfection_suite(
             graphs = analysis.counted(counts["graphs"], "graph")
             progress(f"perfection: sides {n}+{n} done ({graphs})")
 
+    if truths:  # spent: free the checks before the next suite runs
+        truths.clear()
     result.seconds = time.perf_counter() - started
     return result
 
@@ -714,6 +704,8 @@ def run_all(
     give sides up to 3 for the verdict families and 4 for the cross-checks.
     A negative bound, which would check nothing and pass, and a max_side
     whose graph family exceeds MAX_GRAPHS are refused before any suite runs.
+    The family has 2^(max_side^2) graphs of the largest shape alone, so
+    once that is too long to show it is refused without being counted.
     """
     for name, bound in (
         ("max_side", max_side),
@@ -722,12 +714,13 @@ def run_all(
     ):
         if bound < 0:
             raise InputError(f"verify bound {name} must be at least 0, got {bound}")
+    if max_side * max_side > SHORT_COUNT_BITS:
+        raise GraphCountExceeded(max_side, None, MAX_GRAPHS)
     count = graph_count(max_side, max_side)
     if count > MAX_GRAPHS:
         raise GraphCountExceeded(max_side, count, MAX_GRAPHS)
-    # each balanced graph checked whole, from the saturation suite to the
-    # perfection suite
-    truths: dict[int, BruteCheck] = {}
+    # each balanced graph's whole check or None, in the order both suites meet them
+    truths: list[Optional[BruteCheck]] = []
     return [
         saturation_suite(max_side, instance_cap, seeds, seed, progress, truths),
         perfection_suite(max_side, instance_cap, seeds, seed, progress, truths),

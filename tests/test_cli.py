@@ -10,13 +10,22 @@ import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
 from conftest import misreport_y_optimal
 from satmatch import analysis, cli, compatibility, engine, harness, market_io, prefs
-from satmatch.errors import EngineInvariantError, PreferenceError
+from satmatch.errors import (
+    SHORT_COUNT_BITS,
+    EngineInvariantError,
+    GraphCountExceeded,
+    InstanceCapExceeded,
+    PreferenceError,
+    SearchCapExceeded,
+    count_text,
+)
 from satmatch.graph import Matching, Side, Vertex
 from satmatch.prefs import PreferenceInstance
 
@@ -414,6 +423,68 @@ def test_enumerate_cap_out_with_one_stable_matching_is_singular(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        0,
+        1,
+        pytest.param(2**SHORT_COUNT_BITS - 1, id=f"2^{SHORT_COUNT_BITS}-1"),
+        pytest.param(2**SHORT_COUNT_BITS, id=f"2^{SHORT_COUNT_BITS}"),
+        pytest.param(2**SHORT_COUNT_BITS + 1, id=f"2^{SHORT_COUNT_BITS}+1"),
+        # pytest cannot name these: they are too long to print
+        pytest.param(1 << 19999, id="2^19999"),
+        pytest.param((1 << 20000) - 1, id="2^20000-1"),
+    ],
+)
+def test_count_text_is_exact_when_short_and_else_a_tight_power_of_two(count):
+    exact, upper = count_text(count), count_text(count, at_most=True)
+    if count.bit_length() <= SHORT_COUNT_BITS:
+        assert (exact, upper) == (str(count), f"at most {count}")
+        return
+    below = re.fullmatch(r"more than 2\^(\d+)", exact)
+    above = re.fullmatch(r"at most 2\^(\d+)", upper)
+    k, m = int(below[1]), int(above[1])
+    assert 1 << k < count <= 1 << (k + 1)
+    assert 1 << (m - 1) < count <= 1 << m
+
+
+def test_cap_errors_format_a_20000_bit_count():
+    # Python will not print an int of more than 4,300 digits, so formatting
+    # one into the message would raise ValueError in the constructor
+    huge = (1 << 20000) - 1
+    e = InstanceCapExceeded(huge, 100)
+    assert (e.count, e.cap) == (huge, 100)
+    assert str(e) == (
+        "exhaustive enumeration needs more than 2^19999 preference instances, "
+        "above the cap of 100; fall back to sampling"
+    )
+    e = GraphCountExceeded(120, huge, 1 << 20)
+    assert (e.count, e.cap) == (huge, 1 << 20)
+    assert str(e) == (
+        "verification with max side 120 would enumerate more than 2^19999 "
+        "graphs, above the limit of 1048576"
+    )
+    e = SearchCapExceeded(5, 0, huge)
+    assert (e.visited, e.cap, e.estimate) == (5, 0, huge)
+    assert str(e) == (
+        "stable-matching search visited 5 nodes, above the cap of 0 (the "
+        "instance has at most 2^20000 stable matchings)"
+    )
+
+
+def test_enumerate_exits_3_on_a_huge_estimate(capsys, monkeypatch):
+    def capped(graph, instance, cap=engine.DEFAULT_NODE_CAP):
+        raise SearchCapExceeded(5, 0, 1 << 20000)
+
+    monkeypatch.setattr(engine, "enumerate_stable", capped)
+    code, out, err = _run(capsys, "enumerate", _market("square_cycle.yaml"))
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: stable-matching search visited 5 nodes, above the cap of 0 "
+        "(the instance has at most 2^20000 stable matchings)\n"
+    )
+
+
 def test_enumerate_refuses_a_negative_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", _market("square_cycle.yaml"), "--cap", "-1"])
@@ -793,6 +864,20 @@ def test_verify_refuses_an_unbounded_family_up_front(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ")
     assert "35794197 graphs" in err
+
+
+@pytest.mark.parametrize("max_side", [120, 1200])
+def test_verify_refuses_a_huge_family_without_counting_it(capsys, max_side):
+    # the family has 2^(max_side^2) graphs of the largest shape alone;
+    # summing every shape's count took 35 s at max side 1200
+    started = time.perf_counter()
+    code, out, err = _run(capsys, "verify", "--max-side", str(max_side), "--quiet")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: verification with max side {max_side} would enumerate more "
+        f"than 2^{max_side * max_side} graphs, above the limit of 1048576\n"
+    )
 
 
 @pytest.mark.parametrize(

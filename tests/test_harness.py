@@ -273,6 +273,38 @@ def test_run_all_shares_whole_checks_without_changing_a_count(
     assert len(perfection_sampled) < perfection.counts["stable_sets"]
 
 
+@pytest.mark.parametrize(
+    "saturation_side, saturation_cap, perfection_side, perfection_cap",
+    [
+        pytest.param(1, 10**4, 2, 10**4, id="shorter"),
+        pytest.param(2, 10**4, 1, 10**4, id="longer"),
+        pytest.param(2, 5, 2, 10**4, id="sampled-there"),
+        pytest.param(2, 10**4, 2, 5, id="sampled-here"),
+    ],
+)
+def test_perfection_suite_takes_truths_in_enumeration_order(
+    saturation_side, saturation_cap, perfection_side, perfection_cap
+):
+    """One entry per balanced graph, in the order both suites meet them: a
+    list from another max_side or cap lines up with the perfection suite's
+    graphs, which report what they report when it runs alone."""
+    truths = []
+    harness.saturation_suite(saturation_side, saturation_cap, seeds=3, truths=truths)
+    assert [check is not None for check in truths] == [
+        prefs.instance_count(g) <= saturation_cap
+        for n in range(saturation_side + 1)
+        for g in harness.graphs_of_shape(n, n)
+    ]
+    handed = harness.perfection_suite(
+        perfection_side, perfection_cap, seeds=3, truths=truths
+    )
+    assert truths == []
+    alone = harness.perfection_suite(perfection_side, perfection_cap, seeds=3)
+    assert handed.counts == alone.counts
+    assert handed.violations == alone.violations
+    assert handed.passed
+
+
 def test_progress_callback_fires():
     lines = []
     harness.perfection_suite(max_n=1, instance_cap=10**4, seeds=2,

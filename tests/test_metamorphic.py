@@ -26,7 +26,8 @@ edges and classes, both deferred-acceptance runs leave the target
 unmatched (by the rural hospitals theorem every stable matching does), and
 `analyze` answers on it as on the original. It is checked for every vertex
 of the fixtures and of generated markets, with names that YAML must quote
-or escape among them.
+or escape among them, and for three drawn vertices a side of one seeded
+300x300 sparse market of the benchmark, as the benchmark writes it.
 
 Transposition and relabelling are each checked on the fixtures, on
 hypothesis markets up to 12x12, and on one seeded 300x300 sparse market
@@ -295,15 +296,17 @@ def test_market_relabelled_gives_the_same_answers(case, seed):
     _check_relabelling(_market_text(case), seed)
 
 
-def _check_out_round_trip(original: str, tmp: str) -> int:
+def _check_out_round_trip(original: str, tmp: str, targets=None) -> int:
     """Run `adversary --out` on every vertex of the market file `original`,
-    writing into the directory `tmp`, and check each written market; the
-    number of vertices stranded."""
+    or on those named in `targets`, writing into the directory `tmp`, and
+    check each written market; the number of vertices stranded."""
     market = load_market(original).market
     analyzed = {side: _structured("analyze", original, "--side", side) for side in "xy"}
     stranded = 0
     for side, names in (("x", market.x_names), ("y", market.y_names)):
         for k, target in enumerate(names):
+            if targets is not None and target not in targets:
+                continue
             out = os.path.join(tmp, f"{side}{k}.yaml")
             code, report = _structured(
                 "adversary", original, "--target", target, "--out", out
@@ -349,3 +352,16 @@ def test_adversary_out_reads_back_on_generated_markets(text):
         with open(original, "w", encoding="utf-8") as fh:
             fh.write(text)
         _check_out_round_trip(original, tmp)
+
+
+def test_adversary_out_reads_back_on_a_300x300_market(tmp_path):
+    # 3 drawn vertices a side keep it to 6 adversary calls, not 600. Most
+    # vertices of this market can be stranded, and all six drawn ones are
+    bench = _bench_markets()
+    rng = random.Random(302)
+    m = bench.with_random_prefs(bench.sparse(300, 4, rng), rng)
+    original = tmp_path / "sparse300.yaml"
+    original.write_text(bench.to_yaml(m), encoding="utf-8")
+    targets = {bench.xn(i) for i in rng.sample(range(m.x_count), 3)}
+    targets |= {bench.yn(j) for j in rng.sample(range(m.y_count), 3)}
+    assert _check_out_round_trip(str(original), str(tmp_path), targets) == 6

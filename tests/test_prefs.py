@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -174,6 +175,13 @@ def test_enumerate_all_respects_cap():
         list(enumerate_all(biclique(3, 3), cap=100))
     assert exc.value.count == 46656
     assert exc.value.cap == 100
+
+
+def test_enumerate_all_refuses_a_count_too_long_to_print():
+    with pytest.raises(InstanceCapExceeded) as exc:
+        next(enumerate_all(biclique(50, 50)))
+    assert exc.value.count == math.factorial(50) ** 100
+    assert "needs more than 2^21420 preference instances" in str(exc.value)
 
 
 def test_sample_uniform_is_deterministic():
