@@ -50,10 +50,10 @@ keeps the earlier options absorbed stops at the same u*, and that set is
 the prefix's Dulmage–Mendelsohn overfull part, which is unique whatever
 paths were taken. The champions are searched for only when an instance is
 built, so they always come from plain ascending augmenting paths.
-`certify_blockade` rechecks a blockade from the masks alone before it is
-printed: it must lie inside N(v) and outnumber its competitors.
-`certify_absorption` rechecks a kept absorbing matching the same way: its
-competitors must be distinct, none of them v, each adjacent to its option.
+`certify` rechecks either certificate from the masks alone before it is
+printed or built on: a blockade must lie inside N(v) and outnumber its
+competitors, and an absorbing matching, the kept one or the champions,
+must give each option a distinct competitor other than v, adjacent to it.
 
 `saturation_verdict` runs one search per neighbourhood, not per vertex.
 Two vertices of one side with the same adjacency mask, twins, get the same
@@ -79,7 +79,7 @@ every component is a balanced biclique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # certify_stranding calls through the module, so that patching
@@ -103,7 +103,8 @@ class VertexReport:
     `absorbers` is the absorbing matching the search found, the competitor
     (an index on v's side) of each option of v in ascending order. It is
     left out of comparisons: twins and other search orders find other
-    matchings for the same verdict, and `certify_absorption` checks it.
+    matchings for the same verdict. `certify` checks whichever certificate
+    the report holds, the blockade or the absorbing matching.
     The caller that wants a stranding instance builds it with
     `adversarial_instance`. An isolated vertex is vacuously bounded
     (0 <= 0) yet can never be matched: blockade None, not satisfied, not
@@ -158,12 +159,13 @@ class SaturationVerdict:
         return next((r for r in self.reports if r.strandable), None)
 
 
-def _neighborhood(masks: tuple[int, ...], indices: Iterable[int]) -> int:
-    """N(indices) as a bitmask: the OR of their adjacency masks."""
+def _rivals(comasks: tuple[int, ...], options: Iterable[int], v: int) -> int:
+    """N(options) besides v, as a bitmask over v's side: the OR of the
+    options' adjacency masks, without v's own bit."""
     reach = 0
-    for u in indices:
-        reach |= masks[u]
-    return reach
+    for u in options:
+        reach |= comasks[u]
+    return reach & ~(1 << v)
 
 
 def _absorb(
@@ -202,15 +204,15 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     """Certify v, or decide that it can be stranded.
 
     Competitor sets are bitmasks over v's own side, built from the masks
-    of v's options: the claimants N(N(v)) are their OR, counted with
-    `bit_count()`, and always include v itself when v has any option. The
-    dedicated neighbor is the lowest-index option whose mask is v's bit
-    alone. `_absorb` then places the options over the competitors other
-    than v, with every claimant but v free at the start. The first option
-    u it cannot place ends it; its failed search returns as seen exactly
-    the competitors alternating-reachable from u, all of them taken, so u
-    and the options they absorb form the blockade: a set adjacent to
-    strictly fewer competitors than its own size.
+    of v's options: their OR without v's bit is the competitors other than
+    v, and the claimants N(N(v)) are those and v itself, when v has any
+    option. The dedicated neighbor is the lowest-index option whose mask
+    is v's bit alone. `_absorb` then places the options over the
+    competitors other than v, all of them free at the start. The first
+    option u it cannot place ends it; its failed search returns as seen
+    exactly the competitors alternating-reachable from u, all of them
+    taken, so u and the options they absorb form the blockade: a set
+    adjacent to strictly fewer competitors than its own size.
 
     The free-competitor step changes which competitor absorbs which
     option, but not u or the set reachable from it, so the blockade is the
@@ -223,68 +225,58 @@ def vertex_report(graph: BipartiteGraph, v: Vertex) -> VertexReport:
     row = graph.adjacency(v.side)[v.index]
     comasks = graph.masks(opp)
     mine = 1 << v.index
-    reach = _neighborhood(comasks, row)
+    rivals = _rivals(comasks, row, v.index)
     dedicated = next((Vertex(opp, u) for u in row if comasks[u] == mine), None)
-    placed, found = _absorb(comasks, row, mine, reach & ~mine)
+    placed, found = _absorb(comasks, row, mine, rivals)
     return VertexReport(
         vertex=v,
         options=len(row),
-        claimants=reach.bit_count(),
+        claimants=rivals.bit_count() + (1 if row else 0),
         dedicated=dedicated,
         blockade=None if placed else tuple(Vertex(opp, w) for w in found),
         absorbers=found if placed and row else None,
     )
 
 
-def certify_blockade(graph: BipartiteGraph, report: VertexReport) -> None:
-    """Recheck `report`'s blockade B against the graph alone.
+def certify(graph: BipartiteGraph, report: VertexReport) -> None:
+    """Recheck `report`'s certificate against the graph alone.
 
-    B must lie inside N(v) and be deficient: the competitors N(B) other
-    than v must number fewer than B's options. A report without a
-    blockade passes. A blockade that fails either test would print a false
-    guarantee, so this raises EngineInvariantError.
+    A satisfied report's blockade B must lie inside N(v) and be deficient:
+    the competitors N(B) other than v must number fewer than B's options.
+    A strandable report's absorbing matching must give each option of v a
+    competitor, the competitors distinct, none of them v, each adjacent to
+    its option: a matching of N(v) that avoids v (McConnell, Mehlhorn,
+    Näher & Schweitzer, Computer Science Review 5(2), 2011, on certifying
+    algorithms). Either costs O(deg v). An isolated report passes. A
+    certificate that fails would print a false guarantee or a false "can be
+    stranded", so this raises EngineInvariantError.
     """
-    if report.blockade is None:
-        return
     v = report.vertex
     opp = v.side.opposite
-    options = graph.masks(v.side)[v.index]
-    for u in report.blockade:
-        if u.side is not opp or not options >> u.index & 1:
+    comasks = graph.masks(opp)
+    if report.satisfied:
+        options = graph.masks(v.side)[v.index]
+        for u in report.blockade:
+            if u.side is not opp or not options >> u.index & 1:
+                raise EngineInvariantError(
+                    f"the blockade of {v!r} holds {u!r}, which is not an option of it"
+                )
+        chosen = {u.index for u in report.blockade}
+        across = _rivals(comasks, chosen, v.index).bit_count()
+        if across >= len(chosen):
             raise EngineInvariantError(
-                f"the blockade of {v!r} holds {u!r}, which is not an option of it"
+                f"the blockade of {v!r} is not deficient: "
+                f"{counted(across, 'competitor')} besides it for "
+                f"{counted(len(chosen), 'option')}"
             )
-    chosen = {u.index for u in report.blockade}
-    across = _neighborhood(graph.masks(opp), chosen) & ~(1 << v.index)
-    if across.bit_count() >= len(chosen):
-        raise EngineInvariantError(
-            f"the blockade of {v!r} is not deficient: "
-            f"{counted(across.bit_count(), 'competitor')} besides it for "
-            f"{counted(len(chosen), 'option')}"
-        )
-
-
-def certify_absorption(graph: BipartiteGraph, report: VertexReport) -> None:
-    """Recheck a strandable `report`'s absorbing matching against the graph.
-
-    Each option of v must have an absorber, and the absorbers must be
-    distinct competitors other than v, each adjacent to its option: a
-    matching of N(v) that avoids v (McConnell, Mehlhorn, Näher & Schweitzer,
-    Computer Science Review 5(2), 2011, on certifying algorithms). That
-    costs O(deg v). A report that is not strandable passes. A matching that
-    fails would print a false "can be stranded", so this raises
-    EngineInvariantError.
-    """
-    if not report.strandable:
         return
-    v = report.vertex
-    opp = v.side.opposite
+    if report.isolated:
+        return
     row = graph.adjacency(v.side)[v.index]
     if report.absorbers is None or len(report.absorbers) != len(row):
         raise EngineInvariantError(
             f"{v!r} was reported strandable without an absorber for each option"
         )
-    comasks = graph.masks(opp)
     used = 0
     for u, c in zip(row, report.absorbers):
         if c == v.index:
@@ -371,12 +363,11 @@ def guarantee(
         )
     if report.dedicated is not None:
         return why + f"neighbor {name(report.dedicated)} has degree 1, dedicated to it"
-    comasks = graph.masks(v.side.opposite)
-    across = _neighborhood(comasks, (u.index for u in report.blockade))
-    across &= ~(1 << v.index)
+    chosen = (u.index for u in report.blockade)
+    across = _rivals(graph.masks(v.side.opposite), chosen, v.index).bit_count()
     shown = ", ".join(name(u) for u in report.blockade)
     return why + (
-        f"options {shown} have only {counted(across.bit_count(), 'competitor')} "
+        f"options {shown} have only {counted(across, 'competitor')} "
         f"besides it, so one of them always falls to it"
     )
 
@@ -436,15 +427,18 @@ def adversarial_instance(
     `absorbers` cannot serve: they come from the same loop with that step
     on, and a twin's report holds a copy with the twins swapped. If that
     pass cannot absorb every option, the report was wrong and this raises
-    EngineInvariantError, naming the first option left over, rather than
-    build an instance that does not strand v. The construction then sets:
+    EngineInvariantError, naming the first option left over; the champions
+    it finds are an absorbing matching too, and `certify` checks them
+    before any list is built. Every list is then a stable sort of its
+    vertex's own adjacency row, so it ranks exactly the vertex's neighbors:
 
     * every option of v ranks its champion first, its other neighbors
       next by ascending index, and v dead last;
     * every claimant other than v ranks its neighbors inside N(v) above
-      its neighbors outside N(v), each block ascending, except that a
-      champion puts the option it absorbs first;
-    * all remaining lists are plain ascending.
+      those outside N(v), each block ascending, except that a champion
+      puts the option it absorbs first;
+    * all remaining lists, v's own among them, are their rows as they
+      stand: plain ascending.
 
     Each champion and its option rank each other first, so every stable
     matching pairs them (a mutual-first pair left apart blocks). That
@@ -456,45 +450,33 @@ def adversarial_instance(
 
     v = report.vertex
     opp = v.side.opposite
-    adj = graph.adjacency(v.side)
-    coadj = graph.adjacency(opp)
-    options = graph.masks(v.side)[v.index]
+    row = graph.adjacency(v.side)[v.index]
     comasks = graph.masks(opp)
-    placed, found = _absorb(comasks, adj[v.index], 1 << v.index, 0)
+    placed, found = _absorb(comasks, row, 1 << v.index, 0)
     if not placed:
         raise EngineInvariantError(
             f"{v!r} was reported strandable, but option "
             f"{Vertex(opp, found[-1])!r} cannot be absorbed"
         )
-    champions = dict(zip(adj[v.index], found))  # option -> competitor
-    absorbs = {c: u for u, c in champions.items()}  # competitor -> its option
-    claimants = _neighborhood(comasks, adj[v.index]) & ~(1 << v.index)
+    certify(graph, replace(report, absorbers=found))
+    champions = dict(zip(row, found))  # option -> competitor
+    absorbs = dict(zip(found, row))  # competitor -> its option
+    options = graph.masks(v.side)[v.index]
+    rivals = _rivals(comasks, row, v.index)
 
-    # v's side: claimants crowd into N(v), champions lead with their option;
-    # v itself and bystanders rank by ascending index.
-    same_side_lists = []
-    for i, row in enumerate(adj):
-        if claimants >> i & 1:
-            inside = [u for u in row if options >> u & 1]
-            outside = [u for u in row if not options >> u & 1]
-            if i in absorbs:
-                first = absorbs[i]
-                inside = [first] + [u for u in inside if u != first]
-            same_side_lists.append(tuple(inside + outside))
-        else:
-            same_side_lists.append(tuple(row))
-
-    # opposite side: v's options rank champion first and v dead last;
-    # everyone else ascending.
-    other_side_lists = []
-    for u, row in enumerate(coadj):
-        if options >> u & 1:
-            first = champions[u]
-            rest = [w for w in row if w != v.index and w != first]
-            other_side_lists.append(tuple([first] + rest + [v.index]))
-        else:
-            other_side_lists.append(tuple(row))
-
+    # a list whose key is the same for every entry is its row as it stands
+    same_side_lists = [
+        sorted(adj, key=lambda u: (u != absorbs.get(i), not options >> u & 1))
+        if rivals >> i & 1
+        else adj
+        for i, adj in enumerate(graph.adjacency(v.side))
+    ]
+    other_side_lists = [
+        sorted(adj, key=lambda w: (w != champions[u], w == v.index))
+        if options >> u & 1
+        else adj
+        for u, adj in enumerate(graph.adjacency(opp))
+    ]
     if v.side is Side.X:
         return PreferenceInstance(same_side_lists, other_side_lists)
     return PreferenceInstance(other_side_lists, same_side_lists)

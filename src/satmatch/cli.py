@@ -57,8 +57,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     verdict = analysis.saturation_verdict(g, side)
     vertices = []
     for r in verdict.reports:
-        analysis.certify_blockade(g, r)
-        analysis.certify_absorption(g, r)
+        analysis.certify(g, r)
         vertices.append(
             {
                 "vertex": names.name(r.vertex),
@@ -374,8 +373,8 @@ def cmd_adversary(args) -> tuple[dict, int]:
             f"no vertex named {args.target!r} in the market", source=args.market
         )
     r = analysis.vertex_report(g, target)
+    analysis.certify(g, r)
     if not r.strandable:
-        analysis.certify_blockade(g, r)
         report = {
             "command": "adversary",
             "source": args.market,

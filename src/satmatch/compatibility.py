@@ -6,7 +6,9 @@ it and to no other class); each Y-vertex belongs to exactly one class.
 `exclusive_members` owns that rule: the constructor, the witness of a
 deficient class, the file reader and the harness's market family all ask
 it. Acceptability is class membership: the induced graph has
-an edge (x, y) exactly when y's class is one of x's. A preference instance
+an edge (x, y) exactly when y's class is one of x's. `induced_rows` owns
+that rule, as one bitmask over Y per X-vertex; `induced_graph` and the
+harness's memo keys both read it. A preference instance
 on that induced graph is automatically class-wise complete — every vertex
 ranks all compatible partners — which is the only preference regime these
 verdicts quantify over.
@@ -78,18 +80,31 @@ def exclusive_members(
     return owner
 
 
+def induced_rows(market: CompatibilityMarket) -> tuple[int, ...]:
+    """The acceptability graph's X-rows as bitmasks over Y: bit j of row i
+    is set iff y[j]'s class is one of x[i]'s, so a row is the OR of its
+    classes' slot masks. Markets with the same Y count and the same rows
+    induce the same graph."""
+    slots = [0] * market.n_classes
+    for j, c in enumerate(market.y_class):
+        slots[c] |= 1 << j
+    rows = []
+    for classes in market.x_membership:
+        row = 0
+        for c in classes:
+            row |= slots[c]
+        rows.append(row)
+    return tuple(rows)
+
+
 def induced_graph(market: CompatibilityMarket) -> BipartiteGraph:
     """The acceptability graph: (x, y) is an edge iff y's class is one of
-    x's. Each X-vertex gets the slots of each of its classes."""
-    slots: list[list[int]] = [[] for _ in range(market.n_classes)]
-    for j, c in enumerate(market.y_class):
-        slots[c].append(j)
-    edges = [
-        (i, j)
-        for i, classes in enumerate(market.x_membership)
-        for c in classes
-        for j in slots[c]
-    ]
+    x's, one edge per set bit of `induced_rows`."""
+    edges = []
+    for i, row in enumerate(induced_rows(market)):
+        while row:
+            edges.append((i, (row & -row).bit_length() - 1))
+            row &= row - 1
     return BipartiteGraph(len(market.x_membership), len(market.y_class), edges)
 
 

@@ -426,21 +426,6 @@ def all_compatibility_markets(
 _SATISFIED, _STRANDED, _STILL_MATCHED = range(3)
 
 
-def _induced_key(market: compatibility.CompatibilityMarket, width: int) -> int:
-    """The induced graph as one int: its edge mask, with edge (x_i, y_j) at
-    bit i*|Y| + j as in graphs_of_shape, then |X| and |Y| in `width` bits
-    each. Markets with equal keys induce equal graphs."""
-    a, b = len(market.x_membership), len(market.y_class)
-    slots = [0] * market.n_classes
-    for j, c in enumerate(market.y_class):
-        slots[c] |= 1 << j
-    mask = 0
-    for i, classes in enumerate(market.x_membership):
-        for c in classes:
-            mask |= slots[c] << (i * b)
-    return (mask << width | a) << width | b
-
-
 def _freeze_out(g: BipartiteGraph, witness: int) -> int:
     """Try to strand x[witness] in every stable matching of one instance."""
     report = analysis.vertex_report(g, Vertex(Side.X, witness))
@@ -506,20 +491,20 @@ def coverage_suite(
     )
     counts, violations = result.counts, result.violations
     started = time.perf_counter()
-    # int keys and bool or small-int values: keeping tuples, verdicts or
-    # graphs would cost memory. A side size or a witness fits in `width` bits.
-    width = max_side.bit_length()
-    holds_by_graph: dict[int, bool] = {}
-    outcome_by_witness: dict[int, int] = {}
+    # keyed by the induced graph as (|Y|, *its X-rows as int masks), and by
+    # that key plus the witness; bool or small-int values: keeping
+    # verdicts or graphs would cost memory
+    holds_by_graph: dict[tuple[int, ...], bool] = {}
+    outcome_by_witness: dict[tuple[int, ...], int] = {}
     # per covered graph with at most `samples` instances, whether each of
     # them, enumerated once, saturates X
-    saturating_by_graph: dict[int, bool] = {}
+    saturating_by_graph: dict[tuple[int, ...], bool] = {}
 
     for m_index, market in enumerate(
         all_compatibility_markets(max_classes, max_side)
     ):
         counts["markets"] += 1
-        key = _induced_key(market, width)
+        key = (len(market.y_class), *compatibility.induced_rows(market))
         g = None
         holds = holds_by_graph.get(key)
         if holds is None:
@@ -562,7 +547,7 @@ def coverage_suite(
                 )
         else:
             witness = compatibility.deficient_witness(market, cross.coverage)
-            witness_key = key << width | witness
+            witness_key = (*key, witness)
             outcome = outcome_by_witness.get(witness_key)
             if outcome is None:
                 if g is None:

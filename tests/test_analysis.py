@@ -684,7 +684,7 @@ def _assert_shared_equals_unshared(g: BipartiteGraph) -> None:
             alone = vertex_report(g, r.vertex)
             assert r == alone  # so are bounded, satisfied, isolated, strandable
             assert (r.absorbers is None) == (not r.strandable)
-            analysis.certify_absorption(g, r)
+            analysis.certify(g, r)
 
 
 @given(twin_graphs())
@@ -713,10 +713,10 @@ def test_a_twin_copies_its_representatives_matching_with_the_two_swapped():
     assert first.strandable and 1 in first.absorbers
     assert twin.absorbers == tuple(0 if c == 1 else c for c in first.absorbers)
     for r in (first, twin):
-        analysis.certify_absorption(g, r)
+        analysis.certify(g, r)
     plain_copy = dataclasses.replace(twin, absorbers=first.absorbers)
     with pytest.raises(EngineInvariantError, match=r"to x\[1\] itself"):
-        analysis.certify_absorption(g, plain_copy)
+        analysis.certify(g, plain_copy)
 
 
 @pytest.mark.parametrize(
@@ -730,13 +730,13 @@ def test_a_twin_copies_its_representatives_matching_with_the_two_swapped():
         ((1, 1), r"gives x\[1\] two options"),
     ],
 )
-def test_certify_absorption_rejects_a_bad_matching(absorbers, message):
+def test_certify_rejects_a_bad_absorbing_matching(absorbers, message):
     # x0's options y0 and y1: x1 is adjacent to both, x2 to y0 only
     g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
     report = vertex_report(g, X(0))
-    analysis.certify_absorption(g, report)
+    analysis.certify(g, report)
     with pytest.raises(EngineInvariantError, match=message):
-        analysis.certify_absorption(g, dataclasses.replace(report, absorbers=absorbers))
+        analysis.certify(g, dataclasses.replace(report, absorbers=absorbers))
 
 
 # -- perfect-matching verdicts -------------------------------------------------

@@ -16,13 +16,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import misreport_y_optimal
-from satmatch import analysis, cli, compatibility, engine, harness, market_io, prefs
+from satmatch import analysis, cli, compatibility, engine, harness, market_io
 from satmatch.errors import (
     SHORT_COUNT_BITS,
     EngineInvariantError,
     GraphCountExceeded,
     InstanceCapExceeded,
-    PreferenceError,
     SearchCapExceeded,
     count_text,
 )
@@ -1101,7 +1100,8 @@ def test_analyze_refuses_a_counterexample_with_swapped_champions(
 ):
     # weld's options ada and bea each get the other's champion; ada is not
     # adjacent to bea's. Only the champions' pass runs with no competitor
-    # free; the verdict's own pass is left alone.
+    # free; the verdict's own pass is left alone, so its check passes and
+    # the champions' check refuses them before any list is built.
     real = analysis._absorb
 
     def swapped(comasks, row, mine, free):
@@ -1116,36 +1116,20 @@ def test_analyze_refuses_a_counterexample_with_swapped_champions(
     code, out, err = _run(capsys, "analyze", path, "--side", "y", "--format", fmt)
     assert (code, out) == (4, "")
     assert err == (
-        "error: internal: EngineInvariantError: the instance built to strand "
-        "weld does not rank exactly each vertex's neighbors\n"
+        "error: internal: EngineInvariantError: the absorbing matching of "
+        "y[0] gives option x[0] to y[1], which is not adjacent to it\n"
     )
-    # the swapped instance is no instance of the market, and with each list
-    # cut down to the vertex's neighbors it lets weld match
     g = market_io.load_market(path).graph
-    weld = Vertex(Side.Y, 0)
-    instance = analysis.adversarial_instance(g, analysis.vertex_report(g, weld))
-    table = {
-        Vertex(side, i): [Vertex(side.opposite, u) for u in ranked]
-        for side, lists in ((Side.X, instance.x_lists), (Side.Y, instance.y_lists))
-        for i, ranked in enumerate(lists)
-    }
-    with pytest.raises(PreferenceError, match="not adjacent"):
-        prefs.validate(g, table)
-    cut = PreferenceInstance(
-        *(
-            [[u for u in ranked if u in row] for ranked, row in zip(lists, adj)]
-            for lists, adj in ((instance.x_lists, g.x_adj), (instance.y_lists, g.y_adj))
-        )
-    )
-    assert not engine.enumerate_stable(g, cut).always_unmatched(weld)
+    report = analysis.vertex_report(g, Vertex(Side.Y, 0))
+    with pytest.raises(EngineInvariantError, match="which is not adjacent to it"):
+        analysis.adversarial_instance(g, report)
 
 
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_analyze_refuses_a_strandable_row_whose_matching_is_corrupt(
-    capsys, monkeypatch, fmt
-):
-    # weld's kept matching gives ada to sand and bea to paint; swapped, ada
-    # goes to paint, which is not adjacent to it
+def _swapping_first_two_absorbers(monkeypatch) -> None:
+    """Patch analysis.vertex_report so every kept absorbing matching gives
+    its first two options each other's competitor. covered_classes.yaml's
+    weld, y[0], keeps ada for sand and bea for paint; swapped, ada goes to
+    paint, which is not adjacent to it."""
     real = analysis.vertex_report
 
     def swapped(graph, v):
@@ -1156,13 +1140,33 @@ def test_analyze_refuses_a_strandable_row_whose_matching_is_corrupt(
         return replace(r, absorbers=(second, first, *rest))
 
     monkeypatch.setattr(analysis, "vertex_report", swapped)
+
+
+_SWAPPED_ABSORBERS = (
+    "error: internal: EngineInvariantError: the absorbing matching of "
+    "y[0] gives option x[0] to y[1], which is not adjacent to it\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_refuses_a_strandable_row_whose_matching_is_corrupt(
+    capsys, monkeypatch, fmt
+):
+    _swapping_first_two_absorbers(monkeypatch)
     path = _market("covered_classes.yaml")
     code, out, err = _run(capsys, "analyze", path, "--side", "y", "--format", fmt)
-    assert (code, out) == (4, "")
-    assert err == (
-        "error: internal: EngineInvariantError: the absorbing matching of "
-        "y[0] gives option x[0] to y[1], which is not adjacent to it\n"
-    )
+    assert (code, out, err) == (4, "", _SWAPPED_ABSORBERS)
+
+
+def test_adversary_refuses_a_target_whose_matching_is_corrupt(
+    capsys, monkeypatch, tmp_path
+):
+    _swapping_first_two_absorbers(monkeypatch)
+    emitted = tmp_path / "emitted.yaml"
+    argv = ["adversary", _market("covered_classes.yaml"), "--target", "weld"]
+    code, out, err = _run(capsys, *argv, "--out", str(emitted))
+    assert (code, out, err) == (4, "", _SWAPPED_ABSORBERS)
+    assert not emitted.exists()
 
 
 def _dropping_last_blockade_option(monkeypatch) -> None:

@@ -17,6 +17,7 @@ from satmatch.compatibility import (
     deficient_witness,
     exclusive_members,
     induced_graph,
+    induced_rows,
     verdict_consistency,
 )
 from satmatch.errors import InputError, MarketFormatError
@@ -198,7 +199,7 @@ def test_positive_coverage_saturates_sampled_instances(market, seed):
 
 
 # -- the exclusive-member rule and the induced graph, against the scans -------
-# `exclusive_members` and the slot lists of `induced_graph` replaced the
+# `exclusive_members` and the slot masks of `induced_rows` replaced the
 # scans below, which stay here as references.
 
 
@@ -330,3 +331,16 @@ def test_every_owner_of_the_rule_refuses_the_same_memberships(case):
         exc.value.message,
         exc.value.path,
     )
+
+
+def test_markets_share_their_rows_exactly_when_they_induce_one_graph():
+    # coverage_suite keys its memos on (|Y|, *induced_rows): equal keys must
+    # mean equal graphs and equal graphs equal keys, so the key and the
+    # graph pair off one to one
+    family = list(harness.all_compatibility_markets(2, 3))
+    graphs = [induced_graph(m) for m in family]
+    keys = [(len(m.y_class), *induced_rows(m)) for m in family]
+    distinct = len(set(zip(keys, graphs)))
+    assert len(set(keys)) == len(set(graphs)) == distinct < len(family)
+    for market, graph in zip(family, graphs):
+        assert induced_rows(market) == graph.masks(Side.X)

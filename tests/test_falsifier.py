@@ -13,7 +13,9 @@ at it: every option ranks v last, and every claimant ranks v's options
 first. That is the shape of `adversarial_instance`, the instance that
 strands a vertex whose options can be absorbed. A checker that shares a
 misreading of the verdict's condition cannot hide it from this test,
-since nothing here restates the condition.
+since nothing here restates the condition. A seeded hill-climb then walks
+from the aimed instance toward one that strands v, one swap at a time,
+and v must stay matched all the way.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from satmatch.prefs import PreferenceInstance
 SEED = 5
 DENSITIES = (0.15, 0.25, 0.4)
 SAMPLES = 3  # uniform instances per satisfied vertex, besides the aimed one
+CLIMB_STEPS = 8  # swaps tried per satisfied vertex, from the aimed instance
 
 
 def _random_graph(rng: random.Random, density: float) -> BipartiteGraph:
@@ -66,6 +69,47 @@ def _aimed_at(graph: BipartiteGraph, v: Vertex) -> PreferenceInstance:
     if v.side is Side.X:
         return PreferenceInstance(own, other)
     return PreferenceInstance(other, own)
+
+
+def _climb(graph: BipartiteGraph, v: Vertex, rng: random.Random) -> int:
+    """Hill-climb from `_aimed_at(graph, v)` toward an instance that
+    strands v, and return how many deferred-acceptance runs it made.
+
+    Each step swaps two adjacent entries, drawn from `rng`, within one
+    claimant's block of v's options: the part of the aimed instance that
+    decides which competitor takes which option. The swap is kept when v's
+    partner is no better for v than before, and undone otherwise. v must
+    be matched after every step. A vertex with no such pair is skipped."""
+    aimed = _aimed_at(graph, v)
+    lists = [list(map(list, aimed.x_lists)), list(map(list, aimed.y_lists))]
+    own = lists[v.side is Side.Y]
+    ranked = own[v.index]  # v's own list, ascending; no step swaps it
+    options = set(ranked)
+    moves = [
+        (row, k)
+        for i, row in enumerate(own)
+        if i != v.index
+        for k in range(sum(u in options for u in row) - 1)
+    ]
+    if not moves:
+        return 0
+    worst = 0
+    for step in range(CLIMB_STEPS + 1):
+        if step:
+            row, k = rng.choice(moves)
+            row[k], row[k + 1] = row[k + 1], row[k]
+        instance = PreferenceInstance(*lists)
+        partner = engine.deferred_acceptance(graph, instance).partner(v)
+        assert partner is not None, (
+            f"{v!r} was reported satisfied on {graph!r}, but is unmatched in "
+            f"every stable matching of {instance.x_lists!r} / {instance.y_lists!r}"
+        )
+        rank = ranked.index(partner.index)
+        if rank >= worst:
+            worst = rank
+        else:
+            row[k], row[k + 1] = row[k + 1], row[k]
+    return CLIMB_STEPS + 1
 
 
 def _try_every_satisfied_vertex(graph: BipartiteGraph, rng: random.Random) -> int:
@@ -113,3 +157,15 @@ def test_every_stable_matching_is_perfect_on_unions_of_balanced_bicliques():
         assert analysis.perfect_verdict(graph).holds
         runs = _try_every_satisfied_vertex(graph, rng)
         assert runs == 2 * graph.x_count * (SAMPLES + 1)
+
+
+def test_hill_climbs_toward_stranding_leave_satisfied_vertices_matched():
+    graphs, climb = random.Random(SEED), random.Random(SEED + 1)
+    runs = 0
+    for k in range(400):
+        graph = _random_graph(graphs, DENSITIES[k % 3])
+        verdict = analysis.perfect_verdict(graph)
+        for report in verdict.x.reports + verdict.y.reports:
+            if report.satisfied:
+                runs += _climb(graph, report.vertex, climb)
+    assert runs > 4000  # the seed gives about 6,000

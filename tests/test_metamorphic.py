@@ -219,7 +219,7 @@ def _certify_printed(report: dict, bundle: MarketBundle) -> None:
     for row in report["saturation"]["vertices"]:
         if row["blockade"] is not None:
             blockade = tuple(map(vertex, row["blockade"]))
-            analysis.certify_blockade(
+            analysis.certify(
                 graph,
                 analysis.VertexReport(
                     vertex(row["vertex"]),
